@@ -11,6 +11,7 @@ goal-to-goal decomposition is used.
 
 import random
 
+from repro import check
 from repro.core.builder import ArgumentBuilder
 from repro.core.wellformed import (
     DENNEY_PAI_RULES,
@@ -58,9 +59,9 @@ def _sweep():
         denney_rejects = 0
         for seed in range(total):
             argument, _ = _make_argument(seed, share)
-            if not GSN_STANDARD_RULES.is_well_formed(argument):
+            if not check(argument, GSN_STANDARD_RULES).well_formed:
                 standard_rejects += 1
-            if not DENNEY_PAI_RULES.is_well_formed(argument):
+            if not check(argument, DENNEY_PAI_RULES).well_formed:
                 denney_rejects += 1
         rows.append({
             "goal-to-goal share": share,

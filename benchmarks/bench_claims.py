@@ -18,7 +18,8 @@ gate, stamps the bindings onto a matching argument, and measures:
   "incremental")``; the obligation counters must show **exactly one**
   new proof per edit;
 * **incremental (store)** — the same edit loop against a journaled
-  store handle via ``IncrementalChecker.from_store``, never hydrating.
+  store handle through the same ``repro.check(..., mode=
+  "incremental")`` call, never hydrating.
 
 Every edited state is re-checked fresh/serial outside the timed region
 and asserted equal to the incremental result (edits alternate passing
@@ -190,7 +191,7 @@ def run_size(n: int, repeats: int, scratch: Path) -> "dict[str, Any]":
             f"edit {edit}: incremental diverged from fresh full"
         )
 
-    # Incremental, journaled store: same loop through from_store.
+    # Incremental, journaled store: the same loop over a store handle.
     store_dir = scratch / f"claims-{n}.store"
     argument.save(store_dir)
     handle = StoredArgument(store_dir)
@@ -212,7 +213,7 @@ def run_size(n: int, repeats: int, scratch: Path) -> "dict[str, Any]":
             f"store edit {edit}: "
             f"{proofs_after - proofs_before} proofs re-run"
         )
-        assert not handle.hydrated, "from_store re-check hydrated"
+        assert not handle.hydrated, "store-backed re-check hydrated"
         fresh = check(argument, rules, mode="serial")
         assert tuple(report) == tuple(fresh), (
             f"store edit {edit}: incremental diverged from fresh full"

@@ -709,9 +709,10 @@ def bench_mutation_workload(n: int, chunk: int | None = None) -> dict[str, Any]:
 # measures all of them on a GSN-shaped case saved through the store:
 #
 # * **full** — the pre-scoped baseline, preserved verbatim below the way
-#   PR 1 preserved SeedArgument: RuleSet.check used to _hydrate the
-#   StoredArgument and then run whole-argument rule functions, each
-#   scanning every link with a node lookup apiece;
+#   SeedArgument is preserved: hydrate the StoredArgument, then run
+#   whole-argument rule functions, each scanning every link with a node
+#   lookup apiece (plus, for reference, the scoped rules run over the
+#   same hydrated argument);
 # * **streaming** — check the shards directly with the node-type sidecar,
 #   never constructing an Argument (asserted via the hydration flag);
 # * **parallel** — partition the streams across process workers (on a
@@ -723,18 +724,18 @@ def bench_mutation_workload(n: int, chunk: int | None = None) -> dict[str, Any]:
 
 
 def _legacy_gsn_rules():
-    """The pre-PR-4 whole-argument GSN rule set, preserved verbatim.
+    """The pre-scoped-engine whole-argument GSN rules, preserved verbatim.
 
-    These are the monolithic ``Callable[[Argument], list[Violation]]``
-    rule bodies exactly as ``core/wellformed.py`` shipped them before
-    the scoped engine (modulo the solution-leaf index walk, kept
-    index-backed as it was).  Adapted through the legacy-``Rule`` path
-    they still measure the old cost model: full hydration plus one scan
-    of the link list per rule with an ``argument.node()`` lookup per
-    link.
+    These are the monolithic ``Argument -> list[Violation]`` rule
+    bodies exactly as ``core/wellformed.py`` shipped them before the
+    scoped engine (modulo the solution-leaf index walk, kept
+    index-backed as it was), in rule-set order.  Run by
+    :func:`_legacy_check` over a hydrated store they still measure the
+    old cost model: full hydration plus one scan of the link list per
+    rule with an ``argument.node()`` lookup per link.
     """
+    from repro.core.analysis import Violation
     from repro.core.nodes import looks_propositional
-    from repro.core.wellformed import Rule, RuleSet, Violation
 
     def supported_by_targets(argument):
         allowed = {NodeType.GOAL, NodeType.STRATEGY, NodeType.SOLUTION,
@@ -881,32 +882,22 @@ def _legacy_gsn_rules():
                 ))
         return out
 
-    return RuleSet("gsn-standard-legacy", (
-        Rule("supported-by-target",
-             "SupportedBy targets goals, strategies, or solutions",
-             supported_by_targets),
-        Rule("supported-by-source",
-             "only goals and strategies cite support",
-             supported_by_sources),
-        Rule("in-context-of-target",
-             "InContextOf targets contextual elements", context_targets),
-        Rule("in-context-of-source",
-             "only goals and strategies attach context", context_sources),
-        Rule("away-goal-solution-context",
-             "solutions cannot contextualise away goals",
-             away_goal_no_solution_context),
-        Rule("solution-leaf", "solutions are terminal",
-             solutions_are_leaves),
-        Rule("single-root", "exactly one root goal", single_root),
-        Rule("acyclic", "no circular support", acyclic),
-        Rule("undeveloped-unmarked",
-             "unsupported goals must be marked undeveloped",
-             developed_or_marked),
-        Rule("strategy-unsupported",
-             "strategies must lead to sub-goals", strategies_supported),
-        Rule("goal-not-proposition",
-             "goal text must be a proposition", goals_propositional),
-    ))
+    return (
+        supported_by_targets, supported_by_sources, context_targets,
+        context_sources, away_goal_no_solution_context,
+        solutions_are_leaves, single_root, acyclic, developed_or_marked,
+        strategies_supported, goals_propositional,
+    )
+
+
+def _legacy_check(argument, rules) -> list:
+    """Whole-argument rules in order, each rule's output canonical."""
+    violations: list = []
+    for rule in rules:
+        violations.extend(
+            sorted(rule(argument), key=lambda v: (v.subject, v.detail))
+        )
+    return violations
 
 
 def gsn_case(n: int) -> tuple[list[NodeSpec], list[LinkSpec]]:
@@ -973,9 +964,12 @@ def bench_wellformed_workload(
     """
     import os
 
+    from repro.checking import check
+    from repro.core.analysis import IncrementalChecker, run_rules
     from repro.core.wellformed import GSN_STANDARD_RULES
     from repro.store import StoredArgument
 
+    rules = GSN_STANDARD_RULES.rules
     spec = gsn_case(n)
     argument = build(Argument, spec, "wellformed-case")
     hazards = max(1, (n - 2) // 2)
@@ -986,31 +980,25 @@ def bench_wellformed_workload(
     try:
         argument.save(store_dir)
 
-        serial_s, serial = timed(
-            lambda: GSN_STANDARD_RULES.check(argument)
-        )
+        serial_s, serial = timed(lambda: run_rules(argument, rules))
 
-        # The pre-PR path: hydrate, then whole-argument legacy rules.
+        # The pre-scoped-engine path: hydrate, then whole-argument rules.
         legacy_rules = _legacy_gsn_rules()
         hydrating = StoredArgument(store_dir)
         full_s, full = timed(
-            lambda: legacy_rules.check(hydrating, mode="full")
+            lambda: _legacy_check(hydrating.load(), legacy_rules)
         )
         assert hydrating.hydrated, "the legacy full check must hydrate"
 
         # The scoped rules run over a hydrated argument, for reference.
         scoped_full_store = StoredArgument(store_dir)
         scoped_full_s, scoped_full = timed(
-            lambda: GSN_STANDARD_RULES.check(
-                scoped_full_store, mode="full"
-            )
+            lambda: run_rules(scoped_full_store.load(), rules)
         )
 
         streaming_store = StoredArgument(store_dir)
         streaming_s, streaming = timed(
-            lambda: GSN_STANDARD_RULES.check(
-                streaming_store, mode="streaming"
-            )
+            lambda: run_rules(streaming_store, rules, mode="streaming")
         )
         assert not streaming_store.hydrated, (
             "streaming check must not hydrate the store"
@@ -1022,8 +1010,8 @@ def bench_wellformed_workload(
         workers = os.cpu_count() or 1
         parallel_store = StoredArgument(store_dir)
         parallel_s, parallel = timed(
-            lambda: GSN_STANDARD_RULES.check(
-                parallel_store, mode="parallel", workers=workers
+            lambda: run_rules(
+                parallel_store, rules, mode="parallel", workers=workers
             )
         )
         assert not parallel_store.hydrated, (
@@ -1039,7 +1027,7 @@ def bench_wellformed_workload(
         if rounds is None:
             rounds = max(10, min(40, 1_000_000 // max(1, n)))
         incremental_argument = argument.copy()
-        checker = GSN_STANDARD_RULES.incremental(incremental_argument)
+        checker = IncrementalChecker(incremental_argument, rules)
         incremental_results: list[int] = []
 
         def run_incremental() -> None:
@@ -1060,7 +1048,7 @@ def bench_wellformed_workload(
                     full_argument, hazards, round_index
                 )
                 full_results.append(
-                    len(GSN_STANDARD_RULES.check(full_argument))
+                    len(check(full_argument, GSN_STANDARD_RULES))
                 )
 
         incremental_s, _ = timed(run_incremental)
@@ -1068,9 +1056,9 @@ def bench_wellformed_workload(
         assert incremental_results == full_results, (
             "incremental and full rechecks diverged"
         )
-        assert checker.check() == GSN_STANDARD_RULES.check(
-            incremental_argument
-        ), "final incremental state diverged from a fresh check"
+        assert checker.check() == run_rules(incremental_argument, rules), (
+            "final incremental state diverged from a fresh check"
+        )
 
         return {
             "nodes": len(argument),
@@ -1101,9 +1089,9 @@ def bench_wellformed_workload(
 # An editing session over a persisted case must not pay an O(store)
 # rewrite per save: PR 5's append journal persists each session's
 # mutation delta as a sealed JSONL segment, readers replay it
-# transparently, compact() folds it back into byte-stable shards, and
-# IncrementalChecker.from_store() re-checks the persisted case from the
-# journal deltas without ever hydrating it.  This workload measures the
+# transparently, compact() folds it back into byte-stable shards, and an
+# IncrementalChecker over the stored handle re-checks the persisted case
+# from the journal deltas without ever hydrating it.  This workload measures the
 # whole loop on the same GSN-shaped case the well-formedness workload
 # uses.
 
@@ -1119,8 +1107,11 @@ def bench_journal_workload(
     store-backed incremental checker matches a fresh streaming check
     after every appended delta with ``hydrated`` still ``False``.
     """
+    from repro.core.analysis import IncrementalChecker, run_rules
     from repro.core.wellformed import GSN_STANDARD_RULES
     from repro.store import StoredArgument
+
+    rules = GSN_STANDARD_RULES.rules
 
     spec = gsn_case(n)
     hazards = max(1, (n - 2) // 2)
@@ -1171,7 +1162,7 @@ def bench_journal_workload(
         # full streaming check over the same store.  Neither hydrates.
         checker_store = StoredArgument(journal_dir)
         attach_s, checker = timed(
-            lambda: GSN_STANDARD_RULES.incremental_from_store(checker_store)
+            lambda: IncrementalChecker(checker_store, rules)
         )
         recheck_rounds = max(10, rounds // 2)
         incremental_s = 0.0
@@ -1182,8 +1173,8 @@ def bench_journal_workload(
             elapsed, incremental = timed(checker.check)
             incremental_s += elapsed
             elapsed, streamed = timed(
-                lambda: GSN_STANDARD_RULES.check(
-                    StoredArgument(journal_dir), mode="streaming"
+                lambda: run_rules(
+                    StoredArgument(journal_dir), rules, mode="streaming"
                 )
             )
             streaming_s += elapsed
@@ -1192,7 +1183,7 @@ def bench_journal_workload(
                 "streaming check"
             )
         assert not checker_store.hydrated, (
-            "from_store re-checking must not hydrate the store"
+            "store-backed re-checking must not hydrate the store"
         )
 
         # Compaction folds the journal into fresh shards, byte-identical
@@ -1211,8 +1202,8 @@ def bench_journal_workload(
         }
         byte_stable = compacted_files == fresh_files
         assert byte_stable, "compaction is not byte-stable"
-        assert checker.check() == GSN_STANDARD_RULES.check(
-            StoredArgument(journal_dir), mode="streaming"
+        assert checker.check() == run_rules(
+            StoredArgument(journal_dir), rules, mode="streaming"
         ), "checker did not survive compaction"
         assert not checker_store.hydrated
 
@@ -1523,7 +1514,7 @@ def run_bench(
             "as O(delta) append-journal segments vs a full save() "
             "rewrite per round, folds the journal back into byte-stable "
             "shards via compact(), and re-checks the persisted case "
-            "from its journal deltas (IncrementalChecker.from_store) "
+            "from its journal deltas (a store-backed IncrementalChecker) "
             "without hydration vs a full streaming recheck per round; "
             "service_workload drives the asyncio HTTP front end with "
             "concurrent writer clients (optimistic expect_generation "

@@ -14,6 +14,7 @@ safety arguments, none strictly formal.  This benchmark:
 
 import random
 
+from repro import check
 from repro.core.builder import ArgumentBuilder
 from repro.core.wellformed import GSN_STANDARD_RULES, RuleSet
 from repro.experiments.tables import render_rows
@@ -87,7 +88,7 @@ def bench_greenwell_distribution(benchmark):
             if rule.name != "goal-not-proposition"
         ),
     )
-    assert structural.is_well_formed(mutated)
+    assert check(mutated, structural).well_formed
     formalisation = formalise_argument(mutated)
     formalisation.assent_all()
     assert formalisation.check()

@@ -59,6 +59,7 @@ from typing import Any
 
 from bench_graph_scale import build, gsn_case, timed
 
+from repro.checking import check
 from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
 from repro.core.wellformed import GSN_STANDARD_RULES
@@ -179,7 +180,7 @@ def run_cell(nodes: int, skew: str, worker_counts: list[int],
     journal_rounds(argument, store_dir, journal)
 
     rules = GSN_STANDARD_RULES
-    serial = rules.check(argument)
+    serial = check(argument, rules).violations
     streaming_samples: list[float] = []
     parallel_samples: dict[int, list[float]] = {
         workers: [] for workers in worker_counts
@@ -188,19 +189,19 @@ def run_cell(nodes: int, skew: str, worker_counts: list[int],
     # mode equally instead of biasing whichever ran last.
     for _ in range(repeats):
         seconds, streamed = timed(
-            lambda: rules.check(StoredArgument(store_dir),
-                                mode="streaming")
+            lambda: check(StoredArgument(store_dir), rules, mode="streaming")
         )
         streaming_samples.append(seconds)
-        assert streamed == serial, "streaming diverged from serial"
+        assert streamed.violations == serial, "streaming diverged from serial"
         for workers in worker_counts:
             seconds, checked = timed(
-                lambda w=workers: rules.check(
-                    StoredArgument(store_dir), mode="parallel", workers=w
+                lambda w=workers: check(
+                    StoredArgument(store_dir), rules,
+                    mode="parallel", workers=w,
                 )
             )
             parallel_samples[workers].append(seconds)
-            assert checked == serial, (
+            assert checked.violations == serial, (
                 f"parallel(workers={workers}) diverged from serial"
             )
 

@@ -8,11 +8,12 @@ session as tiny journal appends (no shard is ever rewritten), the
 persisted deltas re-check the case incrementally without loading it, and
 one ``compact()`` folds the journal back into clean shards.
 
-1. build and ``save()`` a case, then attach a store-backed incremental
-   checker (``RuleSet.incremental_from_store`` — never hydrates),
+1. build and ``save()`` a case, then check the stored handle with
+   ``repro.check(stored, mode="incremental")``, which keeps a
+   store-backed incremental checker alive (it never hydrates),
 2. run edit rounds: mutate the live argument, ``save(journal=True)``
    appends just the mutation delta as a sealed journal segment,
-3. after each round the checker consumes the persisted delta and
+3. after each round the same call consumes the persisted delta and
    re-checks the stored case — ``hydrated`` stays ``False`` throughout,
 4. ``compact()`` folds the journal into fresh shards, byte-identical to
    a clean save of the same argument, and ``gc()`` confirms nothing is
@@ -24,10 +25,10 @@ Run: ``python examples/journal_editing.py``
 import tempfile
 from pathlib import Path
 
+from repro import check
 from repro.core import ArgumentBuilder
 from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
-from repro.core.wellformed import GSN_STANDARD_RULES
 from repro.store import StoredArgument
 
 
@@ -59,9 +60,9 @@ def main() -> None:
           f"{len(base_files)} shards")
 
     stored = StoredArgument(store_dir)
-    checker = GSN_STANDARD_RULES.incremental_from_store(stored)
+    report = check(stored, mode="incremental")
     print(f"attached store-backed checker: "
-          f"{len(checker.check())} violation(s), hydrated={stored.hydrated}")
+          f"{len(report)} violation(s), hydrated={stored.hydrated}")
 
     # 2-3. Edit rounds: each save appends one O(delta) journal segment,
     # and the checker re-checks the *stored* case from that delta.
@@ -76,7 +77,7 @@ def main() -> None:
         ))
         argument.add_link("S1", f"X{round_index}", LinkKind.SUPPORTED_BY)
         manifest = argument.save(store_dir, journal=True)
-        violations = checker.check()
+        violations = check(stored, mode="incremental")
         print(f"round {round_index}: journal segments "
               f"{len(manifest['journal'])}, base shards untouched "
               f"{base_files <= set(manifest['shards'])}, "
@@ -102,7 +103,8 @@ def main() -> None:
     print(f"gc after compaction removed: {compact_handle.gc() or 'nothing'}")
 
     # The checker notices the new base generation and stays correct.
-    assert checker.check() == GSN_STANDARD_RULES.check(argument)
+    assert check(stored, mode="incremental").violations == \
+        check(argument).violations
     print(f"checker survives compaction; hydrated={stored.hydrated}")
 
 

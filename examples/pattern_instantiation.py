@@ -15,12 +15,12 @@ Demonstrates the full formal pattern mechanism:
 Run: ``python examples/pattern_instantiation.py``
 """
 
+from repro import check
 from repro.core.patterns import (
     Binding,
     InstantiationError,
     hazard_avoidance_pattern,
 )
-from repro.core.wellformed import is_well_formed
 from repro.notation import render_tree
 
 
@@ -65,7 +65,7 @@ def main() -> None:
         hazards=["overrun", "fire", "door-trap"],
         residual_risk=12,
     ))
-    print(f"well-formed: {is_well_formed(argument)}")
+    print(f"well-formed: {check(argument).well_formed}")
     print(render_tree(argument))
 
     print("=== The misuse type checking cannot catch (§III.L) ===")

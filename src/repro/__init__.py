@@ -67,7 +67,6 @@ from .core import (
     Node,
     NodeType,
     SafetyCriterion,
-    is_well_formed,
     run_rules,
 )
 from .core.query import select
@@ -104,7 +103,7 @@ __all__ = [
     "Node",
     "NodeType",
     "SafetyCriterion",
-    # checking (one facade over four engines)
+    # checking (one facade over every engine)
     "check",
     "CheckReport",
     "ObligationOutcome",
@@ -113,7 +112,6 @@ __all__ = [
     "GSN_STANDARD_RULES",
     "DENNEY_PAI_RULES",
     "IncrementalChecker",
-    "is_well_formed",
     "run_rules",
     # claim language
     "ClaimModule",

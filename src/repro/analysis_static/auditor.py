@@ -16,10 +16,8 @@ deep**, and emits structured :class:`AuditFinding`\\ s:
 ``undeclared-context-access``
     reading a context attribute outside the scope's declared surface;
 ``hydration-forcing``
-    touching the documented hydration fallback (``ctx.argument()``) or
-    the subject's ``load``/``argument``/``ensure_argument`` escape
-    hatches — an error for per-node/per-link rules and streaming
-    scans, a warning for global rules (the documented legacy path);
+    calling ``ensure_argument()`` or the subject's ``load``/``argument``
+    escape hatches, which hydrate a stored case;
 ``mutation``
     assigning to / deleting from the context or subject, or calling a
     mutator method (``add``, ``append``, ``add_node`` …) on them;
@@ -43,7 +41,7 @@ import textwrap
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from ..core.analysis import HYDRATING_CONTEXT, SCOPE_SURFACE, Scope
+from ..core.analysis import SCOPE_SURFACE, Scope
 
 __all__ = [
     "AuditFinding",
@@ -213,7 +211,6 @@ class _RuleVisitor(ast.NodeVisitor):
         path: str,
         roles: "dict[str, str]",
         allowed_context: "frozenset[str]",
-        hydration_severity: str,
         fn: Callable[..., Any],
         depth: int,
     ) -> None:
@@ -222,7 +219,6 @@ class _RuleVisitor(ast.NodeVisitor):
         self.path = path
         self.roles = dict(roles)
         self.allowed_context = allowed_context
-        self.hydration_severity = hydration_severity
         self.fn = fn
         self.depth = depth
         # Local names known to hold sets (for the iteration-order check).
@@ -362,14 +358,6 @@ class _RuleVisitor(ast.NodeVisitor):
 
     def _check_ctx_attribute(self, node: ast.Attribute, name: str) -> None:
         attr = node.attr
-        if attr in HYDRATING_CONTEXT:
-            self._emit(
-                KIND_HYDRATION, self.hydration_severity,
-                f"ctx.{attr}() forces full-argument hydration; the "
-                f"streaming and incremental modes cannot honour it "
-                f"cheaply", node,
-            )
-            return
         if attr in self.allowed_context:
             return
         if (getattr(node, "lineno", 0), name) in self._mutation_sites:
@@ -385,7 +373,7 @@ class _RuleVisitor(ast.NodeVisitor):
                                  name: str) -> None:
         if node.attr in _SUBJECT_HYDRATORS:
             self._emit(
-                KIND_HYDRATION, self.hydration_severity,
+                KIND_HYDRATION, SEVERITY_ERROR,
                 f"subject.{node.attr} forces hydration of the full "
                 f"argument", node,
             )
@@ -444,7 +432,7 @@ class _RuleVisitor(ast.NodeVisitor):
                 )
             elif func.id == "ensure_argument":
                 self._emit(
-                    KIND_HYDRATION, self.hydration_severity,
+                    KIND_HYDRATION, SEVERITY_ERROR,
                     "ensure_argument() hydrates the full argument",
                     node,
                 )
@@ -503,7 +491,6 @@ class _RuleVisitor(ast.NodeVisitor):
             rule_name=self.rule_name,
             roles=helper_roles,
             allowed_context=self.allowed_context,
-            hydration_severity=self.hydration_severity,
             depth=self.depth + 1,
         )
 
@@ -605,7 +592,6 @@ class _Auditor:
         rule_name: str,
         roles: "dict[str, str]",
         allowed_context: "frozenset[str]",
-        hydration_severity: str,
         depth: int,
     ) -> None:
         fn = _unwrap_callable(fn)
@@ -625,8 +611,7 @@ class _Auditor:
             ))
             return
         visitor = _RuleVisitor(
-            self, rule_name, path, roles, allowed_context,
-            hydration_severity, fn, depth,
+            self, rule_name, path, roles, allowed_context, fn, depth,
         )
         for stmt in getattr(tree, "body", []) if not isinstance(
                 tree, ast.Lambda) else [tree.body]:
@@ -641,16 +626,12 @@ def audit_callable(
     roles: "dict[str, str]",
 ) -> "list[AuditFinding]":
     """Audit one callable against the contract for *scope*."""
-    hydration_severity = (
-        SEVERITY_WARNING if scope is Scope.GLOBAL else SEVERITY_ERROR
-    )
     auditor = _Auditor()
     auditor.audit_callable_body(
         fn,
         rule_name=rule_name,
         roles=roles,
         allowed_context=SCOPE_SURFACE[scope],
-        hydration_severity=hydration_severity,
         depth=0,
     )
     return auditor.findings
@@ -746,7 +727,6 @@ def audit_streaming_scan(fn: Callable[..., Any]) -> "list[AuditFinding]":
         rule_name=getattr(fn, "__name__", repr(fn)),
         roles=roles,
         allowed_context=frozenset(),
-        hydration_severity=SEVERITY_ERROR,
         depth=0,
     )
     return auditor.findings

@@ -11,12 +11,9 @@ stream-safe fallacy per-node heuristics — and records the findings in
 finding into an :class:`AuditGateError` listing every violation with
 its source location; the CI ``static-analysis`` job and the
 ``static``-marked tests both call it, so a rule that breaks the
-authoring contract cannot merge.
-
-The hydration *warning* the legacy ``scoped_from_legacy`` adapter earns
-(its whole point is ``ctx.argument()``) is documented and expected —
-the gate fails on **errors** only, but re-exports the warnings so the
-test-suite can pin them.
+authoring contract cannot merge.  The gate fails on **errors** only:
+an ``unreadable-source`` warning means the auditor could not see a
+callable's source, not that the rule breaks the contract.
 """
 
 from __future__ import annotations
@@ -77,8 +74,8 @@ def assert_shipped_clean(
 ) -> None:
     """Raise :class:`AuditGateError` if any shipped rule errs.
 
-    Warnings (the documented legacy-adapter hydration path and
-    unreadable-source notices) do not fail the gate; errors always do.
+    Warnings (unreadable-source notices) do not fail the gate; errors
+    always do.
     """
     pool = SHIPPED_FINDINGS if findings is None else list(findings)
     errors = errors_only(pool)

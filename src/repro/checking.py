@@ -1,35 +1,28 @@
-"""The unified checking facade: one entry point, four engines.
-
-Before this module, callers picked among four surfaces —
-``wellformed.check`` (live arguments), ``RuleSet.check`` (mode
-keyword), ``RuleSet.incremental`` / ``IncrementalChecker`` (delta-log
-re-checking), and ``IncrementalChecker.from_store`` (journaled
-stores).  :func:`check` subsumes them:
+"""The unified checking facade: one entry point over every engine.
 
 ``repro.check(subject, rules=..., mode=...)``
     *subject* is a live :class:`~repro.core.argument.Argument` or a
     stored handle (anything satisfying
-    :func:`~repro.core.analysis.is_stored_argument`).  ``mode`` is
-    ``"auto"`` (default), ``"serial"``, ``"streaming"``,
-    ``"parallel"``, ``"full"``, or ``"incremental"`` — the last keeps
-    a delta-log checker alive per (subject, rules) behind the scenes,
-    so repeated incremental checks of the same subject re-run only
-    what changed (including re-proving only the formal obligations an
-    edit touched; see :mod:`repro.claims.obligations`).
+    :func:`~repro.core.analysis.is_stored_argument`).  ``mode`` is any
+    of :data:`~repro.core.analysis.CHECK_MODES`: ``"auto"`` (default),
+    ``"serial"``, ``"streaming"``, ``"parallel"``, or
+    ``"incremental"`` — the last keeps a delta-log checker alive per
+    (subject, rules) behind the scenes, so repeated incremental checks
+    of the same subject re-run only what changed (including re-proving
+    only the formal obligations an edit touched; see
+    :mod:`repro.claims.obligations`).
 
 The result is a typed :class:`CheckReport`: the violations (in the
-engine's canonical order), the **mode actually used** (``auto`` and
-degraded ``parallel`` resolve to a concrete engine), and the
-obligation outcomes — discharged and failed — when the subject or a
+engine's canonical order), the **mode actually used**
+(:func:`~repro.core.analysis.resolve_mode` maps ``auto`` and degraded
+``parallel`` onto a concrete engine), and the obligation outcomes —
+discharged and failed — when the subject or a
 :class:`~repro.claims.compiler.CompiledClaims` carries bindings.  The
-report is list-like over its violations, so existing call sites that
-truth-test or iterate the old ``list[Violation]`` return value keep
-working through the delegating shims.
+report is list-like over its violations.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Sequence
@@ -42,10 +35,11 @@ from .claims.obligations import (
     parse_obligation,
 )
 from .core.analysis import (
+    CHECK_MODES,
     IncrementalChecker,
     ScopedRule,
     Violation,
-    is_stored_argument,
+    resolve_mode,
     run_rules,
 )
 from .core.argument import Argument
@@ -57,12 +51,6 @@ __all__ = [
     "ObligationOutcome",
     "check",
 ]
-
-#: Modes accepted by :func:`check`; the first five mirror
-#: :func:`~repro.core.analysis.run_rules`.
-CHECK_MODES = (
-    "auto", "serial", "streaming", "parallel", "full", "incremental",
-)
 
 
 @dataclass(frozen=True)
@@ -80,9 +68,8 @@ class CheckReport:
     """A typed checking result: violations + obligations + mode used.
 
     List-like over its violations (``len``, iteration, indexing,
-    truthiness), so it drops into code written against the legacy
-    ``list[Violation]`` surface; ``well_formed`` and the obligation
-    partitions carry the richer story.
+    truthiness); ``well_formed`` and the obligation partitions carry
+    the richer story.
     """
 
     subject: str
@@ -148,33 +135,9 @@ def _incremental_checker(
     for cached_rules, checker in entries:
         if cached_rules == scoped:
             return checker
-    if is_stored_argument(subject):
-        checker = IncrementalChecker.from_store(subject, scoped)
-    else:
-        checker = IncrementalChecker(subject, scoped)
+    checker = IncrementalChecker(subject, scoped)
     entries.append((scoped, checker))
     return checker
-
-
-# -- mode resolution ----------------------------------------------------------
-
-
-def _resolved_mode(subject: Any, mode: str, workers: Optional[int]) -> str:
-    """The engine :func:`~repro.core.analysis.run_rules` actually used.
-
-    Mirrors its dispatch: ``auto`` picks streaming for stored subjects
-    and serial for live ones; ``parallel`` degrades the same way when
-    fewer than two effective workers are available.
-    """
-    stored = is_stored_argument(subject)
-    if mode == "parallel":
-        effective = workers if workers is not None else (os.cpu_count() or 1)
-        if effective >= 2:
-            return "parallel"
-        mode = "streaming"  # the engine's one-core degradation
-    if mode in ("auto", "serial", "streaming"):
-        return "streaming" if stored else "serial"
-    return mode
 
 
 # -- obligation outcomes ------------------------------------------------------
@@ -242,25 +205,19 @@ def check(
     (subject, rules): the first call pays a full check, later calls
     re-run only the rules the intervening mutations touched.
     """
-    if mode not in CHECK_MODES:
-        raise ValueError(
-            f"mode must be one of {', '.join(CHECK_MODES)}; got {mode!r}"
-        )
+    used = resolve_mode(subject, mode, workers)
     if isinstance(rules, CompiledClaims):
         if claims is None:
             claims = rules
         rules = rules.rule_set
     scoped = tuple(rules.rules) if isinstance(rules, RuleSet) \
         else tuple(rules)
-    if mode == "incremental":
-        checker = _incremental_checker(subject, scoped)
-        violations = tuple(checker.check())
-        used = "incremental"
+    if used == "incremental":
+        violations = tuple(_incremental_checker(subject, scoped).check())
     else:
         violations = tuple(
-            run_rules(subject, scoped, mode=mode, workers=workers)
+            run_rules(subject, scoped, mode=used, workers=workers)
         )
-        used = _resolved_mode(subject, mode, workers)
     name = getattr(subject, "name", None)
     return CheckReport(
         subject=str(name) if name is not None else type(subject).__name__,

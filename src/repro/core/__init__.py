@@ -56,12 +56,8 @@ from .patterns import (
 from .wellformed import (
     DENNEY_PAI_RULES,
     GSN_STANDARD_RULES,
-    Rule,
     RuleSet,
     Violation,
-    check,
-    is_well_formed,
-    scoped_from_legacy,
 )
 
 __all__ = [
@@ -113,10 +109,6 @@ __all__ = [
     "hazard_avoidance_pattern",
     "DENNEY_PAI_RULES",
     "GSN_STANDARD_RULES",
-    "Rule",
     "RuleSet",
     "Violation",
-    "check",
-    "is_well_formed",
-    "scoped_from_legacy",
 ]

@@ -1,12 +1,10 @@
 """Scoped streaming rule analysis over arguments and stored arguments.
 
-The well-formedness layer used to be a stack of whole-argument functions:
-every rule received a fully hydrated :class:`~repro.core.argument.Argument`
-and scanned whatever it liked.  That shape forces
-:class:`~repro.store.StoredArgument` handles through full hydration before
-the first rule runs and leaves no seam for parallel or incremental
-execution.  This module replaces it with **scoped rules** and one engine
-that can run the same rule set four ways.
+Every well-formedness rule is a **scoped rule**: it declares how much of
+the graph it needs, and one engine runs a rule set over a live
+:class:`~repro.core.argument.Argument` or a persisted
+:class:`~repro.store.StoredArgument` in several modes with identical
+output.  A stored case is never hydrated to be checked.
 
 The scoped-rule contract
 ========================
@@ -28,92 +26,78 @@ A :class:`ScopedRule` declares *how much of the graph it needs* via its
 
 ``Scope.GLOBAL`` (:func:`global_rule`)
     ``fn(ctx) -> list[Violation]``.  The rule needs whole-graph services:
-    :meth:`RuleContext.roots`, :meth:`RuleContext.find_cycle`,
-    :attr:`RuleContext.name` — or, as a last resort for legacy
-    whole-argument callables, :meth:`RuleContext.argument`, which hydrates
-    a stored case.  Full hydration is thereby the *fallback*, not the
-    default.
+    :meth:`RuleContext.roots`, :meth:`RuleContext.find_cycle` and the
+    support-reachability probes, all answered from aggregates.
 
 The locality restrictions are what buy the execution modes: because a
 node rule touches one node plus one bit of context and a link rule
 touches one link plus two node types, any partition of the node and link
 streams evaluates independently.
 
-Execution modes (:func:`run_rules`)
-===================================
+Rule contexts
+=============
+
+Two classes answer the :class:`RuleContext` questions.  A live argument
+is asked through :class:`_LiveContext`, a thin adapter over the
+argument's own maintained indices.  Everything built from store records
+uses the one :class:`_Sidecar`: node types, seq order, SupportedBy
+counts and SupportedBy adjacency.  The streaming scan fills it with
+:meth:`_Sidecar.note_link` / :meth:`_Sidecar.note_node`, the parallel
+path merges worker columns into it through the same two calls, and the
+store-backed incremental checker patches it with
+:meth:`_Sidecar.apply_op`.  One structure means every stored mode
+answers every question from the same aggregates.
+
+Execution modes
+===============
+
+:data:`CHECK_MODES` lists every mode and :func:`resolve_mode` maps a
+requested mode onto the engine that runs it; the checking facade
+(:mod:`repro.checking`) and the HTTP service both defer to them.
+
+``auto``
+    ``streaming`` for a stored argument, ``serial`` for a live one.
 
 ``serial`` / ``streaming``
-    One pass over link shards (accumulating the node-type sidecar's
-    support and adjacency aggregates, buffering the lightweight link
-    triples), one pass over node shards (building the sidecar and
-    running node rules as records parse), then link rules over the
-    buffer and the global rules.  A
-    :class:`~repro.store.StoredArgument` is checked **without
-    hydration**: every shard parses exactly once, sequentially (no heap
-    merge), and memory stays O(sidecar + links) — node texts and
-    metadata are never retained and no
-    :class:`~repro.core.argument.Argument` is constructed.  Live
-    arguments evaluate against their own indices in a single pass each.
+    Synonyms: one process, no hydration.  A live argument is evaluated
+    against its own indices.  A stored argument streams one pass over
+    its link shards (filling the sidecar's support aggregates and
+    buffering the lightweight link triples), one pass over its node
+    shards (noting types and seq order, running node rules as records
+    parse), then link rules over the buffer and the global rules.
+    Every shard parses exactly once; memory stays O(sidecar + links).
 
 ``parallel``
-    A **self-balancing work queue** over ``concurrent.futures`` worker
-    processes, each given exactly the context slice the contract above
-    permits (the support bits of a unit's nodes; the endpoint types of
-    a unit's links).  For a stored argument the unit of work is **one
-    node shard**: the parent pins its handle's
-    :class:`~repro.store.StoreGeneration` and ships the token to every
-    worker, which reopens the store *at that generation* (journal
-    segments appended mid-check are rewound away; a base rotated by a
-    concurrent compaction or a coalesced journal raises
-    ``StoreConflictError`` naming both generations — never a silent
-    mix of snapshots).  Each task parses its link shard — links shard
-    by source id with the same hash as nodes, so one link shard yields
-    exactly its node shard's support bits — then its node shard,
-    running node rules as records parse, and ships both fragments back
-    as flat value rows (far cheaper to pickle than Node/Link objects).
-    The parent parses nothing: it rebuilds types, seq order, and the
-    SupportedBy aggregates from the rows in completion order.  Shards
-    are pulled from the pool's queue on demand, so one fat shard no
-    longer idles every other worker.  Link rules run in the parent,
-    grouped by (source shard, target shard) and judged the moment both
-    endpoint type fragments land — link work overlaps the remaining
-    shard scans, in the otherwise-idle parent.  Global rules run in
-    the parent after the type merge.  For a live argument the
-    units are list slices shipped from the parent, finer than the
-    worker count so the queue balances, collected as completed.  A worker exception
-    cancels every not-yet-started unit immediately
-    (``cancel_futures``) and re-raises with the failing shard noted on
-    the exception.  Worker start method: ``fork`` only while the
-    parent is single-threaded, otherwise ``forkserver``/``spawn``
-    (forking a threaded parent is undefined behaviour); the
-    ``REPRO_MP_START`` environment variable overrides the choice.
-    Output is identical to serial mode.  With fewer than two effective
-    workers the engine degrades gracefully to the streaming path.
-
-``full``
-    Hydrate first, then run serially over the live argument — the
-    pre-scoped behaviour, kept as the baseline the benchmarks compare
-    against.
+    Stored arguments only; a live argument resolves to ``serial``
+    (shipping slices of an in-memory argument to processes cost more
+    than the rules).  A **work queue** over ``concurrent.futures``
+    worker processes, one task per shard.  The parent pins its handle's
+    :class:`~repro.store.StoreGeneration` and every worker reopens the
+    store *at that generation* (journal segments appended mid-check are
+    rewound away; a base rotated by a compaction raises
+    ``StoreConflictError`` naming both generations).  A task parses its
+    link shard — links shard by source id with the same hash as nodes,
+    so one link shard yields exactly its node shard's support bits —
+    then its node shard, running node rules as records parse, and ships
+    flat column rows back.  The parent parses nothing: it merges the
+    columns into its sidecar in completion order and judges link rules
+    per (source shard, target shard) group as soon as both endpoint
+    type fragments have landed.  Global rules run in the parent after
+    the merge.  A worker exception cancels every not-yet-started task
+    and re-raises with the failing shard noted.  Worker start method:
+    ``fork`` only while the parent is single-threaded, otherwise
+    ``forkserver``/``spawn``; ``REPRO_MP_START`` overrides the choice.
+    With fewer than two effective workers it degrades to ``streaming``.
 
 ``incremental`` (:class:`IncrementalChecker`)
-    A stateful checker that consumes the argument's mutation delta log
-    (:meth:`~repro.core.argument.Argument.delta_since`).  Per-rule
-    violation maps are cached keyed by subject (node identifier or link)
-    and invalidated by subject id: after a mutation only the touched
-    subjects re-evaluate, plus the global rules.  When the bounded log
-    has rotated past the checker's sequence number it falls back to a
-    full recompute.
-
-``incremental over a store`` (:meth:`IncrementalChecker.from_store`)
-    The same checker attached to a *persisted* case: it consumes the
-    store's append-journal deltas (:mod:`repro.store.journal`) instead
-    of a live argument's log, maintaining a node-type/support/adjacency
-    sidecar (:class:`_StoreContext`) it patches per journal record — so
-    a case saved with ``save(journal=True)`` re-checks after every edit
-    session **without hydration**: single-node payloads come from lazy
-    per-shard lookups, ``StoredArgument.hydrated`` stays ``False``, and
-    a compaction or full rewrite (detected via the store's base-shard
-    generation) triggers one streaming rebuild.
+    A stateful checker over either kind of subject.  Per-rule violation
+    maps are cached keyed by subject (node identifier or link) and
+    invalidated by the mutation records since the last check: the
+    argument's delta log for a live subject, the store's append journal
+    for a stored one (no hydration — single nodes come from lazy
+    per-shard lookups).  Only touched subjects re-evaluate, plus the
+    global rules.  A rotated delta log, or a compacted or rewritten
+    store, forces one full rebuild.
 
 All modes produce the same violation list: rules in rule-set order, and
 within one rule the violations in canonical ``(subject, detail)`` order —
@@ -126,8 +110,7 @@ Everything above holds **only if rules keep their scope promises** — the
 serial/streaming/parallel/incremental equivalence is a theorem about
 rules that read nothing beyond their declared context slice.  The
 contract a rule author signs, and that the rule-scope auditor
-(:mod:`repro.analysis_static`) verifies from the rule's AST at
-definition time:
+(:mod:`repro.analysis_static`) verifies from the rule's AST:
 
 *What a scoped rule may read.*  A rule may read **its subject** (the
 one node or link it was handed — any attribute) and **its context
@@ -135,7 +118,7 @@ surface** — exactly the :class:`RuleContext` attributes
 :data:`SCOPE_SURFACE` lists for its scope:
 
 ========  ==========================================================
-scope     stream-safe ``RuleContext`` surface
+scope     ``RuleContext`` surface
 ========  ==========================================================
 node      ``name``, ``cites_support`` (about the subject node only)
 link      ``name``, ``node_type`` (of the link's own endpoints only)
@@ -143,37 +126,32 @@ global    ``name``, ``node_type``, ``cites_support``, ``roots``,
           ``find_cycle``, ``has_support``, ``supported_walk``
 ========  ==========================================================
 
-Everything on that table is *stream-safe*: each concrete context
-answers it from sidecar aggregates without hydrating a stored case.
-The shared module-level helpers :func:`iter_subject_nodes` /
-:func:`iter_subject_links` are likewise stream-safe for whole-argument
-scans.  :meth:`RuleContext.argument` is **not** — it is the documented
-hydration fallback for legacy whole-argument rules, and the auditor
-flags any other use as hydration-forcing.
+Both contexts answer everything on that table without hydrating a
+stored case.  The shared module-level helpers
+:func:`iter_subject_nodes` / :func:`iter_subject_links` are likewise
+stream-safe for whole-argument scans outside the engine.
 
 *What a scoped rule may not do.*  Rules are pure functions of
 ``(subject, permitted context)``:
 
 * **no undeclared context access** — asking the context anything
   outside the scope's surface breaks partitioning (a parallel worker's
-  :class:`_ChunkContext` simply does not carry the answer);
+  sidecar holds only its own shard's aggregates);
 * **no mutation** — assigning to, deleting from, or calling mutators on
-  the subject or the context corrupts the shared sidecars other rules
+  the subject or the context corrupts the shared sidecar other rules
   read;
 * **no nondeterminism** — ``time``/``random``/``id()`` reads or
-  iteration over sets feeding the violation output make the four modes
+  iteration over sets feeding the violation output make the modes
   (and journal replays) disagree.
 
 *How to interpret auditor findings.*  The auditor emits structured
 findings (``kind``, ``severity``, rule name, ``file:line``):
-``undeclared-context-access`` and ``mutation`` are always errors;
-``hydration-forcing`` is an error for node/link rules and a warning for
-global rules (the documented legacy fallback); ``nondeterminism`` is an
-error; ``unreadable-source`` is a warning (the auditor could not obtain
-the callable's AST — C functions, interactively defined rules).
-``RuleSet.audit()`` runs the auditor over a whole rule set, and
-:mod:`repro.analysis_static.gate` re-audits everything the repo ships
-at import time.
+``undeclared-context-access``, ``mutation``, ``hydration-forcing`` and
+``nondeterminism`` are errors; ``unreadable-source`` is a warning (the
+auditor could not obtain the callable's AST — C functions, interactively
+defined rules).  ``RuleSet.audit()`` runs the auditor over a whole rule
+set, and :mod:`repro.analysis_static.gate` re-audits everything the repo
+ships at import time.
 
 *Formal obligations.*  A rule may carry **formal proof work** — the
 claim language (:mod:`repro.claims`) binds evidence nodes to SAT /
@@ -189,15 +167,13 @@ cached only under a content fingerprint of the spec (sha256 — never
 journal replays, and fresh processes agree byte-for-byte.  Under those
 terms every execution mode discharges identically, and the incremental
 checker's touched-node refresh re-proves exactly the obligations an
-edit reached — the selective-re-proof property the claims benchmarks
-measure.
+edit reached.
 
 This module is also the home of the shared storage duck-typing helpers
 (:func:`is_stored_argument`, :func:`ensure_argument`,
-:func:`iter_subject_nodes`, :func:`iter_subject_links`) that
-:mod:`repro.core.wellformed` and :mod:`repro.core.query` previously each
-reimplemented.  They stay duck-typed so this module never imports
-:mod:`repro.store` (which imports it transitively).
+:func:`iter_subject_nodes`, :func:`iter_subject_links`).  They stay
+duck-typed so this module never imports :mod:`repro.store` (which
+imports it transitively).
 """
 
 from __future__ import annotations
@@ -217,11 +193,12 @@ __all__ = [
     "Scope",
     "ScopedRule",
     "SCOPE_SURFACE",
-    "HYDRATING_CONTEXT",
+    "CHECK_MODES",
     "per_node",
     "per_link",
     "global_rule",
     "RuleContext",
+    "resolve_mode",
     "run_rules",
     "IncrementalChecker",
     "is_stored_argument",
@@ -265,11 +242,6 @@ SCOPE_SURFACE: "dict[Scope, frozenset[str]]" = {
     }),
 }
 
-#: :class:`RuleContext` attributes that force hydration of a stored
-#: case — the documented legacy fallback, flagged by the auditor
-#: everywhere except (as a warning) in global rules.
-HYDRATING_CONTEXT: "frozenset[str]" = frozenset({"argument"})
-
 
 @dataclass(frozen=True)
 class ScopedRule:
@@ -277,9 +249,9 @@ class ScopedRule:
 
     ``fn`` takes ``(node, ctx)``, ``(link, ctx)``, or ``(ctx)`` depending
     on ``scope`` and returns a list of :class:`Violation`.  For parallel
-    execution ``fn`` must be a module-level function (worker processes
-    import it by qualified name); global rules always run in the parent
-    process, so closures are fine there.
+    execution node rules must be module-level functions (worker
+    processes import them by qualified name); link and global rules
+    always run in the parent process, so closures are fine there.
 
     ``node_types`` (node rules) and ``link_kind`` (link rules) are
     optional *dispatch filters*: the engine only invokes ``fn`` for
@@ -340,7 +312,7 @@ def global_rule(
     *,
     delta_fn: "Callable[..., list[Violation] | None] | None" = None,
 ) -> ScopedRule:
-    """A rule needing whole-graph services (roots, cycles, hydration)."""
+    """A rule needing whole-graph services (roots, cycles, reachability)."""
     return ScopedRule(name, description, Scope.GLOBAL, fn, delta_fn=delta_fn)
 
 
@@ -409,10 +381,8 @@ def iter_subject_links(subject: Any) -> Iterator[Link]:
 class RuleContext:
     """What a scoped rule may ask about the graph around its subject.
 
-    Concrete contexts back this protocol three ways: a live argument's
-    indices (:class:`_LiveContext`), a streaming sidecar built from
-    shards (:class:`_StreamContext`), or the per-work-unit slice shipped
-    to a parallel worker (:class:`_ChunkContext`).
+    Backed two ways: a live argument's indices (:class:`_LiveContext`)
+    or the sidecar built from store records (:class:`_Sidecar`).
     """
 
     name: str = "argument"
@@ -443,10 +413,6 @@ class RuleContext:
         ``start`` included (global delta hooks only)."""
         raise NotImplementedError
 
-    def argument(self) -> Argument:
-        """A live argument — hydrates stored cases (legacy rules only)."""
-        raise NotImplementedError
-
 
 def _colouring_cycle(
     ordered: Iterable[str], adjacency: "dict[str, Any]"
@@ -454,10 +420,10 @@ def _colouring_cycle(
     """One white/grey/black DFS over a SupportedBy adjacency map.
 
     Mirrors ``Argument._iter_supported_by_back_edges`` — same start
-    order, same neighbour order — so a live check, a streaming check,
-    and a store-backed incremental check of the same argument all
-    report the identical cycle rendering.  ``adjacency`` values are any
-    iterable of target identifiers.
+    order, same neighbour order — so a live check and every
+    sidecar-backed check of the same argument report the identical
+    cycle rendering.  ``adjacency`` values are any iterable of target
+    identifiers.
     """
     colour: dict[str, int] = {}
     path: list[str] = []
@@ -493,13 +459,6 @@ def _colouring_cycle(
                 del path_index[identifier]
                 stack.pop()
     return None
-
-
-def _adjacency_has(
-    adjacency: "dict[str, Any]", source: str, target: str
-) -> bool:
-    """Membership test on a SupportedBy adjacency map."""
-    return target in adjacency.get(source, ())
 
 
 def _adjacency_walk(
@@ -552,152 +511,61 @@ class _LiveContext(RuleContext):
             for node in self._argument.walk(start, LinkKind.SUPPORTED_BY)
         )
 
-    def argument(self) -> Argument:
-        return self._argument
 
+class _Sidecar(RuleContext):
+    """The rule context every stored mode builds from store records.
 
-class _StreamContext(RuleContext):
-    """The node-type sidecar built by streaming shards — no hydration.
+    Holds node types, seq order, per-node SupportedBy counts (counts,
+    not bits — removing one of two support links must not clear the
+    flag) and the SupportedBy adjacency the global rules walk.  Node
+    texts, metadata and the non-support links are never retained.
 
-    Holds the per-node aggregates the scoped contract needs (type map,
-    support bits) plus the SupportedBy adjacency the global rules need
-    for cycle detection.  Nodes register with their global sequence
-    number so :meth:`roots` and :meth:`find_cycle` see exact insertion
-    order even when shards were streamed out of order (the parallel
-    path's per-shard work units).
+    Nodes register with their global sequence number, so :meth:`roots`
+    and :meth:`find_cycle` see exact insertion order even when shards
+    arrive out of order; :meth:`finalise` sorts them once the scan is
+    done.  After that, :meth:`apply_op` patches the sidecar one journal
+    record at a time.
     """
 
     __slots__ = (
-        "name", "_stored", "_hydrated", "types", "out_support",
-        "in_support", "adjacency", "_order", "ordered",
+        "name", "types", "order", "out_support", "in_support",
+        "adjacency", "_pending",
     )
 
-    def __init__(self, name: str, stored: Any = None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self._stored = stored
-        self._hydrated: Argument | None = None
-        self.types: dict[str, NodeType] = {}
-        self.out_support: set[str] = set()
-        self.in_support: set[str] = set()
-        self.adjacency: dict[str, list[str]] = {}
-        self._order: list[tuple[int, str]] = []
-        self.ordered: list[str] = []
-
-    def note_link(self, link: Link) -> None:
-        if link.kind is LinkKind.SUPPORTED_BY:
-            self.out_support.add(link.source)
-            self.in_support.add(link.target)
-            self.adjacency.setdefault(link.source, []).append(link.target)
-
-    def note_node(self, position: int, node: Node) -> None:
-        self.types[node.identifier] = node.node_type
-        self._order.append((position, node.identifier))
-
-    def finalise(self) -> None:
-        self._order.sort()
-        self.ordered = [identifier for _, identifier in self._order]
-
-    def node_type(self, identifier: str) -> NodeType:
-        return self.types[identifier]
-
-    def cites_support(self, identifier: str) -> bool:
-        return identifier in self.out_support
-
-    def roots(self) -> list[str]:
-        return [
-            identifier
-            for identifier in self.ordered
-            if self.types[identifier].is_claim_like
-            and identifier not in self.in_support
-        ]
-
-    def find_cycle(self) -> "list[str] | None":
-        # Same colouring DFS as the live argument, in insertion order,
-        # so live and streamed checks report the identical cycle.
-        return _colouring_cycle(self.ordered, self.adjacency)
-
-    def has_support(self, source: str, target: str) -> bool:
-        return _adjacency_has(self.adjacency, source, target)
-
-    def supported_walk(self, start: str) -> Iterator[str]:
-        return _adjacency_walk(self.adjacency, start)
-
-    def argument(self) -> Argument:
-        if self._stored is None:
-            raise TypeError(
-                "this streaming context has no store handle to hydrate"
-            )
-        if self._hydrated is None:  # hydrate once, however many legacy
-            self._hydrated = self._stored.load()  # rules ask
-        return self._hydrated
-
-
-class _ChunkContext(RuleContext):
-    """The context slice a parallel work unit ships to its worker.
-
-    Carries only what the scoped contract lets the unit's rules ask:
-    endpoint types for its links, support bits for its nodes.  Global
-    services are deliberately absent — global rules run in the parent.
-    """
-
-    __slots__ = ("_types", "_support")
-
-    def __init__(
-        self, types: dict[str, NodeType], support: frozenset[str]
-    ) -> None:
-        self._types = types
-        self._support = support
-
-    def node_type(self, identifier: str) -> NodeType:
-        return self._types[identifier]
-
-    def cites_support(self, identifier: str) -> bool:
-        return identifier in self._support
-
-
-class _StoreContext(RuleContext):
-    """An incrementally-maintained sidecar over a stored argument.
-
-    Where :class:`_StreamContext` is built once per one-shot streaming
-    check, this context persists across checks and **patches itself**
-    from the store's journal deltas: node types, insertion order,
-    per-node support counts (counts, not bits — removing one of two
-    support links must not clear the flag), the SupportedBy adjacency
-    the global rules walk, and the full link index the incremental
-    checker needs to invalidate by endpoint.  Memory is
-    O(types + links) — node texts and metadata are never retained; the
-    odd single node the checker must re-evaluate comes from the store's
-    lazy per-shard lookup, so the case is never hydrated.
-    """
-
-    __slots__ = (
-        "name", "_stored", "types", "order", "out_support", "in_support",
-        "adjacency", "links", "out_links", "in_links",
-    )
-
-    def __init__(self, stored: Any) -> None:
-        self._stored = stored
-        self.name: str = stored.name
         self.types: dict[str, NodeType] = {}
         self.order: dict[str, None] = {}
         self.out_support: dict[str, int] = {}
         self.in_support: dict[str, int] = {}
         self.adjacency: dict[str, dict[str, None]] = {}
-        self.links: dict[Link, None] = {}
-        self.out_links: dict[str, dict[Link, None]] = {}
-        self.in_links: dict[str, dict[Link, None]] = {}
+        self._pending: list[tuple[int, str]] = []
 
-    def reset(self) -> None:
-        for slot in (
-            self.types, self.order, self.out_support, self.in_support,
-            self.adjacency, self.links, self.out_links, self.in_links,
-        ):
-            slot.clear()
+    def note_link(self, link: Link) -> None:
+        if link.kind is LinkKind.SUPPORTED_BY:
+            source, target = link.source, link.target
+            self.out_support[source] = self.out_support.get(source, 0) + 1
+            self.in_support[target] = self.in_support.get(target, 0) + 1
+            self.adjacency.setdefault(source, {})[target] = None
+
+    def note_node(
+        self, seq: int, identifier: str, node_type: NodeType
+    ) -> None:
+        self.types[identifier] = node_type
+        self._pending.append((seq, identifier))
+
+    def finalise(self) -> None:
+        """Fix insertion order from the noted seqs (call once per scan)."""
+        self._pending.sort()
+        self.order = dict.fromkeys(
+            (identifier for _, identifier in self._pending), None
+        )
+        self._pending = []
 
     @staticmethod
-    def _bump(counter: dict[str, int], key: str, delta: int) -> None:
-        value = counter.get(key, 0) + delta
-        if value:
+    def _drop(counter: dict[str, int], key: str) -> None:
+        value = counter.get(key, 0) - 1
+        if value > 0:
             counter[key] = value
         else:
             counter.pop(key, None)
@@ -714,36 +582,19 @@ class _StoreContext(RuleContext):
         elif op == "remove_node":
             # Incident links were removed by earlier records of the
             # same delta (remove_node logs them first).
-            identifier = payload.identifier
-            self.types.pop(identifier, None)
-            self.order.pop(identifier, None)
+            self.types.pop(payload.identifier, None)
+            self.order.pop(payload.identifier, None)
         elif op == "replace_node":
             _, new = payload
             self.types[new.identifier] = new.node_type
         elif op == "add_link":
-            self.links[payload] = None
-            self.out_links.setdefault(payload.source, {})[payload] = None
-            self.in_links.setdefault(payload.target, {})[payload] = None
-            if payload.kind is LinkKind.SUPPORTED_BY:
-                self._bump(self.out_support, payload.source, 1)
-                self._bump(self.in_support, payload.target, 1)
-                self.adjacency.setdefault(
-                    payload.source, {}
-                )[payload.target] = None
-        else:  # remove_link
-            self.links.pop(payload, None)
-            out = self.out_links.get(payload.source)
-            if out is not None:
-                out.pop(payload, None)
-            incoming = self.in_links.get(payload.target)
-            if incoming is not None:
-                incoming.pop(payload, None)
-            if payload.kind is LinkKind.SUPPORTED_BY:
-                self._bump(self.out_support, payload.source, -1)
-                self._bump(self.in_support, payload.target, -1)
-                targets = self.adjacency.get(payload.source)
-                if targets is not None:
-                    targets.pop(payload.target, None)
+            self.note_link(payload)
+        elif payload.kind is LinkKind.SUPPORTED_BY:  # remove_link
+            self._drop(self.out_support, payload.source)
+            self._drop(self.in_support, payload.target)
+            targets = self.adjacency.get(payload.source)
+            if targets is not None:
+                targets.pop(payload.target, None)
 
     # -- the RuleContext protocol ---------------------------------------
 
@@ -762,27 +613,57 @@ class _StoreContext(RuleContext):
         ]
 
     def find_cycle(self) -> "list[str] | None":
+        # Same colouring DFS as the live argument, in insertion order,
+        # so live and stored checks report the identical cycle.
         return _colouring_cycle(self.order, self.adjacency)
 
     def has_support(self, source: str, target: str) -> bool:
-        return _adjacency_has(self.adjacency, source, target)
+        return target in self.adjacency.get(source, ())
 
     def supported_walk(self, start: str) -> Iterator[str]:
         return _adjacency_walk(self.adjacency, start)
-
-    def argument(self) -> Argument:
-        raise TypeError(
-            "store-backed incremental checking never hydrates; legacy "
-            "whole-argument rules are not supported by "
-            "IncrementalChecker.from_store (run them via "
-            "run_rules(..., mode='full') instead)"
-        )
 
 
 # -- the engine -------------------------------------------------------------
 
 
-_MODES = ("auto", "serial", "streaming", "parallel", "full")
+#: Every execution mode, in one place (see the module docstring).
+#: :func:`run_rules` runs all but ``incremental``, which needs the
+#: stateful :class:`IncrementalChecker`.
+CHECK_MODES = ("auto", "serial", "streaming", "parallel", "incremental")
+
+
+def _effective_workers(workers: "int | None") -> int:
+    return workers if workers is not None else (os.cpu_count() or 1)
+
+
+def resolve_mode(subject: Any, mode: str, workers: "int | None" = None) -> str:
+    """The engine that *mode* runs on *subject*.
+
+    Returns ``serial``, ``streaming``, ``parallel`` or ``incremental``.
+    ``auto``, ``serial`` and ``streaming`` pick ``streaming`` for stored
+    subjects and ``serial`` for live ones; ``parallel`` stays parallel
+    only for a stored subject with at least two effective workers
+    (``workers`` defaults to the CPU count).  An unknown mode raises
+    ``ValueError``; a subject that is neither kind of argument raises
+    ``TypeError``.
+    """
+    if mode not in CHECK_MODES:
+        raise ValueError(
+            f"unknown analysis mode {mode!r} (not in {CHECK_MODES})"
+        )
+    stored = is_stored_argument(subject)
+    if not stored and not isinstance(subject, Argument):
+        raise TypeError(
+            "expected an Argument or a StoredArgument, got "
+            f"{type(subject).__name__}"
+        )
+    if mode == "incremental":
+        return mode
+    if mode == "parallel" and stored and _effective_workers(workers) >= 2:
+        return "parallel"
+    return "streaming" if stored else "serial"
+
 
 _IndexedRules = list[tuple[int, ScopedRule]]
 
@@ -831,13 +712,24 @@ def _link_dispatch(
     }
 
 
+def _judge_links(
+    groups: "dict[LinkKind, _IndexedRules]",
+    links: Iterable[Link],
+    ctx: RuleContext,
+    buckets: list[list[Violation]],
+) -> None:
+    for link in links:
+        for index, rule in groups[link.kind]:
+            found = rule.fn(link, ctx)
+            if found:
+                buckets[index].extend(found)
+
+
 def _violation_key(violation: Violation) -> tuple[str, str]:
     return (violation.subject, violation.detail)
 
 
-def _assemble(
-    rules: Sequence[ScopedRule], buckets: list[list[Violation]]
-) -> list[Violation]:
+def _assemble(buckets: list[list[Violation]]) -> list[Violation]:
     """Rule-set order outside, canonical (subject, detail) order inside."""
     out: list[Violation] = []
     for bucket in buckets:
@@ -853,38 +745,28 @@ def run_rules(
     mode: str = "auto",
     workers: int | None = None,
 ) -> list[Violation]:
-    """Evaluate scoped rules over a live or stored argument.
+    """Evaluate scoped rules over a live or stored argument, one shot.
 
-    ``mode`` is one of ``auto`` (streaming for stored arguments, serial
-    for live ones), ``serial``/``streaming`` (synonyms — one process, no
-    hydration), ``parallel`` (a work queue over process workers;
-    ``workers`` defaults to the CPU count, fewer than two effective
-    workers degrades to the streaming path, stored subjects are checked
-    at the handle's pinned generation, and ``REPRO_MP_START`` overrides
-    the worker start method), or ``full`` (hydrate first — the legacy
-    baseline).  Every mode returns the identical violation list.
+    ``mode`` is any of :data:`CHECK_MODES` except ``incremental``;
+    :func:`resolve_mode` picks the engine.  ``parallel`` checks a stored
+    subject at the handle's pinned generation with ``workers`` processes
+    (default: the CPU count; ``REPRO_MP_START`` overrides the worker
+    start method).  Every mode returns the identical violation list.
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown analysis mode {mode!r} (not in {_MODES})")
+    used = resolve_mode(subject, mode, workers)
     rules = tuple(rules)
-    stored = is_stored_argument(subject)
-    if not stored and not isinstance(subject, Argument):
-        raise TypeError(
-            "expected an Argument or a StoredArgument, got "
-            f"{type(subject).__name__}"
+    if used == "parallel":
+        return _run_parallel_stored(
+            subject, rules, _effective_workers(workers)
         )
-    if mode == "auto":
-        mode = "streaming" if stored else "serial"
-    if mode == "full":
-        return _run_live(ensure_argument(subject), rules)
-    if mode == "parallel":
-        effective = workers if workers is not None else (os.cpu_count() or 1)
-        if effective >= 2:
-            return _run_parallel(subject, rules, effective)
-        mode = "streaming"  # graceful degradation on one core
-    if stored:
+    if used == "streaming":
         return _run_stored_streaming(subject, rules)
-    return _run_live(subject, rules)
+    if used == "serial":
+        return _run_live(subject, rules)
+    raise ValueError(
+        "incremental checking keeps state between checks: use an "
+        "IncrementalChecker or repro.check(..., mode='incremental')"
+    )
 
 
 def _run_live(argument: Argument, rules: tuple[ScopedRule, ...]) -> list[Violation]:
@@ -899,102 +781,64 @@ def _run_live(argument: Argument, rules: tuple[ScopedRule, ...]) -> list[Violati
                 if found:
                     buckets[index].extend(found)
     if link_rules:
-        link_groups = _link_dispatch(link_rules)
-        for link in argument.links:
-            for index, rule in link_groups[link.kind]:
-                found = rule.fn(link, ctx)
-                if found:
-                    buckets[index].extend(found)
+        _judge_links(_link_dispatch(link_rules), argument.links, ctx, buckets)
     for index, rule in global_rules:
         buckets[index].extend(rule.fn(ctx))
-    return _assemble(rules, buckets)
+    return _assemble(buckets)
+
+
+def _scan_shard(
+    stored: Any,
+    index: int,
+    ctx: _Sidecar,
+    dispatch: "dict[NodeType, _IndexedRules]",
+    buckets: list[list[Violation]],
+    links: list[Link],
+) -> None:
+    """Parse shard ``index`` into the sidecar, running node rules.
+
+    The link shard goes first: links shard by *source* id with the same
+    hash as nodes, so it carries every support bit this shard's node
+    rules may ask about.  Links are also buffered for the link rules,
+    which need the endpoint types of other shards.
+    """
+    for _, link in stored.iter_shard_links(index):
+        ctx.note_link(link)
+        links.append(link)
+    for seq, node in stored.iter_shard_nodes(index):
+        ctx.note_node(seq, node.identifier, node.node_type)
+        for rule_index, rule in dispatch[node.node_type]:
+            found = rule.fn(node, ctx)
+            if found:
+                buckets[rule_index].extend(found)
 
 
 def _run_stored_streaming(
     stored: Any, rules: tuple[ScopedRule, ...]
 ) -> list[Violation]:
-    """Check a stored argument without hydration.
+    """Check a stored argument without hydration, shard by shard.
 
     Shards stream *sequentially* (no heap merge — canonical output order
-    makes per-record order irrelevant, and the aggregates that do need
-    insertion order carry their ``seq``): one pass over link shards
-    building the sidecar aggregates and buffering the lightweight
-    :class:`~repro.core.argument.Link` triples, one pass over node shards
-    running node rules as records parse, then link rules over the buffer
-    and the global rules.  Each shard is parsed exactly once; memory is
-    O(types sidecar + links), never the hydrated argument.
+    makes per-record order irrelevant, and the sidecar orders nodes by
+    their ``seq``).  Each shard is parsed exactly once; memory is
+    O(sidecar + links), never the hydrated argument.
     """
     node_rules, link_rules, global_rules = _split_rules(rules)
-    ctx = _StreamContext(stored.name, stored)
+    ctx = _Sidecar(stored.name)
     links: list[Link] = []
-    for index in range(stored.shard_count):  # pass 1: sidecar aggregates
-        for _, link in stored.iter_shard_links(index):
-            ctx.note_link(link)
-            links.append(link)
     buckets: list[list[Violation]] = [[] for _ in rules]
     dispatch = _node_dispatch(node_rules)
-    for index in range(stored.shard_count):  # pass 2: node rules
-        for seq, node in stored.iter_shard_nodes(index):
-            ctx.note_node(seq, node)
-            for rule_index, rule in dispatch[node.node_type]:
-                found = rule.fn(node, ctx)
-                if found:
-                    buckets[rule_index].extend(found)
+    for index in range(stored.shard_count):
+        _scan_shard(stored, index, ctx, dispatch, buckets, links)
     ctx.finalise()
-    if link_rules:  # pass 3: types now complete; no re-parse
-        link_groups = _link_dispatch(link_rules)
-        for link in links:
-            for rule_index, rule in link_groups[link.kind]:
-                found = rule.fn(link, ctx)
-                if found:
-                    buckets[rule_index].extend(found)
+    if link_rules:  # types now complete; no re-parse
+        _judge_links(_link_dispatch(link_rules), links, ctx, buckets)
     for rule_index, rule in global_rules:
         buckets[rule_index].extend(rule.fn(ctx))
-    return _assemble(rules, buckets)
+    return _assemble(buckets)
 
 
-# -- parallel execution -----------------------------------------------------
-
-
-def _node_unit_task(
-    rules: tuple[ScopedRule, ...],
-    nodes: list[Node],
-    support: frozenset[str],
-) -> list[list[Violation]]:
-    """Worker body for one node work unit (module-level: picklable)."""
-    ctx = _ChunkContext({}, support)
-    buckets: list[list[Violation]] = [[] for _ in rules]
-    dispatch = _node_dispatch(list(enumerate(rules)))
-    for node in nodes:
-        for index, rule in dispatch[node.node_type]:
-            found = rule.fn(node, ctx)
-            if found:
-                buckets[index].extend(found)
-    return buckets
-
-
-def _link_unit_task(
-    rules: tuple[ScopedRule, ...],
-    links: list[Link],
-    types: dict[str, NodeType],
-) -> list[list[Violation]]:
-    """Worker body for one link work unit (module-level: picklable)."""
-    ctx = _ChunkContext(types, frozenset())
-    buckets: list[list[Violation]] = [[] for _ in rules]
-    dispatch = _link_dispatch(list(enumerate(rules)))
-    for link in links:
-        for index, rule in dispatch[link.kind]:
-            found = rule.fn(link, ctx)
-            if found:
-                buckets[index].extend(found)
-    return buckets
-
-
-def _slices(items: list, pieces: int) -> list[list]:
-    if not items:
-        return []
-    size = max(1, -(-len(items) // pieces))
-    return [items[i:i + size] for i in range(0, len(items), size)]
+# -- parallel execution (stored arguments) ----------------------------------
 
 
 def _mp_context() -> Any:
@@ -1046,49 +890,51 @@ def _foreign_thread_count() -> int:
     )
 
 
-#: Idle worker pools kept warm between parallel checks, keyed by
-#: ``(start method, max workers)``.  Spinning a pool up costs more than
-#: checking a mid-sized store, so the engine checks a pool *out* for
-#: the duration of one run and returns it afterwards — a "persistent"
-#: pool in the work-queue sense: the same worker processes pull shard
-#: tasks across however many checks the parent issues.  A pool that
-#: saw a failure is shut down instead of returned (its queue was
-#: cancelled mid-flight), and concurrent checks simply build a second
-#: pool rather than share one.
-_IDLE_POOLS: "dict[tuple[str, int], ProcessPoolExecutor]" = {}
-_IDLE_POOLS_LOCK = threading.Lock()
+#: The one idle worker pool kept warm between parallel checks, keyed
+#: by ``(start method, worker count)``.  Spinning a pool up costs more
+#: than checking a mid-sized store, so the engine checks a pool *out*
+#: for the duration of one run and returns it afterwards — the same
+#: worker processes pull shard tasks across however many checks the
+#: parent issues.  A run asking for another start method or worker
+#: count builds a fresh pool, and returning a pool shuts down the one
+#: parked before it, so varying ``workers`` never accumulates idle
+#: processes.  A pool that saw a failure is shut down instead of
+#: returned (its queue was cancelled mid-flight).
+_IDLE_POOL: "tuple[tuple[str, int], ProcessPoolExecutor] | None" = None
+_IDLE_POOL_LOCK = threading.Lock()
 
 
 def _acquire_pool(
     workers: int,
 ) -> "tuple[tuple[str, int], ProcessPoolExecutor]":
+    global _IDLE_POOL
     context = _mp_context()
     method = context.get_start_method() if context is not None else "default"
     key = (method, workers)
-    with _IDLE_POOLS_LOCK:
-        pool = _IDLE_POOLS.pop(key, None)
-    if pool is None:
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-    return key, pool
+    with _IDLE_POOL_LOCK:
+        if _IDLE_POOL is not None and _IDLE_POOL[0] == key:
+            pool = _IDLE_POOL[1]
+            _IDLE_POOL = None
+            return key, pool
+    return key, ProcessPoolExecutor(max_workers=workers, mp_context=context)
 
 
 def _release_pool(key: "tuple[str, int]", pool: ProcessPoolExecutor) -> None:
-    with _IDLE_POOLS_LOCK:
-        if key not in _IDLE_POOLS:
-            _IDLE_POOLS[key] = pool
-            return
-    # A concurrent check already parked a pool under this key: let the
-    # spare wind down (idle workers exit; nothing is waited on).
-    pool.shutdown(wait=False)
+    global _IDLE_POOL
+    with _IDLE_POOL_LOCK:
+        spare, _IDLE_POOL = _IDLE_POOL, (key, pool)
+    if spare is not None:
+        # Idle workers exit; nothing is waited on.
+        spare[1].shutdown(wait=False)
 
 
 def shutdown_parallel_pools() -> None:
-    """Shut down every cached idle worker pool (tests, service exit)."""
-    with _IDLE_POOLS_LOCK:
-        pools = list(_IDLE_POOLS.values())
-        _IDLE_POOLS.clear()
-    for pool in pools:
-        pool.shutdown(wait=False)
+    """Shut down the cached idle worker pool (tests, service exit)."""
+    global _IDLE_POOL
+    with _IDLE_POOL_LOCK:
+        spare, _IDLE_POOL = _IDLE_POOL, None
+    if spare is not None:
+        spare[1].shutdown(wait=False)
 
 
 def _note_failure(error: BaseException, detail: str) -> None:
@@ -1106,9 +952,8 @@ _LINK_KIND_BY_VALUE = {member.value: member for member in LinkKind}
 #: the node fragment as ``(seqs, ids, type values)`` columns, and the
 #: link shard as ``(sources, targets, kind values)`` columns.  Flat
 #: str/int columns pickle far cheaper than Node/Link objects (or even
-#: per-record tuples), and the parent rebuilds its sidecar (types,
-#: order, support aggregates, link-rule groups) from them while
-#: workers keep scanning.
+#: per-record tuples), and the parent merges them into its sidecar
+#: while workers keep scanning.
 _ScanResult = tuple[
     "list[list[Violation]]",
     "tuple[list[int], list[str], list[Any]]",
@@ -1122,8 +967,7 @@ _ScanResult = tuple[
 #: the same snapshot — reuses one verified handle instead of re-reading
 #: the manifest and re-parsing the journal overlay per task.  A cache
 #: hit is a pinned reader that already verified its generation at open
-#: time; content-addressed files keep serving it until an explicit gc,
-#: exactly the PR 7 pinned-reader contract.
+#: time; content-addressed files keep serving it until an explicit gc.
 _SCAN_HANDLE: "tuple[tuple[str, str, bool], Any] | None" = None
 
 
@@ -1154,48 +998,35 @@ def _stored_scan_task(
     """One shard's scan — the work-queue unit of the parallel path.
 
     The worker opens the store **at the parent's pinned generation**
-    (``generation`` is the parent's
-    :class:`~repro.store.StoreGeneration`; opening verifies the token
-    and rewinds any journal segments appended mid-check, so every
-    worker parses the one committed snapshot the parent pinned — a
-    rotated base raises ``StoreConflictError`` instead of silently
-    mixing generations).  It then parses only shard ``index``: the
-    link shard first — links shard by *source* id with the same hash
-    as nodes, so the shard's outgoing-SupportedBy set covers exactly
-    its own nodes' support bits — then the node shard, running node
-    rules as records parse.  Node and link fragments return as flat
-    value rows; the parent owns every cross-shard judgement.
+    (opening verifies the token and rewinds any journal segments
+    appended mid-check; a rotated base raises ``StoreConflictError``),
+    scans shard ``index`` exactly as the streaming path does
+    (:func:`_scan_shard`) into a sidecar of its own, and ships the
+    fragment back as flat columns; the parent owns every cross-shard
+    judgement.
     """
     stored = _scan_handle(directory, generation, ignore_torn_tail)
-    out_support: set[str] = set()
-    sources: list[str] = []
-    targets: list[str] = []
-    kinds: list[Any] = []
-    supported_by = LinkKind.SUPPORTED_BY
-    for _, link in stored.iter_shard_links(index):
-        if link.kind is supported_by:
-            out_support.add(link.source)
-        sources.append(link.source)
-        targets.append(link.target)
-        kinds.append(link.kind.value)
-    node_ctx = _ChunkContext({}, frozenset(out_support))
-    node_buckets: list[list[Violation]] = [[] for _ in node_rules]
-    dispatch = _node_dispatch(list(enumerate(node_rules)))
-    seqs: list[int] = []
-    identifiers: list[str] = []
-    type_values: list[Any] = []
-    for seq, node in stored.iter_shard_nodes(index):
-        seqs.append(seq)
-        identifiers.append(node.identifier)
-        type_values.append(node.node_type.value)
-        for rule_index, rule in dispatch[node.node_type]:
-            found = rule.fn(node, node_ctx)
-            if found:
-                node_buckets[rule_index].extend(found)
+    ctx = _Sidecar(stored.name)
+    links: list[Link] = []
+    buckets: list[list[Violation]] = [[] for _ in node_rules]
+    _scan_shard(
+        stored, index, ctx, _node_dispatch(list(enumerate(node_rules))),
+        buckets, links,
+    )
+    noted = ctx._pending
+    identifiers = [identifier for _, identifier in noted]
     return (
-        node_buckets,
-        (seqs, identifiers, type_values),
-        (sources, targets, kinds),
+        buckets,
+        (
+            [seq for seq, _ in noted],
+            identifiers,
+            [ctx.types[identifier].value for identifier in identifiers],
+        ),
+        (
+            [link.source for link in links],
+            [link.target for link in links],
+            [link.kind.value for link in links],
+        ),
     )
 
 
@@ -1204,30 +1035,21 @@ def _run_parallel_stored(
 ) -> list[Violation]:
     """Work-queue parallel check of a stored argument.
 
-    One scan task per shard, pulled from the pool's queue on demand —
-    a skewed shard occupies one worker while the rest keep draining
-    the queue, instead of idling behind the old round-robin shard
-    groups.  The parent pins the handle's generation and ships
-    the token to every worker (snapshot isolation: concurrent appends
-    rewind, concurrent compaction raises ``StoreConflictError``).
-
-    The parent parses nothing.  Workers ship their node and link
-    fragments back as flat value rows (cheap to pickle), and the
-    parent rebuilds its sidecar from them in completion order: types,
-    seq order, the SupportedBy aggregates, and link-rule groups keyed
-    by (source shard, target shard).  A group is judged the moment
-    both its endpoint shards' type fragments have arrived — link work
-    overlaps the remaining shard scans, in the otherwise-idle parent.
-    Global rules run in the parent after the type merge.  The first
-    worker failure cancels every not-yet-started task and re-raises
-    with the failing shard noted on the exception.
+    One scan task per shard, pulled from the pool's queue on demand, so
+    a skewed shard occupies one worker while the rest keep draining the
+    queue.  The parent merges each fragment into its sidecar through
+    the same ``note_node``/``note_link`` calls the streaming scan makes,
+    groups links by (source shard, target shard), and judges a group
+    the moment both endpoint shards have landed.  The first worker
+    failure cancels every not-yet-started task and re-raises with the
+    failing shard noted on the exception.
     """
     # Runtime import: repro.store imports this module transitively.
     from ..store.format import shard_of
 
     node_rules, link_rules, global_rules = _split_rules(rules)
     node_fns = tuple(rule for _, rule in node_rules)
-    link_fns = tuple(rule for _, rule in link_rules)
+    groups = _link_dispatch(link_rules)
     directory = str(stored.path)
     # Workers reopen the store themselves at the parent's pinned
     # generation; a torn-tail-recovered parent handle must also hand
@@ -1236,16 +1058,13 @@ def _run_parallel_stored(
     generation = stored.pin()
     shard_count = stored.shard_count
     buckets: list[list[Violation]] = [[] for _ in rules]
-    ctx = _StreamContext(stored.name, stored)
+    ctx = _Sidecar(stored.name)
     arrived: set[int] = set()
-    #: Links grouped by (source shard, target shard); judgeable once
-    #: both shards' type fragments have merged.
     pending: dict[tuple[int, int], list[Link]] = {}
-    supported_by = LinkKind.SUPPORTED_BY
 
-    def _judge(links: "list[Link]", pair: "tuple[int, int]") -> None:
+    def _judge(pair: "tuple[int, int]") -> None:
         try:
-            link_parts = _link_unit_task(link_fns, links, ctx.types)
+            _judge_links(groups, pending.pop(pair), ctx, buckets)
         except BaseException as error:
             _note_failure(
                 error,
@@ -1253,8 +1072,6 @@ def _run_parallel_stored(
                 f"shard {pair[1]} links failed (store {directory})",
             )
             raise
-        for (rule_index, _), part in zip(link_rules, link_parts):
-            buckets[rule_index].extend(part)
 
     pool_key, pool = _acquire_pool(workers)
     try:
@@ -1279,121 +1096,100 @@ def _run_parallel_stored(
             for (rule_index, _), part in zip(node_rules, node_parts):
                 buckets[rule_index].extend(part)
             for seq, identifier, type_value in zip(*node_cols):
-                ctx.types[identifier] = _NODE_TYPE_BY_VALUE[type_value]
-                ctx._order.append((seq, identifier))
+                ctx.note_node(seq, identifier, _NODE_TYPE_BY_VALUE[type_value])
             # Sources are disjoint across link shards (sharded by
-            # source id) and columns keep shard seq order, so appending
+            # source id) and columns keep shard seq order, so noting
             # preserves per-source adjacency order.
             for source, target, kind_value in zip(*link_cols):
-                kind = _LINK_KIND_BY_VALUE[kind_value]
-                if kind is supported_by:
-                    ctx.in_support.add(target)
-                    ctx.adjacency.setdefault(source, []).append(target)
-                if link_fns:
+                link = Link(source, target, _LINK_KIND_BY_VALUE[kind_value])
+                ctx.note_link(link)
+                if link_rules:
                     pending.setdefault(
                         (index, shard_of(target, shard_count)), []
-                    ).append(Link(source, target, kind))
+                    ).append(link)
             arrived.add(index)
-            # Link groups become judgeable the moment both endpoint
-            # type fragments land: judge them now, in the parent,
-            # overlapping the remaining shard scans.
-            ready = [
+            for pair in [
                 pair for pair in pending
                 if pair[0] in arrived and pair[1] in arrived
-            ]
-            for pair in ready:
-                _judge(pending.pop(pair), pair)
+            ]:
+                _judge(pair)
         for pair in sorted(pending):
             # Unreachable for in-range shards (every scan arrived);
             # kept so an out-of-contract store fails loudly here rather
             # than silently dropping links.
-            _judge(pending.pop(pair), pair)
+            _judge(pair)
         ctx.finalise()
         for rule_index, rule in global_rules:
             buckets[rule_index].extend(rule.fn(ctx))
     except BaseException:
         # Surface the failure immediately: cancel every queued task and
-        # retire this pool (its workers may still be draining cancelled
-        # state) instead of running the backlog to completion.
+        # retire this pool instead of running the backlog to completion.
         pool.shutdown(wait=False, cancel_futures=True)
         raise
     _release_pool(pool_key, pool)
-    return _assemble(rules, buckets)
-
-
-def _run_parallel(
-    subject: Any, rules: tuple[ScopedRule, ...], workers: int
-) -> list[Violation]:
-    """Work-queue parallel check of a live argument (or stored: above).
-
-    Units are list slices finer than the worker count, so the pool's
-    queue self-balances; results merge in completion order (canonical
-    output order makes collection order irrelevant).  Failure semantics
-    match the stored path: first error cancels the queue and re-raises
-    with the failing unit noted.
-    """
-    if is_stored_argument(subject):
-        return _run_parallel_stored(subject, rules, workers)
-    node_rules, link_rules, global_rules = _split_rules(rules)
-    ctx = _LiveContext(subject)
-    node_units = _slices(subject.nodes, workers * 4)
-    link_units = _slices(subject.links, workers * 4)
-    buckets: list[list[Violation]] = [[] for _ in rules]
-    node_fns = tuple(rule for _, rule in node_rules)
-    link_fns = tuple(rule for _, rule in link_rules)
-    pool_key, pool = _acquire_pool(workers)
-    try:
-        jobs: "dict[Future[list[list[Violation]]], tuple[_IndexedRules, str]]"
-        jobs = {}
-        if node_fns:
-            for unit_index, unit in enumerate(node_units):
-                support = frozenset(
-                    node.identifier
-                    for node in unit
-                    if ctx.cites_support(node.identifier)
-                )
-                jobs[
-                    pool.submit(_node_unit_task, node_fns, unit, support)
-                ] = (node_rules, f"node unit {unit_index}")
-        if link_fns:
-            for unit_index, unit in enumerate(link_units):
-                types: dict[str, NodeType] = {}
-                for link in unit:
-                    types[link.source] = ctx.node_type(link.source)
-                    types[link.target] = ctx.node_type(link.target)
-                jobs[
-                    pool.submit(_link_unit_task, link_fns, unit, types)
-                ] = (link_rules, f"link unit {unit_index}")
-        # Global rules overlap with the workers.
-        for index, rule in global_rules:
-            buckets[index].extend(rule.fn(ctx))
-        for job in as_completed(jobs):
-            indexed, label = jobs[job]
-            try:
-                parts = job.result()
-            except BaseException as error:
-                _note_failure(error, f"parallel check: {label} failed")
-                raise
-            for (index, _), part in zip(indexed, parts):
-                buckets[index].extend(part)
-    except BaseException:
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    _release_pool(pool_key, pool)
-    return _assemble(rules, buckets)
+    return _assemble(buckets)
 
 
 # -- incremental checking ---------------------------------------------------
 
 
+class _StoreView:
+    """A stored subject as the incremental checker sees it.
+
+    Answers the checker's four graph questions with the calls a live
+    :class:`~repro.core.argument.Argument` answers them by (``in``,
+    ``node``, ``has_link``, ``links_of``): membership from the sidecar,
+    single nodes from the store's lazy per-shard lookup, and links from
+    a link index that only the incremental path pays for.
+    """
+
+    __slots__ = ("stored", "sidecar", "links", "incident")
+
+    def __init__(self, stored: Any) -> None:
+        self.stored = stored
+        self.sidecar = _Sidecar(stored.name)
+        self.links: dict[Link, None] = {}
+        self.incident: dict[str, dict[Link, None]] = {}
+
+    def __contains__(self, identifier: str) -> bool:
+        return identifier in self.sidecar.types
+
+    def node(self, identifier: str) -> Node:
+        node: Node = self.stored.node(identifier)
+        return node
+
+    def has_link(self, link: Link) -> bool:
+        return link in self.links
+
+    def links_of(self, identifier: str) -> list[Link]:
+        return list(self.incident.get(identifier, ()))
+
+    def apply_op(self, op: str, payload: Any) -> None:
+        """Patch sidecar and link index with one journal record."""
+        self.sidecar.apply_op(op, payload)
+        if op == "add_link":
+            self.links[payload] = None
+            self.incident.setdefault(payload.source, {})[payload] = None
+            self.incident.setdefault(payload.target, {})[payload] = None
+        elif op == "remove_link":
+            self.links.pop(payload, None)
+            for end in (payload.source, payload.target):
+                incident = self.incident.get(end)
+                if incident is not None:
+                    incident.pop(payload, None)
+
+
 class IncrementalChecker:
     """Re-check only what the mutation delta touched, plus global rules.
 
-    Holds per-rule violation maps keyed by subject (node identifier for
-    node rules, the :class:`~repro.core.argument.Link` itself for link
-    rules), storing only non-empty entries.  :meth:`check` consumes
-    :meth:`Argument.delta_since <repro.core.argument.Argument.delta_since>`
-    to invalidate and re-evaluate exactly the touched subjects:
+    ``subject`` is a live :class:`~repro.core.argument.Argument` or a
+    stored handle.  The checker holds per-rule violation maps keyed by
+    subject (node identifier for node rules, the
+    :class:`~repro.core.argument.Link` itself for link rules), storing
+    only non-empty entries.  :meth:`check` consumes the mutation records
+    since the last check — the argument's delta log, or the records
+    appended to the store's journal — and re-evaluates exactly the
+    touched subjects:
 
     * added nodes/links evaluate fresh; removed ones drop their entries;
     * a replaced node re-evaluates its node rules, and — when its *type*
@@ -1401,32 +1197,19 @@ class IncrementalChecker:
     * any link mutation re-evaluates the node rules of both endpoints
       (support-dependent rules like ``undeveloped-unmarked`` read them).
 
-    Global rules re-run on every :meth:`check` (they are whole-graph by
-    declaration), and a rotated delta log forces a full recompute, so
-    the result always equals a fresh full check.
-
-    :meth:`from_store` attaches the same machinery to a **persisted**
-    case instead of a live argument: the delta source becomes the
-    store's append journal, the context becomes a
-    :class:`_StoreContext` sidecar patched per journal record, and the
-    case is never hydrated.
+    Global rules re-run on every :meth:`check` (through their
+    incremental hooks when they offer one).  A rotated delta log, or a
+    compacted or rewritten store, forces a full rebuild, so the result
+    always equals a fresh full check.  A stored subject is never
+    hydrated: ``stored.hydrated`` stays ``False``.
     """
 
-    def __init__(
-        self, argument: Argument, rules: Iterable[ScopedRule]
-    ) -> None:
-        if not isinstance(argument, Argument):
-            raise TypeError(
-                "IncrementalChecker needs a live Argument, got "
-                f"{type(argument).__name__} (for a StoredArgument use "
-                "IncrementalChecker.from_store)"
-            )
-        self._argument: "Argument | None" = argument
-        self._stored: Any = None
+    _view: _StoreView
+
+    def __init__(self, subject: Any, rules: Iterable[ScopedRule]) -> None:
         self._rules = tuple(rules)
         self._node_rules, self._link_rules, self._global_rules = \
             _split_rules(self._rules)
-        self._ctx: RuleContext = _LiveContext(argument)
         self._node_hits: list[dict[str, tuple[Violation, ...]]] = [
             {} for _ in self._node_rules
         ]
@@ -1437,115 +1220,67 @@ class IncrementalChecker:
             () for _ in self._global_rules
         ]
         self._seq = -1
-        self._rebuild()
-
-    @classmethod
-    def from_store(
-        cls, stored: Any, rules: Iterable[ScopedRule]
-    ) -> "IncrementalChecker":
-        """A checker over a persisted case — no hydration, ever.
-
-        Builds the violation maps with one streaming pass over the
-        store's shards (journal replayed), then each :meth:`check`
-        consumes only the journal records appended since — the deltas
-        ``Argument.save(journal=True)`` persists — re-evaluating exactly
-        the touched subjects.  ``stored.hydrated`` stays ``False``: the
-        context is a type/support/adjacency sidecar, and single-node
-        re-evaluation uses lazy per-shard lookups.  A compaction or
-        full rewrite of the store (a new base-shard generation) triggers
-        one streaming rebuild; legacy whole-argument rules are rejected
-        because they would require hydration.
-        """
-        if not is_stored_argument(stored):
+        self._argument: "Argument | None" = None
+        self._graph: Any = subject
+        self._ctx: RuleContext
+        if isinstance(subject, Argument):
+            self._argument = subject
+            self._ctx = _LiveContext(subject)
+            self._rebuild(subject)
+        elif is_stored_argument(subject):
+            self._rebuild_store(subject)
+        else:
             raise TypeError(
-                "from_store needs a StoredArgument, got "
-                f"{type(stored).__name__}"
+                "expected an Argument or a StoredArgument, got "
+                f"{type(subject).__name__}"
             )
-        checker = cls.__new__(cls)
-        checker._argument = None
-        checker._stored = stored
-        checker._rules = tuple(rules)
-        checker._node_rules, checker._link_rules, checker._global_rules = \
-            _split_rules(checker._rules)
-        checker._ctx = _StoreContext(stored)
-        checker._node_hits = [{} for _ in checker._node_rules]
-        checker._link_hits = [{} for _ in checker._link_rules]
-        checker._global_hits = [() for _ in checker._global_rules]
-        checker._seq = -1
-        checker._rebuild_store()
-        return checker
 
     @property
     def argument(self) -> "Argument | None":
         """The live argument, or ``None`` for a store-backed checker."""
         return self._argument
 
-    # -- graph accessors (live argument or store sidecar) -----------------
+    def _clear_hits(self) -> None:
+        for node_hits in self._node_hits:
+            node_hits.clear()
+        for link_hits in self._link_hits:
+            link_hits.clear()
 
-    def _graph_node(self, identifier: str) -> Node:
-        if self._stored is None:
-            return self._argument.node(identifier)
-        return self._stored.node(identifier)
-
-    def _graph_contains(self, identifier: str) -> bool:
-        if self._stored is None:
-            return identifier in self._argument
-        return identifier in self._ctx.types
-
-    def _graph_has_link(self, link: Link) -> bool:
-        if self._stored is None:
-            return self._argument.has_link(link)
-        return link in self._ctx.links
-
-    def _graph_links_of(self, identifier: str) -> list[Link]:
-        if self._stored is None:
-            return self._argument.links_of(identifier)
-        return list(self._ctx.out_links.get(identifier, ())) + list(
-            self._ctx.in_links.get(identifier, ())
-        )
-
-    def _rebuild(self) -> None:
-        for hits in self._node_hits:
-            hits.clear()
-        for hits in self._link_hits:
-            hits.clear()
-        for node in self._argument.nodes:
+    def _rebuild(self, argument: Argument) -> None:
+        self._clear_hits()
+        for node in argument.nodes:
             self._refresh_node(node)
-        for link in self._argument.links:
+        for link in argument.links:
             self._refresh_link(link)
-        for slot, (_, rule) in enumerate(self._global_rules):
-            self._global_hits[slot] = tuple(rule.fn(self._ctx))
-        self._seq = self._argument.mutation_seq
+        self._refresh_globals()
+        self._seq = argument.mutation_seq
 
-    def _rebuild_store(self) -> None:
-        """One streaming pass over the store: sidecar + violation maps.
+    def _rebuild_store(self, stored: Any) -> None:
+        """One pass over the store: sidecar, link index, violation maps.
 
-        Links stream first (the sidecar aggregates node rules read),
+        Links stream first (the support aggregates node rules read),
         then nodes (evaluating node rules as records parse — node
         payloads are not retained), then link rules over the link index
         and the global rules over the completed sidecar.  No hydration:
         this is the streaming check's cost, paid once at attach and
         again only if the base shards are replaced underneath us.
         """
-        ctx: _StoreContext = self._ctx
-        ctx.reset()
-        for hits in self._node_hits:
-            hits.clear()
-        for hits in self._link_hits:
-            hits.clear()
-        for link in self._stored.iter_links():
-            ctx.apply_op("add_link", link)
-        for node in self._stored.iter_nodes():
-            ctx.types[node.identifier] = node.node_type
-            ctx.order[node.identifier] = None
+        view = self._view = self._graph = _StoreView(stored)
+        sidecar = view.sidecar
+        self._ctx = sidecar
+        self._clear_hits()
+        for link in stored.iter_links():
+            view.apply_op("add_link", link)
+        for seq, node in enumerate(stored.iter_nodes()):
+            sidecar.note_node(seq, node.identifier, node.node_type)
             self._refresh_node(node)
-        for link in ctx.links:
+        sidecar.finalise()
+        for link in view.links:
             self._refresh_link(link)
-        for slot, (_, rule) in enumerate(self._global_rules):
-            self._global_hits[slot] = tuple(rule.fn(ctx))
-        self._seq = len(self._stored.journal_ops())
-        self._base_key = self._stored.base_key()
-        self._journal_key = tuple(self._stored.journal_segments)
+        self._refresh_globals()
+        self._seq = len(stored.journal_ops())
+        self._base_key = stored.base_key()
+        self._journal_key = tuple(stored.journal_segments)
 
     def _refresh_node(self, node: Node) -> None:
         identifier = node.identifier
@@ -1573,6 +1308,10 @@ class IncrementalChecker:
             else:
                 self._link_hits[slot].pop(link, None)
 
+    def _refresh_globals(self) -> None:
+        for slot, (_, rule) in enumerate(self._global_rules):
+            self._global_hits[slot] = tuple(rule.fn(self._ctx))
+
     def _drop_node(self, identifier: str) -> None:
         for hits in self._node_hits:
             hits.pop(identifier, None)
@@ -1582,6 +1321,7 @@ class IncrementalChecker:
             hits.pop(link, None)
 
     def _apply(self, records: tuple[tuple[str, Any], ...]) -> None:
+        graph = self._graph
         touched_nodes: set[str] = set()
         touched_links: set[Link] = set()
         for op, payload in records:
@@ -1595,13 +1335,11 @@ class IncrementalChecker:
                 touched_nodes.add(new.identifier)
                 if (
                     old.node_type is not new.node_type
-                    and self._graph_contains(new.identifier)
+                    and new.identifier in graph
                 ):
                     # A retype can flip link-rule verdicts on every link
                     # touching the node.
-                    touched_links.update(
-                        self._graph_links_of(new.identifier)
-                    )
+                    touched_links.update(graph.links_of(new.identifier))
             elif op == "add_link":
                 touched_links.add(payload)
                 touched_nodes.add(payload.source)
@@ -1612,20 +1350,16 @@ class IncrementalChecker:
                 touched_nodes.add(payload.source)
                 touched_nodes.add(payload.target)
         for identifier in touched_nodes:
-            if self._graph_contains(identifier):
-                self._refresh_node(self._graph_node(identifier))
+            if identifier in graph:
+                self._refresh_node(graph.node(identifier))
             else:
                 self._drop_node(identifier)
         for link in touched_links:
-            if self._graph_has_link(link):
+            if graph.has_link(link):
                 self._refresh_link(link)
             else:
                 self._drop_link(link)
-
-    def _update_globals(
-        self, records: tuple[tuple[str, Any], ...]
-    ) -> None:
-        """Refresh global rules, via their incremental hooks if offered."""
+        # Global rules, via their incremental hooks if offered.
         for slot, (_, rule) in enumerate(self._global_rules):
             found: "list[Violation] | None" = None
             if rule.delta_fn is not None:
@@ -1650,27 +1384,23 @@ class IncrementalChecker:
         which a regrown journal of the same length holds different
         records.
         """
-        self._stored.refresh()
-        segments = tuple(self._stored.journal_segments)
+        stored = self._view.stored
+        stored.refresh()
+        segments = tuple(stored.journal_segments)
+        ops = stored.journal_ops()
         if (
-            self._stored.base_key() != self._base_key
+            stored.base_key() != self._base_key
             or segments[:len(self._journal_key)] != self._journal_key
+            or len(ops) < self._seq  # torn-tail recovery shrank it
         ):
-            self._rebuild_store()
+            self._rebuild_store(stored)
             return
-        ops = self._stored.journal_ops()
-        if len(ops) < self._seq:  # torn-tail recovery shrank the journal
-            self._rebuild_store()
-            return
-        if len(ops) == self._seq:
-            self._journal_key = segments
-            return
-        records = tuple(ops[self._seq:])
-        for op, payload in records:
-            self._ctx.apply_op(op, payload)
-        self._apply(records)
-        self._update_globals(records)
-        self._seq = len(ops)
+        if len(ops) > self._seq:
+            records = tuple(ops[self._seq:])
+            for op, payload in records:
+                self._view.apply_op(op, payload)
+            self._apply(records)
+            self._seq = len(ops)
         self._journal_key = segments
 
     def check(self) -> list[Violation]:
@@ -1683,19 +1413,15 @@ class IncrementalChecker:
         store-backed checker, a replaced base-shard generation) forces
         a complete rebuild.
         """
-        if self._stored is not None:
+        if self._argument is None:
             self._sync_store()
-            return self._assemble_hits()
-        delta = self._argument.delta_since(self._seq)
-        if delta is None:
-            self._rebuild()  # the bounded log rotated past us
-        elif delta:
-            self._apply(delta.records)
-            self._update_globals(delta.records)
-            self._seq = self._argument.mutation_seq
-        return self._assemble_hits()
-
-    def _assemble_hits(self) -> list[Violation]:
+        else:
+            delta = self._argument.delta_since(self._seq)
+            if delta is None:
+                self._rebuild(self._argument)  # the log rotated past us
+            elif delta:
+                self._apply(delta.records)
+                self._seq = self._argument.mutation_seq
         buckets: list[list[Violation]] = [[] for _ in self._rules]
         for slot, (index, _) in enumerate(self._node_rules):
             for found in self._node_hits[slot].values():
@@ -1705,7 +1431,7 @@ class IncrementalChecker:
                 buckets[index].extend(found)
         for slot, (index, _) in enumerate(self._global_rules):
             buckets[index].extend(self._global_hits[slot])
-        return _assemble(self._rules, buckets)
+        return _assemble(buckets)
 
     def is_well_formed(self) -> bool:
         return not self.check()

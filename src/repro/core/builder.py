@@ -179,7 +179,10 @@ class ArgumentBuilder:
     ) -> Argument:
         """Finish; by default verify well-formedness and raise on failure."""
         if check:
-            violations = rules.check(self._argument)
+            # Imported here: repro.checking imports this package.
+            from ..checking import check as run_check
+
+            violations = list(run_check(self._argument, rules).violations)
             if violations:
                 raise BuildError(violations)
         return self._argument

@@ -296,7 +296,10 @@ class AssuranceCase:
         self, rules: RuleSet = GSN_STANDARD_RULES
     ) -> IntegrityReport:
         """Run every mechanical bookkeeping check."""
-        violations = tuple(rules.check(self.argument))
+        # Imported here: repro.checking imports this package.
+        from ..checking import check
+
+        violations = check(self.argument, rules).violations
         cited = {
             evidence_id
             for citations in self._citations.values()

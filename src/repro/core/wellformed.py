@@ -24,154 +24,43 @@ declares whether it inspects one node, one link, or the whole graph, and
 the analysis engine executes the set serially, streaming over a
 :class:`~repro.store.StoredArgument`'s shards without hydration, in
 parallel across process workers, or incrementally against the mutation
-delta log — all with identical output.  A :class:`RuleSet` aggregates
-rules; the legacy whole-argument :class:`Rule` form keeps working through
-an adapter that runs it as a global rule (hydration as the fallback, not
-the default).  This design lets the experiments count *which* rules a
-checker catches and compare checkers.
+delta log — all with identical output.  A :class:`RuleSet` names an
+ordered tuple of scoped rules; check one with :func:`repro.check`.  This
+design lets the experiments count *which* rules a checker catches and
+compare checkers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from .analysis import (
-    IncrementalChecker,
     RuleContext,
-    Scope,
     ScopedRule,
     Violation,
     global_rule,
     per_link,
     per_node,
-    run_rules,
 )
-from .argument import Argument, Link, LinkKind
+from .argument import Link, LinkKind
 from .nodes import Node, NodeType, looks_propositional
 
 __all__ = [
     "Violation",
-    "Rule",
     "RuleSet",
-    "scoped_from_legacy",
     "GSN_STANDARD_RULES",
     "DENNEY_PAI_RULES",
-    "check",
-    "is_well_formed",
 ]
-
-
-CheckFunction = Callable[[Argument], "list[Violation]"]
-
-
-@dataclass(frozen=True)
-class Rule:
-    """A legacy whole-argument rule (kept for backward compatibility).
-
-    New rules should be scoped (:func:`~repro.core.analysis.per_node`,
-    :func:`~repro.core.analysis.per_link`,
-    :func:`~repro.core.analysis.global_rule`); a :class:`RuleSet` adapts
-    legacy rules automatically via :func:`scoped_from_legacy`.
-    """
-
-    name: str
-    description: str
-    check: CheckFunction
-
-    def __call__(self, argument: Argument) -> list[Violation]:
-        return self.check(argument)
-
-
-def scoped_from_legacy(rule: Rule) -> ScopedRule:
-    """Adapt a whole-argument rule to the scoped engine.
-
-    The adapted rule runs at global scope against
-    :meth:`~repro.core.analysis.RuleContext.argument` — so checking a
-    stored case with a legacy rule hydrates it (the fallback path), while
-    fully-scoped rule sets never do.
-    """
-
-    def run(ctx: RuleContext) -> list[Violation]:
-        return rule.check(ctx.argument())
-
-    return ScopedRule(rule.name, rule.description, Scope.GLOBAL, run)
 
 
 @dataclass(frozen=True)
 class RuleSet:
-    """An ordered collection of rules forming one notion of well-formed.
-
-    Accepts scoped rules and legacy :class:`Rule` instances alike (the
-    latter are adapted on construction), so existing code that filters
-    or extends ``GSN_STANDARD_RULES.rules`` keeps working.
-    """
+    """An ordered collection of scoped rules forming one notion of
+    well-formed."""
 
     name: str
     rules: tuple[ScopedRule, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", tuple(
-            rule if isinstance(rule, ScopedRule) else scoped_from_legacy(rule)
-            for rule in self.rules
-        ))
-
-    def check(
-        self,
-        argument: Argument,
-        *,
-        mode: str = "auto",
-        workers: int | None = None,
-    ) -> list[Violation]:
-        """All violations, rule-set order, canonical within each rule.
-
-        Also accepts a :class:`repro.store.StoredArgument`: by default
-        the stored case is checked by **streaming** its shards
-        (checksum-verified) without hydrating an argument.  ``mode``
-        selects ``serial``/``streaming``, ``parallel`` (``workers``
-        processes), or ``full`` (hydrate first — the legacy behaviour);
-        every mode produces the identical list, so loading never changes
-        which violations a case has.
-
-        .. deprecated::
-            Prefer :func:`repro.check` — ``repro.check(argument,
-            rules=this_set, mode=...)`` runs the same engine and
-            returns a typed report instead of a bare list.
-        """
-        return run_rules(argument, self.rules, mode=mode, workers=workers)
-
-    def is_well_formed(
-        self,
-        argument: Argument,
-        *,
-        mode: str = "auto",
-        workers: int | None = None,
-    ) -> bool:
-        return not self.check(argument, mode=mode, workers=workers)
-
-    def incremental(self, argument: Argument) -> IncrementalChecker:
-        """A stateful checker that re-checks only what mutations touch.
-
-        .. deprecated::
-            Prefer ``repro.check(argument, rules=this_set,
-            mode="incremental")`` — the facade keeps the stateful
-            checker alive per (subject, rules) for you.
-        """
-        return IncrementalChecker(argument, self.rules)
-
-    def incremental_from_store(self, stored: Any) -> IncrementalChecker:
-        """A stateful checker over a persisted case — never hydrates.
-
-        Consumes the store's append-journal deltas (written by
-        ``Argument.save(journal=True)``); see
-        :meth:`~repro.core.analysis.IncrementalChecker.from_store`.
-
-        .. deprecated::
-            Prefer ``repro.check(stored, rules=this_set,
-            mode="incremental")`` — the facade detects stored handles
-            and routes through ``from_store`` itself.
-        """
-        return IncrementalChecker.from_store(stored, self.rules)
 
     def audit(self) -> "list[Any]":
         """Statically audit every rule against the authoring contract.
@@ -183,7 +72,7 @@ class RuleSet:
         AuditFinding` list: undeclared context access, hydration-forcing
         calls, mutation, and nondeterminism sources, each with severity
         and source location.  An empty list means the set keeps the
-        locality contract that makes the four execution modes agree.
+        locality contract that makes the execution modes agree.
         """
         # Imported here: analysis_static imports this module's shipped
         # rule sets for its gate, so a top-level import would cycle.
@@ -347,8 +236,7 @@ def _rule_acyclic_delta(
     canonical cycle rendering needs the full search anyway.  The probes
     go through the context's support surface (``has_support`` /
     ``supported_walk``), so the hook works identically for a live
-    argument and for the no-hydration store-backed checker
-    (:meth:`~repro.core.analysis.IncrementalChecker.from_store`).
+    argument and for the no-hydration store-backed checker.
     """
     if previous:
         return None
@@ -502,45 +390,3 @@ DENNEY_PAI_RULES = RuleSet(
     ),
 )
 
-
-def check(
-    argument: Argument,
-    rules: RuleSet = GSN_STANDARD_RULES,
-    *,
-    mode: str = "auto",
-    workers: int | None = None,
-) -> list[Violation]:
-    """All violations of the given rule set (default: GSN standard).
-
-    .. deprecated::
-        Thin shim over the unified facade — prefer
-        :func:`repro.check`, which accepts the same subjects and modes
-        (plus ``"incremental"``) and returns a typed
-        :class:`~repro.checking.CheckReport` carrying obligation
-        outcomes and the mode actually used.  This wrapper keeps the
-        legacy ``list[Violation]`` return type.
-    """
-    # Imported here: repro.checking imports this module's rule sets,
-    # so a top-level import would cycle.
-    from ..checking import check as _check
-
-    return list(
-        _check(argument, rules, mode=mode, workers=workers).violations
-    )
-
-
-def is_well_formed(
-    argument: Argument,
-    rules: RuleSet = GSN_STANDARD_RULES,
-    *,
-    mode: str = "auto",
-    workers: int | None = None,
-) -> bool:
-    """True when the argument violates no rule of the set.
-
-    .. deprecated::
-        Prefer ``repro.check(...).well_formed`` — note that the
-        facade's notion also reflects failed formal obligations, which
-        surface as ``evidence-obligation`` violations here too.
-    """
-    return not check(argument, rules, mode=mode, workers=workers)

@@ -59,6 +59,7 @@ from ..core.query import (
 )
 from ..checking import check as run_check
 from ..claims import GSN_OBLIGATION_RULES
+from ..core.analysis import CHECK_MODES
 from ..core.wellformed import RuleSet
 from ..notation.json_io import node_payload
 from ..store import (
@@ -522,7 +523,10 @@ class ArgumentService:
             ],
         }
 
-    _CHECK_MODES = ("auto", "serial", "streaming", "parallel", "full")
+    #: The one-shot engines: every check reads the current snapshot,
+    #: which each append replaces, so an incremental checker would
+    #: never see its subject again.
+    _CHECK_MODES = tuple(m for m in CHECK_MODES if m != "incremental")
 
     async def _post_check(
         self, state: _StoreState, body: Any

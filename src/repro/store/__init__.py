@@ -61,10 +61,10 @@ argument last saw (``force=True`` overwrites deliberately).
 
 ``Argument.save/load`` (including ``save(journal=True)``) and
 ``AssuranceCase.save/load`` are the convenience entry points built on
-these; :func:`repro.core.query.select` and
-:func:`repro.core.wellformed.check` accept a :class:`StoredArgument`
-directly, :meth:`repro.core.analysis.IncrementalChecker.from_store`
-re-checks a journalled store incrementally without hydrating it, and
+these; :func:`repro.core.query.select` and :func:`repro.check` accept a
+:class:`StoredArgument` directly, ``repro.check(stored,
+mode="incremental")`` re-checks a journalled store incrementally
+without hydrating it, and
 :mod:`repro.service` serves one shared store to many editors over HTTP.
 """
 

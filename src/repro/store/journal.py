@@ -40,9 +40,9 @@ of the (small) segments yields the shadow/tombstone/append maps that
 :class:`~repro.store.reader.StoredArgument` layers over its base shards
 for every access path — ``load``, ``node``, ``subtree``, streaming and
 per-shard iteration.  The decoded operation list doubles as the
-persisted delta stream that
-:meth:`repro.core.analysis.IncrementalChecker.from_store` consumes to
-re-check a stored case without hydrating it.
+persisted delta stream that a store-backed
+:class:`repro.core.analysis.IncrementalChecker` consumes to re-check a
+stored case without hydrating it.
 
 Crash semantics: a sealed segment enters the manifest atomically, so an
 interrupted append leaves the previous state loadable (at worst an

@@ -270,8 +270,9 @@ class StoredArgument:
 
     def journal_ops(self) -> "list[tuple[str, Any]]":
         """The decoded journal mutations, oldest first — the persisted
-        delta stream :meth:`repro.core.analysis.IncrementalChecker.
-        from_store` consumes.  Read-only: the overlay owns the list."""
+        delta stream a store-backed :class:`repro.core.analysis.
+        IncrementalChecker` consumes.  Read-only: the overlay owns the
+        list."""
         return self.journal_overlay().ops
 
     def base_key(self) -> tuple:

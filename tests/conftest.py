@@ -18,12 +18,19 @@ from typing import Any
 
 import pytest
 
+import repro
 from repro.core import ArgumentBuilder
 from repro.core.argument import Argument, LinkKind
 from repro.core.case import AssuranceCase, SafetyCriterion
 from repro.core.evidence import EvidenceItem, EvidenceKind
+from repro.core.wellformed import GSN_STANDARD_RULES
 
 _BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def check(subject, rules=GSN_STANDARD_RULES, **options) -> list:
+    """A rule set's violations as a list, through :func:`repro.check`."""
+    return list(repro.check(subject, rules, **options))
 
 
 # -- the shared round-trip equivalence oracle -------------------------------

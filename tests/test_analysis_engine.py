@@ -2,44 +2,37 @@
 
 Pins the tentpole contracts of :mod:`repro.core.analysis`:
 
-* one rule set, four execution modes — serial, full (hydrate first),
-  streaming over a saved store, and parallel across process workers —
-  all producing the *identical* violation list;
+* one rule set, every execution mode — serial, streaming over a saved
+  store, and parallel across process workers — all producing the
+  *identical* violation list;
 * streaming and parallel checks never hydrate the store (asserted via
   ``StoredArgument.hydrated``);
 * the :class:`~repro.core.analysis.IncrementalChecker` equals a fresh
   full check after arbitrary mutations, including retypes (which flip
   link-rule verdicts), cycle creation/destruction (the delta-aware
-  acyclic hook), batches, and delta-log rotation;
-* legacy whole-argument :class:`~repro.core.wellformed.Rule` callables
-  keep working through the global-scope adapter, with hydration as the
-  fallback rather than the default.
+  acyclic hook), batches, and delta-log rotation.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro
+from conftest import check
 from repro.core.analysis import (
+    CHECK_MODES,
     IncrementalChecker,
-    Scope,
-    ScopedRule,
     Violation,
     ensure_argument,
     is_stored_argument,
     per_link,
     per_node,
+    resolve_mode,
     run_rules,
 )
 from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
-from repro.core.wellformed import (
-    DENNEY_PAI_RULES,
-    GSN_STANDARD_RULES,
-    Rule,
-    RuleSet,
-    check,
-)
+from repro.core.wellformed import DENNEY_PAI_RULES, GSN_STANDARD_RULES
 from repro.store import StoredArgument
 
 pytestmark = pytest.mark.analysis
@@ -85,13 +78,11 @@ class TestModeEquivalence:
 
         streaming_store = StoredArgument(store_dir)
         streaming = check(streaming_store, mode="streaming")
-        full_store = StoredArgument(store_dir)
-        full = check(full_store, mode="full")
         parallel_store = StoredArgument(store_dir)
         parallel = check(parallel_store, mode="parallel", workers=2)
         parallel_live = check(ill_formed, mode="parallel", workers=2)
 
-        assert serial == streaming == full == parallel == parallel_live
+        assert serial == streaming == parallel == parallel_live
 
     def test_streaming_reads_shards_without_hydrating(self, stored):
         check(stored, mode="streaming")
@@ -102,9 +93,13 @@ class TestModeEquivalence:
         check(stored, mode="parallel", workers=2)
         assert not stored.hydrated
 
-    def test_full_mode_hydrates(self, stored):
-        check(stored, mode="full")
-        assert stored.hydrated
+    def test_full_mode_rejected(self, stored, ill_formed):
+        for subject in (stored, ill_formed):
+            with pytest.raises(ValueError, match="unknown analysis mode"):
+                run_rules(subject, GSN_STANDARD_RULES.rules, mode="full")
+            with pytest.raises(ValueError, match="unknown analysis mode"):
+                repro.check(subject, mode="full")
+        assert not stored.hydrated
 
     def test_auto_mode_streams_stored_arguments(self, stored):
         check(stored)
@@ -150,6 +145,34 @@ class TestModeEquivalence:
             run_rules(sample_case, GSN_STANDARD_RULES.rules)
 
 
+class TestModeResolution:
+    def test_one_resolver_for_every_subject(self, stored, ill_formed):
+        assert resolve_mode(ill_formed, "auto") == "serial"
+        assert resolve_mode(ill_formed, "streaming") == "serial"
+        assert resolve_mode(ill_formed, "parallel", 2) == "serial"
+        assert resolve_mode(stored, "auto") == "streaming"
+        assert resolve_mode(stored, "serial") == "streaming"
+        assert resolve_mode(stored, "parallel", 2) == "parallel"
+        assert resolve_mode(stored, "parallel", 1) == "streaming"
+        assert resolve_mode(stored, "incremental") == "incremental"
+        with pytest.raises(ValueError, match="unknown analysis mode"):
+            resolve_mode(stored, "full")
+
+    def test_facade_and_service_share_the_mode_list(self):
+        from repro.checking import CHECK_MODES as facade_modes
+        from repro.service.server import ArgumentService
+
+        assert facade_modes is CHECK_MODES
+        assert ArgumentService._CHECK_MODES == tuple(
+            mode for mode in CHECK_MODES if mode != "incremental"
+        )
+
+    def test_run_rules_refuses_incremental(self, ill_formed):
+        with pytest.raises(ValueError, match="IncrementalChecker"):
+            run_rules(ill_formed, GSN_STANDARD_RULES.rules,
+                      mode="incremental")
+
+
 class TestSharedStoreHelpers:
     def test_is_stored_argument(self, stored, ill_formed, sample_case):
         assert is_stored_argument(stored)
@@ -164,49 +187,6 @@ class TestSharedStoreHelpers:
         assert stored.hydrated
         with pytest.raises(TypeError, match="got int"):
             ensure_argument(7)
-
-
-class TestLegacyRuleAdapter:
-    @staticmethod
-    def _legacy_set() -> RuleSet:
-        def no_empty_texts(argument: Argument) -> list[Violation]:
-            return [
-                Violation("short-text", node.identifier,
-                          "node text is suspiciously short")
-                for node in argument.nodes
-                if len(node.text) < 10
-            ]
-
-        return RuleSet("legacy", (
-            Rule("short-text", "texts are not trivially short",
-                 no_empty_texts),
-        ))
-
-    def test_legacy_rules_adapt_and_run(self, ill_formed):
-        legacy = self._legacy_set()
-        assert all(rule.scope is Scope.GLOBAL for rule in legacy.rules)
-        assert legacy.check(ill_formed) == []
-        ill_formed.add_node(Node("T1", NodeType.CONTEXT, "Tiny text"))
-        assert [v.rule for v in legacy.check(ill_formed)] == ["short-text"]
-
-    def test_legacy_rules_hydrate_stored_arguments_once(self, stored):
-        legacy = RuleSet("legacy-pair", (
-            Rule("a", "first legacy rule", lambda argument: []),
-            Rule("b", "second legacy rule", lambda argument: []),
-        ))
-        assert legacy.check(stored) == []
-        # Hydration is the fallback (and happens at most once, however
-        # many legacy rules ask).
-        assert stored.hydrated
-
-    def test_mixed_scoped_and_legacy_rule_set(self, ill_formed):
-        mixed = RuleSet("mixed", GSN_STANDARD_RULES.rules[:3] + (
-            Rule("always-one", "fires once per argument",
-                 lambda argument: [Violation(
-                     "always-one", argument.name, "fired")]),
-        ))
-        found = mixed.check(ill_formed)
-        assert [v.rule for v in found][-1] == "always-one"
 
 
 def _flag_away_goals(node, ctx):
@@ -249,12 +229,21 @@ class TestDispatchFilters:
 
 
 class TestIncrementalChecker:
-    def test_requires_a_live_argument(self, stored):
-        with pytest.raises(TypeError, match="needs a live Argument"):
-            IncrementalChecker(stored, GSN_STANDARD_RULES.rules)
+    def test_accepts_either_subject_kind(
+        self, stored, ill_formed, sample_case
+    ):
+        expected = check(ill_formed)
+        assert IncrementalChecker(stored, GSN_STANDARD_RULES.rules).check() \
+            == expected
+        assert IncrementalChecker(
+            ill_formed, GSN_STANDARD_RULES.rules
+        ).check() == expected
+        assert not stored.hydrated
+        with pytest.raises(TypeError, match="got AssuranceCase"):
+            IncrementalChecker(sample_case, GSN_STANDARD_RULES.rules)
 
     def test_tracks_arbitrary_mutations(self, ill_formed):
-        checker = GSN_STANDARD_RULES.incremental(ill_formed)
+        checker = IncrementalChecker(ill_formed, GSN_STANDARD_RULES.rules)
         assert checker.check() == check(ill_formed)
 
         ill_formed.add_node(Node(
@@ -280,7 +269,7 @@ class TestIncrementalChecker:
         assert checker.check() == check(ill_formed)
 
     def test_retype_flips_link_rule_verdicts(self, ill_formed):
-        checker = GSN_STANDARD_RULES.incremental(ill_formed)
+        checker = IncrementalChecker(ill_formed, GSN_STANDARD_RULES.rules)
         checker.check()
         # Sn2 (a solution receiving a context link) becomes a context
         # node: the in-context-of-target violation must disappear and
@@ -302,7 +291,7 @@ class TestIncrementalChecker:
             Node("G2", NodeType.GOAL, "Claim two holds"),
         ])
         argument.add_link("G1", "G2", LinkKind.SUPPORTED_BY)
-        checker = GSN_STANDARD_RULES.incremental(argument)
+        checker = IncrementalChecker(argument, GSN_STANDARD_RULES.rules)
         assert not any(v.rule == "acyclic" for v in checker.check())
 
         closing = argument.add_link("G2", "G1", LinkKind.SUPPORTED_BY)
@@ -316,7 +305,7 @@ class TestIncrementalChecker:
         assert cleaned == check(argument)
 
     def test_unchanged_argument_reuses_caches(self, ill_formed):
-        checker = GSN_STANDARD_RULES.incremental(ill_formed)
+        checker = IncrementalChecker(ill_formed, GSN_STANDARD_RULES.rules)
         first = checker.check()
         assert checker.check() == first
 
@@ -328,7 +317,7 @@ class TestIncrementalChecker:
         argument.add_node(Node(
             "G1", NodeType.GOAL, "The top claim holds", undeveloped=True
         ))
-        checker = GSN_STANDARD_RULES.incremental(argument)
+        checker = IncrementalChecker(argument, GSN_STANDARD_RULES.rules)
         checker.check()
         for index in range(2, 20):  # far beyond the bounded log
             argument.add_node(Node(

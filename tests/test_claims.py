@@ -6,10 +6,9 @@ deterministic discharge for all five kinds; compilation onto the
 scoped rule engine (audited, picklable, registered in the import-time
 gate); engine equivalence — a claim module's violations, obligation
 failures included, are identical under serial, streaming, parallel,
-full, and incremental execution; the selective re-proof contract
-(editing one claim's evidence re-runs exactly one proof, counters
-asserted); and the ``repro.check`` facade's typed ``CheckReport`` with
-the legacy entry points delegating to it.
+and incremental execution; the selective re-proof contract (editing one
+claim's evidence re-runs exactly one proof, counters asserted); and the
+``repro.check`` facade's typed ``CheckReport``.
 """
 
 from __future__ import annotations
@@ -49,10 +48,9 @@ from repro.claims import (
     validate_obligation,
 )
 from repro.claims.lang import ForbidLink, RequireMention
+from repro.core.analysis import IncrementalChecker
 from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
-from repro.core.wellformed import GSN_STANDARD_RULES, is_well_formed
-from repro.core.wellformed import check as legacy_check
 from repro.store import StoredArgument
 
 pytestmark = [pytest.mark.claims]
@@ -298,7 +296,6 @@ class TestModeEquivalence:
         assert [v.rule for v in serial] == [OBLIGATION_RULE_NAME] * 2
         assert serial.mode == "serial" and not serial.well_formed
 
-        full = repro.check(argument, rules, mode="full")
         incremental = repro.check(argument, rules, mode="incremental")
 
         store_dir = tmp_path / "kernel.store"
@@ -314,8 +311,7 @@ class TestModeEquivalence:
         )
 
         expected = tuple(serial)
-        for report in (full, incremental, streaming, parallel,
-                       stored_incremental):
+        for report in (incremental, streaming, parallel, stored_incremental):
             assert tuple(report) == expected, report.mode
 
     def test_obligations_ride_the_journal(self, tmp_path):
@@ -378,7 +374,7 @@ class TestSelectiveReproof:
     def test_single_edit_reproves_exactly_one(self):
         argument, claims = proof_module(8)
         rules = claims.rule_set
-        checker = rules.incremental(argument)
+        checker = IncrementalChecker(argument, rules.rules)
         checker.check()
         target = argument.node("Sn5")
         replacement = f"sat: {unique_atom('edit')}"
@@ -467,6 +463,9 @@ class TestCheckFacade:
             argument, mode="parallel", workers=1
         ).mode == "serial"  # one worker degrades, and the report says so
         assert CHECK_MODES[-1] == "incremental"
+        assert "full" not in CHECK_MODES
+        with pytest.raises(ValueError, match="unknown analysis mode"):
+            repro.check(argument, mode="full")
 
     def test_stored_auto_resolves_to_streaming(self, tmp_path):
         argument = exemplar_argument()
@@ -484,15 +483,14 @@ class TestCheckFacade:
             repro.check(argument, mode="incremental")
         assert len(_CHECKERS) <= _MAX_INCREMENTAL_SUBJECTS
 
-    def test_legacy_entrypoints_delegate(self):
-        argument = exemplar_argument()
-        violations = legacy_check(argument)
-        assert violations == [] and isinstance(violations, list)
-        assert is_well_formed(argument)
-        assert GSN_STANDARD_RULES.check(argument) == []
-        broken, claims = broken_kernel()
-        assert [v.rule for v in claims.rule_set.check(broken)] == \
-            [OBLIGATION_RULE_NAME] * 2
+    def test_legacy_entrypoints_are_gone(self):
+        import repro.core.wellformed as wellformed
+
+        for name in ("Rule", "check", "is_well_formed"):
+            assert not hasattr(wellformed, name), name
+        for name in ("check", "is_well_formed", "incremental"):
+            assert not hasattr(repro.RuleSet, name), name
+        assert not hasattr(IncrementalChecker, "from_store")
 
     def test_top_level_all_is_importable(self):
         for name in repro.__all__:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.core.hicases import FoldError, HiView, auto_fold_to_depth
 from repro.core.toulmin import (
     Rebuttal,
@@ -13,7 +14,6 @@ from repro.core.toulmin import (
     render_toulmin,
     toulmin_to_gsn,
 )
-from repro.core.wellformed import is_well_formed
 
 
 class TestHiView:
@@ -69,7 +69,7 @@ class TestHiView:
     def test_view_argument_still_well_formed(self, hazard_argument):
         view = HiView(hazard_argument)
         view.fold("S1")
-        assert is_well_formed(view.visible_argument())
+        assert repro.check(view.visible_argument()).well_formed
 
     def test_auto_fold_depth(self, hazard_argument):
         view = auto_fold_to_depth(hazard_argument, 2)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.core.argument import LinkKind
 from repro.core.nodes import NodeType
 from repro.core.patterns import (
@@ -19,7 +20,6 @@ from repro.core.patterns import (
     SetSort,
     hazard_avoidance_pattern,
 )
-from repro.core.wellformed import is_well_formed
 
 
 class TestSorts:
@@ -155,7 +155,7 @@ class TestInstantiation:
             hazards=["overrun", "fire", "derail"],
             residual_risk=15,
         ))
-        assert is_well_formed(argument)
+        assert repro.check(argument).well_formed
         # One goal + solution per hazard, plus top, strategy, context, J.
         assert len(argument) == 4 + 2 * 3
 

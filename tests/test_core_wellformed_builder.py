@@ -4,20 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+import repro
+from conftest import check
 from repro.core.argument import Argument, LinkKind
 from repro.core.builder import ArgumentBuilder, BuildError
 from repro.core.nodes import Node, NodeType
-from repro.core.wellformed import (
-    DENNEY_PAI_RULES,
-    GSN_STANDARD_RULES,
-    check,
-    is_well_formed,
-)
+from repro.core.wellformed import DENNEY_PAI_RULES, GSN_STANDARD_RULES
 
 
 class TestStandardRules:
     def test_well_formed_fixture(self, hazard_argument):
-        assert is_well_formed(hazard_argument)
+        assert repro.check(hazard_argument).well_formed
 
     def test_supported_by_cannot_target_context(self):
         argument = Argument()
@@ -89,7 +86,7 @@ class TestStandardRules:
         argument.add_node(Node(
             "G1", NodeType.GOAL, "The system is safe", undeveloped=True
         ))
-        assert is_well_formed(argument)
+        assert repro.check(argument).well_formed
 
     def test_empty_strategy_flagged(self):
         argument = Argument()
@@ -119,7 +116,7 @@ class TestDenneyPaiVariant:
         argument.add_node(Node("Sn1", NodeType.SOLUTION, "Report"))
         argument.supported_by("G1", "G2")
         argument.supported_by("G2", "Sn1")
-        assert is_well_formed(argument, GSN_STANDARD_RULES)
+        assert repro.check(argument, GSN_STANDARD_RULES).well_formed
 
     def test_goal_to_goal_rejected_by_denney_pai(self):
         # The erroneous formalisation the paper calls out (§III.I).
@@ -179,7 +176,7 @@ class TestBuilder:
 
     def test_full_construction(self, hazard_argument):
         # The conftest fixture exercises every builder method.
-        assert is_well_formed(hazard_argument)
+        assert repro.check(hazard_argument).well_formed
         assert len(hazard_argument.solutions) == 4
 
     def test_extra_support_link(self):

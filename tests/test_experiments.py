@@ -261,9 +261,9 @@ class TestExperimentC:
             run_audience_study(_SMALL_C).rows()
 
     def test_specimen_is_well_formed(self):
-        from repro.core.wellformed import is_well_formed
+        import repro
 
-        assert is_well_formed(specimen_argument())
+        assert repro.check(specimen_argument()).well_formed
 
     def test_everyone_slows_down(self):
         result = run_audience_study(_SMALL_C)

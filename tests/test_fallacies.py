@@ -6,10 +6,10 @@ import random
 
 import pytest
 
+import repro
 from repro.core.builder import ArgumentBuilder
 from repro.core.case import AssuranceCase
 from repro.core.evidence import EvidenceItem, EvidenceKind
-from repro.core.wellformed import is_well_formed
 from repro.fallacies.formal_detector import (
     AnalysisResult,
     FormalArgument,
@@ -238,7 +238,7 @@ class TestInjector:
             InformalFallacy.ARGUING_FROM_IGNORANCE,
         ):
             mutated, _ = inject_informal(hazard_argument, fallacy, rng)
-            assert is_well_formed(mutated), fallacy
+            assert repro.check(mutated).well_formed, fallacy
 
     def test_greenwell_seeding_counts(self, rng):
         builder = ArgumentBuilder("base")

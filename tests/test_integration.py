@@ -6,12 +6,12 @@ import random
 
 import pytest
 
+import repro
 from repro.core import ArgumentBuilder, AssuranceCase, SafetyCriterion
 from repro.core.evidence import EvidenceItem, EvidenceKind
 from repro.core.hicases import auto_fold_to_depth
 from repro.core.impact import evidence_impact
 from repro.core.patterns import Binding, hazard_avoidance_pattern
-from repro.core.wellformed import is_well_formed
 from repro.fallacies.formal_detector import Verdict, detect
 from repro.fallacies.injector import seed_greenwell_argument
 from repro.fallacies.taxonomy import GREENWELL_FINDINGS
@@ -38,7 +38,7 @@ class TestPatternToCaseToFormalisationFlow:
             hazards=["overrun", "fire", "door-trap"],
             residual_risk=12,
         ))
-        assert is_well_formed(argument)
+        assert repro.check(argument).well_formed
 
         case = AssuranceCase(
             "acme-brake", argument,
@@ -137,7 +137,7 @@ class TestGreenwellPipeline:
                 if rule.name != "goal-not-proposition"
             ),
         )
-        assert structural.is_well_formed(mutated)
+        assert repro.check(mutated, structural).well_formed
 
         formalisation = formalise_argument(mutated)
         formalisation.assent_all()

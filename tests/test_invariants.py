@@ -25,9 +25,9 @@ random mutation steps and after **every** step asserts:
 (f) the **journal persistence oracle**: a store maintained across the
     whole run purely by ``save(journal=True)`` appends — every Nth step
     the journal-replayed store loads canonically equal to the live
-    argument, a long-lived store-backed checker
-    (:meth:`~repro.core.analysis.IncrementalChecker.from_store`,
-    consuming the *persisted* journal deltas, never hydrating) agrees
+    argument, a long-lived store-backed
+    :class:`~repro.core.analysis.IncrementalChecker` (consuming the
+    *persisted* journal deltas, never hydrating) agrees
     with the fresh check, and periodically ``compact()`` folds the
     journal away byte-identically to a clean save of the same argument;
 (g) the **search oracle**: a second store saved once with
@@ -61,6 +61,7 @@ import pytest
 
 from repro.claims import GSN_OBLIGATION_RULES, obligation_counters
 from repro.claims.obligations import OBLIGATION_KEY
+from repro.core.analysis import IncrementalChecker, run_rules
 from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
 from repro.core.wellformed import GSN_STANDARD_RULES
@@ -246,11 +247,14 @@ class Harness:
         self.next_birth = 0
         self.store_dir = store_dir
         # Long-lived: consumes the delta log across the whole run.
-        self.wellformed = GSN_STANDARD_RULES.incremental(self.argument)
+        self.wellformed = IncrementalChecker(
+            self.argument, GSN_STANDARD_RULES.rules
+        )
         # Long-lived obligation checker: standard rules + the formal
         # evidence-discharge rule over the randomly stamped obligations.
-        self.obligation_wellformed = \
-            GSN_OBLIGATION_RULES.incremental(self.argument)
+        self.obligation_wellformed = IncrementalChecker(
+            self.argument, GSN_OBLIGATION_RULES.rules
+        )
         # Long-lived journal session: the store under journal_store is
         # only ever updated through save(journal=True) appends (plus
         # periodic compaction), and stored_wellformed re-checks it from
@@ -380,7 +384,7 @@ class Harness:
         # (delta replay, cached per-rule violation maps) equals a fresh
         # full check after every step ...
         incremental_violations = self.wellformed.check()
-        fresh_violations = GSN_STANDARD_RULES.check(argument)
+        fresh_violations = run_rules(argument, GSN_STANDARD_RULES.rules)
         assert incremental_violations == fresh_violations, (
             f"step {step_number}: incremental well-formedness diverged "
             "from a fresh full check"
@@ -391,7 +395,9 @@ class Harness:
         # step bounds the extra full-check cost.
         if step_number % 3 == 0:
             incremental_obligations = self.obligation_wellformed.check()
-            fresh_obligations = GSN_OBLIGATION_RULES.check(argument)
+            fresh_obligations = run_rules(
+                argument, GSN_OBLIGATION_RULES.rules
+            )
             assert incremental_obligations == fresh_obligations, (
                 f"step {step_number}: incremental obligation check "
                 "diverged from a fresh full check"
@@ -404,7 +410,9 @@ class Harness:
             store = self.store_dir / "invariant.store"
             argument.save(store)
             stored = StoredArgument(store)
-            streamed = GSN_STANDARD_RULES.check(stored, mode="streaming")
+            streamed = run_rules(
+                stored, GSN_STANDARD_RULES.rules, mode="streaming"
+            )
             assert streamed == fresh_violations, (
                 f"step {step_number}: streaming check over the saved "
                 "store diverged"
@@ -433,16 +441,15 @@ class Harness:
                 )
             if self.stored_wellformed is None:
                 self.checker_store = StoredArgument(self.journal_store)
-                self.stored_wellformed = \
-                    GSN_STANDARD_RULES.incremental_from_store(
-                        self.checker_store
-                    )
+                self.stored_wellformed = IncrementalChecker(
+                    self.checker_store, GSN_STANDARD_RULES.rules
+                )
             assert self.stored_wellformed.check() == fresh_violations, (
                 f"step {step_number}: store-backed incremental check "
                 "diverged from a fresh full check"
             )
             assert not self.checker_store.hydrated, (
-                "from_store re-checking must never hydrate"
+                "store-backed re-checking must never hydrate"
             )
             if step_number % 75 == 0:
                 from conftest import store_files
@@ -631,7 +638,7 @@ def test_incremental_reproves_only_touched_obligations() -> None:
         ))
         argument.add_link("g0", f"sn{index}", LinkKind.SUPPORTED_BY)
 
-    checker = GSN_OBLIGATION_RULES.incremental(argument)
+    checker = IncrementalChecker(argument, GSN_OBLIGATION_RULES.rules)
     baseline = checker.check()
     assert [v.rule for v in baseline] == []
 
@@ -649,7 +656,7 @@ def test_incremental_reproves_only_touched_obligations() -> None:
     assert hits_after == hits_before, (
         "untouched claims' cached proofs must not even be consulted"
     )
-    assert violations == GSN_OBLIGATION_RULES.check(argument)
+    assert violations == run_rules(argument, GSN_OBLIGATION_RULES.rules)
 
 
 def test_oversized_delta_declined_in_favour_of_rebuild() -> None:

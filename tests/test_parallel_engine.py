@@ -8,6 +8,9 @@ whatever ``os.cpu_count()`` says about the host.  Covered contracts:
 * parallel ≡ serial ≡ streaming on a **skew-sharded journaled** store
   (most identifiers mined to hash into one shard, so the old
   round-robin dealing would have idled every other worker);
+* **one context, one answer** — a probe global rule asking every
+  question on the global surface, for every node, gets the same
+  answers in every mode (live and stored, one-shot and incremental);
 * **snapshot isolation** — workers open the store at the parent's
   pinned :class:`~repro.store.StoreGeneration`: journal segments
   appended mid-check are rewound away, while a compacted (rotated)
@@ -22,7 +25,9 @@ whatever ``os.cpu_count()`` says about the host.  Covered contracts:
   run under whichever method the job selected);
 * **failure cleanup** — the first worker exception cancels the queued
   tasks and re-raises with the failing shard noted on the exception
-  (``add_note``, Python 3.11+).
+  (``add_note``, Python 3.11+);
+* **bounded idle pools** — varying ``workers`` leaves one idle pool
+  parked, never one per worker count.
 """
 
 from __future__ import annotations
@@ -31,11 +36,26 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 from zlib import crc32
 
 import pytest
 
-from repro.core.analysis import _mp_context, per_node, run_rules
+import repro
+from conftest import check
+from repro.analysis_static import audit_rule
+from repro.core import analysis
+from repro.core.analysis import (
+    SCOPE_SURFACE,
+    IncrementalChecker,
+    Scope,
+    Violation,
+    _mp_context,
+    global_rule,
+    per_node,
+    run_rules,
+    shutdown_parallel_pools,
+)
 from repro.core.argument import Argument, Link, LinkKind
 from repro.core.nodes import Node, NodeType
 from repro.core.wellformed import GSN_STANDARD_RULES
@@ -132,13 +152,13 @@ def skewed_store(tmp_path):
 class TestForcedTwoWorkerEquivalence:
     def test_parallel_equals_serial_equals_streaming(self, skewed_store):
         argument, store_dir = skewed_store
-        serial = GSN_STANDARD_RULES.check(argument)
+        serial = check(argument)
         assert serial, "fixture must actually violate rules"
-        streaming = GSN_STANDARD_RULES.check(
+        streaming = check(
             StoredArgument(store_dir), mode="streaming"
         )
         handle = StoredArgument(store_dir)
-        parallel = GSN_STANDARD_RULES.check(
+        parallel = check(
             handle, mode="parallel", workers=2
         )
         assert serial == streaming == parallel
@@ -149,15 +169,15 @@ class TestForcedTwoWorkerEquivalence:
         # the shipped fragment rows.
         _, store_dir = skewed_store
         handle = StoredArgument(store_dir)
-        GSN_STANDARD_RULES.check(handle, mode="parallel", workers=2)
+        check(handle, mode="parallel", workers=2)
         assert not handle.hydrated
         assert handle.shards_read == set()
 
     def test_live_argument_parallel_equivalence(self, skewed_store):
         argument, _ = skewed_store
-        assert GSN_STANDARD_RULES.check(
+        assert check(
             argument, mode="parallel", workers=2
-        ) == GSN_STANDARD_RULES.check(argument)
+        ) == check(argument)
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_equivalence_under_pinned_start_method(
@@ -167,9 +187,9 @@ class TestForcedTwoWorkerEquivalence:
             pytest.skip(f"start method {method!r} unavailable here")
         monkeypatch.setenv("REPRO_MP_START", method)
         argument, store_dir = skewed_store
-        assert GSN_STANDARD_RULES.check(
+        assert check(
             StoredArgument(store_dir), mode="parallel", workers=2
-        ) == GSN_STANDARD_RULES.check(argument)
+        ) == check(argument)
 
 
 class TestSnapshotIsolation:
@@ -228,16 +248,16 @@ class TestSnapshotIsolation:
     ):
         _, store_dir = skewed_store
         reader = StoredArgument(store_dir)
-        pinned_view = GSN_STANDARD_RULES.check(reader, mode="streaming")
+        pinned_view = check(reader, mode="streaming")
         editor = StoredArgument(store_dir).load()
         editor.add_node(Node("Z_mid", NodeType.GOAL,
                              "Appended while the check ran"))
         editor.save(store_dir, journal=True)
         # The stale reader's parallel check must equal its own snapshot,
         # not the moved HEAD (which now has one more unsupported goal).
-        parallel = GSN_STANDARD_RULES.check(reader, mode="parallel", workers=2)
+        parallel = check(reader, mode="parallel", workers=2)
         assert parallel == pinned_view
-        head = GSN_STANDARD_RULES.check(
+        head = check(
             StoredArgument(store_dir), mode="streaming"
         )
         assert parallel != head
@@ -250,7 +270,7 @@ class TestSnapshotIsolation:
         reader = StoredArgument(store_dir)
         StoredArgument(store_dir).compact()
         with pytest.raises(StoreConflictError) as excinfo:
-            GSN_STANDARD_RULES.check(reader, mode="parallel", workers=2)
+            check(reader, mode="parallel", workers=2)
         assert str(reader.pin()) in str(excinfo.value)
 
     def test_crashed_compaction_leaves_pinned_check_untouched(
@@ -261,7 +281,7 @@ class TestSnapshotIsolation:
         # generation is still HEAD and the parallel check must succeed.
         _, store_dir = skewed_store
         reader = StoredArgument(store_dir)
-        expected = GSN_STANDARD_RULES.check(reader, mode="streaming")
+        expected = check(reader, mode="streaming")
         real_replace = os.replace
 
         def exploding_replace(src, dst, **kwargs):
@@ -273,7 +293,7 @@ class TestSnapshotIsolation:
         with pytest.raises(OSError):
             StoredArgument(store_dir).compact()
         monkeypatch.undo()
-        assert GSN_STANDARD_RULES.check(
+        assert check(
             reader, mode="parallel", workers=2
         ) == expected
 
@@ -332,14 +352,15 @@ class TestFailureCleanup:
             notes = getattr(excinfo.value, "__notes__", [])
             assert any("shard" in note for note in notes), notes
 
-    def test_live_failure_surfaces_and_names_the_unit(self, skewed_store):
+    def test_live_failure_surfaces_in_process(self, skewed_store):
+        # A live argument is never shipped to workers: parallel
+        # resolves to serial and the rule's error surfaces directly.
         argument, _ = skewed_store
         rules = (per_node("boom", "explodes on G1", _exploding_rule),)
-        with pytest.raises(RuntimeError, match="rule exploded") as excinfo:
+        with pytest.raises(RuntimeError, match="rule exploded"):
             run_rules(argument, rules, mode="parallel", workers=2)
-        if sys.version_info >= (3, 11):
-            notes = getattr(excinfo.value, "__notes__", [])
-            assert any("unit" in note for note in notes), notes
+        assert repro.check(argument, mode="parallel", workers=2).mode \
+            == "serial"
 
     def test_corruption_still_pickles_across_the_pool(self, skewed_store):
         from repro.store import StoreCorruptionError
@@ -350,4 +371,123 @@ class TestFailureCleanup:
         shard_path = store_dir / shard_name
         shard_path.write_bytes(shard_path.read_bytes() + b"garbage\n")
         with pytest.raises(StoreCorruptionError):
-            GSN_STANDARD_RULES.check(handle, mode="parallel", workers=2)
+            check(handle, mode="parallel", workers=2)
+
+
+# -- one context, one answer ------------------------------------------------
+
+
+def surface_probe(identifiers):
+    """A global rule asking every global-surface question per node."""
+    assert set(SCOPE_SURFACE[Scope.GLOBAL]) == {
+        "name", "node_type", "cites_support", "roots", "find_cycle",
+        "has_support", "supported_walk",
+    }, "the probe must ask every member of the global surface"
+
+    def probe(ctx):
+        found = [
+            Violation("surface-probe", ctx.name, f"roots {ctx.roots()}"),
+            Violation("surface-probe", ctx.name, f"cycle {ctx.find_cycle()}"),
+        ]
+        for identifier in identifiers:
+            reached = sorted(ctx.supported_walk(identifier))
+            supports = [
+                target for target in reached
+                if ctx.has_support(identifier, target)
+            ]
+            found.append(Violation(
+                "surface-probe", identifier,
+                f"{ctx.node_type(identifier).value} "
+                f"cites={ctx.cites_support(identifier)} "
+                f"supports={supports} reaches={reached}",
+            ))
+        return found
+
+    return global_rule("surface-probe", "asks every global question", probe)
+
+
+def unsupported_root_case() -> Argument:
+    """A small developed case plus one root goal with no support."""
+    argument = Argument("unsupported-root")
+    argument.add_nodes([
+        Node("G1", NodeType.GOAL, "The system is acceptably safe"),
+        Node("S1", NodeType.STRATEGY, "Argument over each hazard"),
+        Node("G2", NodeType.GOAL, "Hazard H1 is mitigated"),
+        Node("Sn1", NodeType.SOLUTION, "Fault tree analysis FTA-1"),
+        Node("G9", NodeType.GOAL, "The lone claim has no support"),
+    ])
+    argument.add_links([
+        ("G1", "S1", LinkKind.SUPPORTED_BY),
+        ("S1", "G2", LinkKind.SUPPORTED_BY),
+        ("G2", "Sn1", LinkKind.SUPPORTED_BY),
+    ])
+    return argument
+
+
+def _develop_one_more_hazard(argument: Argument, store_dir) -> None:
+    argument.add_nodes([
+        Node("G3", NodeType.GOAL, "Hazard H3 is mitigated"),
+        Node("Sn3", NodeType.SOLUTION, "Test report TR-3"),
+    ])
+    argument.add_links([
+        ("S1", "G3", LinkKind.SUPPORTED_BY),
+        ("G3", "Sn3", LinkKind.SUPPORTED_BY),
+    ])
+    argument.save(store_dir, journal=True)
+
+
+@pytest.mark.parametrize("case, edit", [
+    (skewed_case, _journal_rounds),
+    (unsupported_root_case, _develop_one_more_hazard),
+], ids=["skewed", "unsupported-root"])
+def test_every_mode_answers_the_global_surface_alike(tmp_path, case, edit):
+    argument = case()
+    rules = GSN_STANDARD_RULES.rules + (
+        surface_probe(tuple(node.identifier for node in argument.nodes)),
+    )
+    assert audit_rule(rules[-1]) == [], "the probe keeps the contract"
+    store_dir = tmp_path / "probe.store"
+    argument.save(store_dir)
+    live_incremental = IncrementalChecker(argument, rules)
+    stored_incremental = IncrementalChecker(StoredArgument(store_dir), rules)
+    edit(argument, store_dir)
+    serial = run_rules(argument, rules, mode="serial")
+    assert [v for v in serial if v.rule == "surface-probe"]
+    assert serial == run_rules(
+        StoredArgument(store_dir), rules, mode="streaming"
+    )
+    assert serial == run_rules(
+        StoredArgument(store_dir), rules, mode="parallel", workers=2
+    )
+    assert serial == live_incremental.check()
+    assert serial == stored_incremental.check()
+
+
+# -- bounded idle pools -----------------------------------------------------
+
+
+def _children_settle_to(limit: int, timeout: float = 30.0) -> int:
+    """Live child processes, once at most ``limit`` or the timeout hits."""
+    deadline = time.monotonic() + timeout
+    while True:
+        alive = len(multiprocessing.active_children())
+        if alive <= limit or time.monotonic() > deadline:
+            return alive
+        time.sleep(0.05)
+
+
+def test_varying_worker_counts_park_at_most_one_pool(tmp_path):
+    argument = skewed_case(hazards=8)
+    store_dir = tmp_path / "pools.store"
+    argument.save(store_dir, shard_count=2)
+    shutdown_parallel_pools()
+    assert _children_settle_to(0) == 0
+    expected = check(argument)
+    handle = StoredArgument(store_dir)
+    for workers in range(2, 12):
+        assert check(handle, mode="parallel", workers=workers) == expected
+    parked = analysis._IDLE_POOL
+    assert parked is not None, "the last pool must stay warm"
+    (_, size), _ = parked
+    assert size == 11
+    assert _children_settle_to(size) <= size

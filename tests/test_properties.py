@@ -273,14 +273,14 @@ def test_well_typed_pattern_instantiations_are_well_formed(
     system, hazards, risk
 ):
     from repro.core.patterns import Binding, hazard_avoidance_pattern
-    from repro.core.wellformed import is_well_formed
+    import repro
 
     pattern = hazard_avoidance_pattern()
     argument = pattern.instantiate(Binding.of(
         system=f"System {system}", hazards=list(hazards),
         residual_risk=risk,
     ))
-    assert is_well_formed(argument)
+    assert repro.check(argument).well_formed
     assert len(argument) == 4 + 2 * len(hazards)
 
 
@@ -343,7 +343,7 @@ def test_detector_validates_clean_arguments(seed):
 @settings(max_examples=25, deadline=None)
 def test_injected_informal_fallacies_stay_well_formed(seed):
     from repro.core.builder import ArgumentBuilder
-    from repro.core.wellformed import is_well_formed
+    import repro
     from repro.fallacies.injector import inject_informal
     from repro.fallacies.taxonomy import GREENWELL_FINDINGS
 
@@ -372,7 +372,7 @@ def test_injected_informal_fallacies_stay_well_formed(seed):
             if rule.name != "goal-not-proposition"
         ),
     )
-    assert structural.is_well_formed(mutated)
+    assert repro.check(mutated, structural).well_formed
 
 
 # ---------------------------------------------------------------------------

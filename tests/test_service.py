@@ -276,6 +276,18 @@ class TestErrorContract:
                 client._request("POST", f"/stores/{STORE}/append", bad_body)
             assert excinfo.value.status == 400, bad_body
 
+    def test_unknown_check_modes_are_400_listing_the_valid_ones(
+        self, served
+    ):
+        client = served.client()
+        for mode in ("full", "incremental", "psychic"):
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.check(STORE, mode=mode)
+            assert excinfo.value.status == 400, mode
+            for valid in ("auto", "serial", "streaming", "parallel"):
+                assert valid in excinfo.value.detail, (mode, valid)
+            assert "full" not in excinfo.value.detail
+
     def test_non_json_body_is_400(self, served):
         import http.client
 

@@ -20,7 +20,6 @@ from repro.analysis_static import (
     KIND_NONDETERMINISM,
     KIND_UNDECLARED,
     SEVERITY_ERROR,
-    SEVERITY_WARNING,
     audit_rule,
     audit_streaming_scan,
     errors_only,
@@ -32,14 +31,14 @@ from repro.analysis_static.gate import (
     AuditGateError,
     assert_shipped_clean,
 )
-from repro.core.analysis import Violation, global_rule, per_link, per_node
-from repro.core.wellformed import (
-    DENNEY_PAI_RULES,
-    GSN_STANDARD_RULES,
-    Rule,
-    RuleSet,
-    scoped_from_legacy,
+from repro.core.analysis import (
+    Violation,
+    ensure_argument,
+    global_rule,
+    per_link,
+    per_node,
 )
+from repro.core.wellformed import DENNEY_PAI_RULES, GSN_STANDARD_RULES, RuleSet
 from repro.fallacies.informal import PER_NODE_HEURISTICS
 
 pytestmark = pytest.mark.static
@@ -60,7 +59,7 @@ def _gallery_undeclared(node, ctx) -> "list[Violation]":
 
 
 def _gallery_hydrating(node, ctx) -> "list[Violation]":
-    argument = ctx.argument()  # the hydration escape hatch
+    argument = ensure_argument(node)  # the hydration escape hatch
     return [] if argument else []
 
 
@@ -194,18 +193,19 @@ def test_closure_based_rule_is_audited_through_the_cell() -> None:
     assert any(f.kind == KIND_NONDETERMINISM for f in findings)
 
 
-def test_legacy_adapter_earns_hydration_warning_not_error() -> None:
-    legacy = Rule(
-        "legacy-everything",
-        "a whole-argument rule",
-        lambda argument: [],
-    )
-    adapted = scoped_from_legacy(legacy)
-    findings = audit_rule(adapted)
-    hydration = [f for f in findings if f.kind == KIND_HYDRATION]
-    assert hydration, "the adapter's ctx.argument() call must surface"
-    assert all(f.severity == SEVERITY_WARNING for f in hydration)
-    assert not errors_only(hydration)
+def _gallery_global_argument(ctx) -> "list[Violation]":
+    argument = ctx.argument()  # not on any scope's surface
+    return [] if argument else []
+
+
+def test_global_rule_calling_ctx_argument_is_undeclared_error() -> None:
+    rule = global_rule("g-argument", "asks for the argument",
+                       _gallery_global_argument)
+    findings = audit_rule(rule)
+    undeclared = [f for f in findings if f.kind == KIND_UNDECLARED]
+    assert undeclared, [str(f) for f in findings]
+    assert errors_only(undeclared) == undeclared
+    assert "ctx.argument" in undeclared[0].message
 
 
 def test_streaming_scan_flagging_ensure_argument() -> None:

@@ -22,10 +22,10 @@ import json
 
 import pytest
 
+from conftest import check
 from repro.core.argument import Argument, LinkKind
 from repro.core.case import AssuranceCase
 from repro.core.nodes import Node, NodeType
-from repro.core.wellformed import check
 from repro.store import StoredArgument, StoreCorruptionError, StoreError
 
 pytestmark = pytest.mark.store

@@ -7,7 +7,7 @@ iteration, ``node``/``subtree``/``len``/``in``), ``compact()`` folding
 segments back into shards byte-identical to a clean save, ``gc()``
 sweeping orphans, torn-write crash semantics with
 ``ignore_torn_tail=True`` recovery, and the store-backed incremental
-checker (``IncrementalChecker.from_store``) re-checking the persisted
+checker (``IncrementalChecker`` over a stored handle) re-checking the persisted
 case from its journal deltas without hydration.
 """
 
@@ -18,11 +18,11 @@ import json
 
 import pytest
 
-from conftest import canonical_argument, random_argument, store_files
+from conftest import canonical_argument, check, random_argument, store_files
 from repro.core.analysis import IncrementalChecker
 from repro.core.argument import Argument, Link, LinkKind
 from repro.core.nodes import Node, NodeType
-from repro.core.wellformed import GSN_STANDARD_RULES, Rule, RuleSet
+from repro.core.wellformed import GSN_STANDARD_RULES
 from repro.store import (
     StoreConflictError,
     StoreCorruptionError,
@@ -176,8 +176,8 @@ class TestJournalAppend:
         argument.add_link("S0", "X2", LinkKind.SUPPORTED_BY)
         argument.save(store, journal=True)
         stored = StoredArgument(store)
-        streamed = GSN_STANDARD_RULES.check(stored, mode="streaming")
-        assert streamed == GSN_STANDARD_RULES.check(argument)
+        streamed = check(stored, mode="streaming")
+        assert streamed == check(argument)
         assert streamed, "the journal edits should have introduced violations"
         assert not stored.hydrated
 
@@ -425,8 +425,8 @@ class TestCompactAndGc:
         argument.add_node(Node("T0", NodeType.GOAL, "Transient claim"))
         argument.remove_node("T0")
         argument.save(store, journal=True)
-        checker = GSN_STANDARD_RULES.incremental_from_store(
-            StoredArgument(store)
+        checker = IncrementalChecker(
+            StoredArgument(store), GSN_STANDARD_RULES.rules
         )
         checker.check()
         StoredArgument(store).compact()  # base bytes unchanged
@@ -438,7 +438,7 @@ class TestCompactAndGc:
         argument.add_node(Node("Y0", NodeType.GOAL, "New claim 0 holds"))
         argument.add_node(Node("Y1", NodeType.GOAL, "New claim 1 holds"))
         argument.save(store, journal=True)
-        assert checker.check() == GSN_STANDARD_RULES.check(argument)
+        assert checker.check() == check(argument)
 
     def test_case_load_survives_journal_removing_a_cited_solution(
         self, tmp_path
@@ -628,10 +628,10 @@ class TestTornTail:
         content = (store / final).read_bytes()
         (store / final).write_bytes(content[:len(content) // 2])
         recovered = StoredArgument(store, ignore_torn_tail=True)
-        parallel = GSN_STANDARD_RULES.check(
+        parallel = check(
             recovered, mode="parallel", workers=2
         )
-        assert parallel == GSN_STANDARD_RULES.check(snapshot)
+        assert parallel == check(snapshot)
         assert not recovered.hydrated
 
     def test_full_save_repairs_a_torn_store(self, tmp_path):
@@ -653,8 +653,8 @@ class TestFromStore:
         argument = gsn_argument(hazards=8)
         argument.save(store)
         stored = StoredArgument(store)
-        checker = GSN_STANDARD_RULES.incremental_from_store(stored)
-        assert checker.check() == GSN_STANDARD_RULES.check(argument)
+        checker = IncrementalChecker(stored, GSN_STANDARD_RULES.rules)
+        assert checker.check() == check(argument)
         assert checker.argument is None
         for round_index in range(6):
             argument.add_node(Node(
@@ -672,7 +672,7 @@ class TestFromStore:
             if round_index == 3:
                 argument.remove_node("X1")
             argument.save(store, journal=True)
-            assert checker.check() == GSN_STANDARD_RULES.check(argument), (
+            assert checker.check() == check(argument), (
                 f"round {round_index}"
             )
         assert not stored.hydrated, (
@@ -686,8 +686,8 @@ class TestFromStore:
         store = tmp_path / "case.store"
         argument = gsn_argument()
         argument.save(store)
-        checker = GSN_STANDARD_RULES.incremental_from_store(
-            StoredArgument(store)
+        checker = IncrementalChecker(
+            StoredArgument(store), GSN_STANDARD_RULES.rules
         )
         checker.check()
         decoded: list[str] = []
@@ -705,7 +705,7 @@ class TestFromStore:
             ))
             argument.save(store, journal=True)
             decoded.clear()
-            assert checker.check() == GSN_STANDARD_RULES.check(argument)
+            assert checker.check() == check(argument)
             assert len(set(decoded)) == 1, (
                 "refresh must extend the overlay with just the new "
                 "segment, not re-decode the whole journal"
@@ -715,8 +715,8 @@ class TestFromStore:
         store = tmp_path / "case.store"
         argument = gsn_argument()
         argument.save(store)
-        checker = GSN_STANDARD_RULES.incremental_from_store(
-            StoredArgument(store)
+        checker = IncrementalChecker(
+            StoredArgument(store), GSN_STANDARD_RULES.rules
         )
         assert checker.check() == checker.check()
 
@@ -724,51 +724,38 @@ class TestFromStore:
         store = tmp_path / "case.store"
         argument = gsn_argument()
         argument.save(store)
-        checker = GSN_STANDARD_RULES.incremental_from_store(
-            StoredArgument(store)
+        checker = IncrementalChecker(
+            StoredArgument(store), GSN_STANDARD_RULES.rules
         )
         # G1 -> Sn1 exists; close a cycle back up the support chain.
         argument.replace_node(Node("Sn1", NodeType.GOAL, "Retyped claim"))
         argument.add_link("Sn1", "G0", LinkKind.SUPPORTED_BY)
         argument.save(store, journal=True)
         got = checker.check()
-        want = GSN_STANDARD_RULES.check(argument)
+        want = check(argument)
         assert got == want
         assert any(v.rule == "acyclic" for v in got)
         # And removing the edge clears it incrementally.
         argument.remove_link(Link("Sn1", "G0", LinkKind.SUPPORTED_BY))
         argument.save(store, journal=True)
-        assert checker.check() == GSN_STANDARD_RULES.check(argument)
+        assert checker.check() == check(argument)
 
     def test_survives_compaction_and_rewrite(self, tmp_path):
         store = tmp_path / "case.store"
         argument = gsn_argument()
         argument.save(store)
-        checker = GSN_STANDARD_RULES.incremental_from_store(
-            StoredArgument(store)
+        checker = IncrementalChecker(
+            StoredArgument(store), GSN_STANDARD_RULES.rules
         )
         argument.add_node(Node("X1", NodeType.GOAL, "Late claim holds"))
         argument.save(store, journal=True)
-        assert checker.check() == GSN_STANDARD_RULES.check(argument)
+        assert checker.check() == check(argument)
         StoredArgument(store).compact()  # new base generation
-        assert checker.check() == GSN_STANDARD_RULES.check(argument)
+        assert checker.check() == check(argument)
         argument.add_node(Node("X2", NodeType.GOAL, "Another claim holds"))
         argument.save(store)  # full rewrite
-        assert checker.check() == GSN_STANDARD_RULES.check(argument)
+        assert checker.check() == check(argument)
 
-    def test_requires_a_stored_argument(self):
-        with pytest.raises(TypeError, match="needs a StoredArgument"):
-            IncrementalChecker.from_store(
-                Argument("live"), GSN_STANDARD_RULES.rules
-            )
-
-    def test_legacy_rules_are_rejected_not_hydrated(self, tmp_path):
-        store = tmp_path / "case.store"
-        gsn_argument().save(store)
-        legacy = RuleSet("legacy", (
-            Rule("whole-argument", "needs hydration", lambda a: []),
-        ))
-        stored = StoredArgument(store)
-        with pytest.raises(TypeError, match="never hydrates"):
-            legacy.incremental_from_store(stored)
-        assert not stored.hydrated
+    def test_rejects_a_subject_that_is_no_argument(self, tmp_path):
+        with pytest.raises(TypeError, match="got PosixPath"):
+            IncrementalChecker(tmp_path, GSN_STANDARD_RULES.rules)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import canonical_argument, random_argument
+from conftest import canonical_argument, check, random_argument
 from repro.core.argument import Argument
 from repro.core.nodes import NodeType
 from repro.core.query import (
@@ -33,7 +33,6 @@ from repro.core.query import (
     select,
     text_contains,
 )
-from repro.core.wellformed import check
 from repro.store import StoredArgument, save_argument
 
 pytestmark = pytest.mark.store

@@ -19,9 +19,10 @@ from zlib import crc32
 
 import pytest
 
+from conftest import check
 from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
-from repro.core.wellformed import DENNEY_PAI_RULES, check
+from repro.core.wellformed import DENNEY_PAI_RULES
 from repro.store import StoredArgument, StoreCorruptionError, StoreError
 
 pytestmark = pytest.mark.store
