@@ -185,7 +185,12 @@ from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .argument import Argument, Link, LinkKind
+from .argument import (
+    Argument,
+    Link,
+    LinkKind,
+    iter_supported_by_back_edges,
+)
 from .nodes import Node, NodeType
 
 __all__ = [
@@ -414,53 +419,6 @@ class RuleContext:
         raise NotImplementedError
 
 
-def _colouring_cycle(
-    ordered: Iterable[str], adjacency: "dict[str, Any]"
-) -> "list[str] | None":
-    """One white/grey/black DFS over a SupportedBy adjacency map.
-
-    Mirrors ``Argument._iter_supported_by_back_edges`` — same start
-    order, same neighbour order — so a live check and every
-    sidecar-backed check of the same argument report the identical
-    cycle rendering.  ``adjacency`` values are any iterable of target
-    identifiers.
-    """
-    colour: dict[str, int] = {}
-    path: list[str] = []
-    path_index: dict[str, int] = {}
-    for start in ordered:
-        if colour.get(start, 0):
-            continue
-        colour[start] = 1
-        path_index[start] = len(path)
-        path.append(start)
-        stack: list[tuple[str, Iterator[str]]] = [
-            (start, iter(adjacency.get(start, ())))
-        ]
-        while stack:
-            identifier, targets = stack[-1]
-            advanced = False
-            for target in targets:
-                state = colour.get(target, 0)
-                if state == 1:
-                    return path[path_index[target]:]
-                if state == 0:
-                    colour[target] = 1
-                    path_index[target] = len(path)
-                    path.append(target)
-                    stack.append(
-                        (target, iter(adjacency.get(target, ())))
-                    )
-                    advanced = True
-                    break
-            if not advanced:
-                colour[identifier] = 2
-                path.pop()
-                del path_index[identifier]
-                stack.pop()
-    return None
-
-
 def _adjacency_walk(
     adjacency: "dict[str, Any]", start: str
 ) -> Iterator[str]:
@@ -613,9 +571,11 @@ class _Sidecar(RuleContext):
         ]
 
     def find_cycle(self) -> "list[str] | None":
-        # Same colouring DFS as the live argument, in insertion order,
-        # so live and stored checks report the identical cycle.
-        return _colouring_cycle(self.order, self.adjacency)
+        for _, target, path, path_index in iter_supported_by_back_edges(
+            self.order, self.adjacency
+        ):
+            return path[path_index[target]:]
+        return None
 
     def has_support(self, source: str, target: str) -> bool:
         return target in self.adjacency.get(source, ())

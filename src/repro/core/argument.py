@@ -117,7 +117,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .nodes import Node, NodeType
 
@@ -231,6 +231,53 @@ class _Batch:
         if argument._batch_depth == 0 and argument._batch_dirty:
             argument._batch_dirty = False
             argument._version += 1
+
+
+def iter_supported_by_back_edges(
+    order: Iterable[str], adjacency: "Mapping[str, Iterable[str]]"
+) -> Iterator[tuple[str, str, list[str], dict[str, int]]]:
+    """Yield every back edge of a white/grey/black colouring DFS.
+
+    The one SupportedBy cycle search: :meth:`Argument.find_cycle`,
+    :meth:`Argument.depth` and every sidecar-backed check run it, with
+    the same start order (``order``, insertion order) and neighbour
+    order (``adjacency[source]``, link order), so live and stored checks
+    of one argument report the identical cycle.  Each yield is
+    ``(source, target, path, path_index)`` where ``path``/``path_index``
+    are the *live* DFS stack state: ``path[path_index[target]:]`` is the
+    closed cycle the back edge completes.
+    """
+    colour: dict[str, int] = {}  # 0/absent unvisited, 1 on stack, 2 done
+    path: list[str] = []
+    path_index: dict[str, int] = {}
+    for start in order:
+        if colour.get(start, 0):
+            continue
+        colour[start] = 1
+        path_index[start] = len(path)
+        path.append(start)
+        stack: list[tuple[str, Iterator[str]]] = [
+            (start, iter(adjacency.get(start, ())))
+        ]
+        while stack:
+            identifier, targets = stack[-1]
+            advanced = False
+            for target in targets:
+                state = colour.get(target, 0)
+                if state == 1:
+                    yield identifier, target, path, path_index
+                elif state == 0:
+                    colour[target] = 1
+                    path_index[target] = len(path)
+                    path.append(target)
+                    stack.append((target, iter(adjacency.get(target, ()))))
+                    advanced = True
+                    break
+            if not advanced:
+                colour[identifier] = 2
+                path.pop()
+                del path_index[identifier]
+                stack.pop()
 
 
 class Argument:
@@ -787,50 +834,6 @@ class Argument:
                     stack.append(source)
         return seen
 
-    def _iter_supported_by_back_edges(
-        self,
-    ) -> Iterator[tuple[str, str, list[str], dict[str, int]]]:
-        """Yield every SupportedBy back edge of an insertion-order DFS.
-
-        One white/grey/black colouring DFS shared by :meth:`find_cycle`
-        and :meth:`_back_edges`.  Each yield is ``(source, target, path,
-        path_index)`` where ``path``/``path_index`` are the *live* DFS
-        stack state: ``path[path_index[target]:]`` is the closed cycle
-        the back edge completes.
-        """
-        sup = self._out_kind[LinkKind.SUPPORTED_BY]
-        colour: dict[str, int] = {}  # 0/absent unvisited, 1 on stack, 2 done
-        path: list[str] = []
-        path_index: dict[str, int] = {}
-        for start in self._nodes:
-            if colour.get(start, 0):
-                continue
-            colour[start] = 1
-            path_index[start] = len(path)
-            path.append(start)
-            stack: list[tuple[str, Iterator[str]]] = [
-                (start, iter(sup.get(start, ())))
-            ]
-            while stack:
-                identifier, targets = stack[-1]
-                advanced = False
-                for target in targets:
-                    state = colour.get(target, 0)
-                    if state == 1:
-                        yield identifier, target, path, path_index
-                    elif state == 0:
-                        colour[target] = 1
-                        path_index[target] = len(path)
-                        path.append(target)
-                        stack.append((target, iter(sup.get(target, ()))))
-                        advanced = True
-                        break
-                if not advanced:
-                    colour[identifier] = 2
-                    path.pop()
-                    del path_index[identifier]
-                    stack.pop()
-
     def find_cycle(self) -> list[str] | None:
         """A SupportedBy cycle as a node-identifier list, or None.
 
@@ -839,8 +842,9 @@ class Argument:
         ``[c0, c1, ..., ck]`` is a **verified closed cycle**: every
         consecutive pair is a SupportedBy link and so is ``ck -> c0``.
         """
-        for _, target, path, path_index in \
-                self._iter_supported_by_back_edges():
+        for _, target, path, path_index in iter_supported_by_back_edges(
+            self._nodes, self._out_kind[LinkKind.SUPPORTED_BY]
+        ):
             # Back edge to a DFS-stack ancestor: the slice of the current
             # path from the ancestor down to here is a closed SupportedBy
             # cycle by construction.
@@ -982,7 +986,7 @@ class Argument:
             back = {
                 (source, target)
                 for source, target, _, _ in
-                self._iter_supported_by_back_edges()
+                iter_supported_by_back_edges(self._nodes, sup)
             }
             memo = {}
             self._longest_paths(roots, sup, back, memo)

@@ -9,9 +9,11 @@ catastrophic' (§III.H).  This module provides that capability:
   and metadata attributes (equality, comparison, membership);
 * :class:`ArgumentIndex` — the query planner's per-argument indices:
   attribute name, attribute value, attribute parameter, node type, and
-  lowered text.  Built lazily and maintained *incrementally*: the index
-  remembers the argument's mutation sequence number it reflects, and on
-  the next query after a mutation it asks the argument for the
+  lowered text, plus (built on the first text plan) the token + trigram
+  :class:`~repro.core.search.TextPostings` that the persisted store
+  sidecar also uses.  Built lazily and maintained *incrementally*: the
+  index remembers the argument's mutation sequence number it reflects,
+  and on the next query after a mutation it asks the argument for the
   :class:`~repro.core.argument.MutationDelta` since then and patches its
   maps in place (node adds, removals, and replacements are all O(change);
   link mutations don't touch the index at all).  It falls back to a full
@@ -45,7 +47,7 @@ from typing import Any, Callable
 from .analysis import is_stored_argument, iter_subject_nodes
 from .argument import Argument, LinkKind, MutationDelta
 from .nodes import Node, NodeType
-from .search import tokenize, trigrams
+from .search import TextPostings
 
 __all__ = [
     "Query",
@@ -60,34 +62,6 @@ __all__ = [
     "text_search",
     "traceability_view",
 ]
-
-
-class _TextPostings:
-    """Token + trigram inverted postings over lowered node text.
-
-    The in-memory twin of the persisted store sidecar
-    (:mod:`repro.store.search`): both are built by the one canonical
-    tokenizer in :mod:`repro.core.search`, so a planner answer and a
-    sidecar answer for the same argument state are identical.
-    """
-
-    __slots__ = ("tokens", "grams")
-
-    def __init__(self) -> None:
-        self.tokens: dict[str, set[str]] = {}
-        self.grams: dict[str, set[str]] = {}
-
-    def index(self, identifier: str, lowered: str) -> None:
-        for token in set(tokenize(lowered)):
-            self.tokens.setdefault(token, set()).add(identifier)
-        for gram in trigrams(lowered):
-            self.grams.setdefault(gram, set()).add(identifier)
-
-    def unindex(self, identifier: str, lowered: str) -> None:
-        for token in set(tokenize(lowered)):
-            ArgumentIndex._discard(self.tokens, token, identifier)
-        for gram in trigrams(lowered):
-            ArgumentIndex._discard(self.grams, gram, identifier)
 
 
 class ArgumentIndex:
@@ -109,7 +83,7 @@ class ArgumentIndex:
         self.by_param: dict[tuple[str, int, Any], set[str]] = {}
         self.by_type: dict[NodeType, set[str]] = {}
         self.lowered_text: dict[str, str] = {}
-        self._text: _TextPostings | None = None
+        self._text: TextPostings | None = None
         self._next_order = 0
         for node in argument.nodes:
             self._index_node(node, self._next_order)
@@ -122,7 +96,7 @@ class ArgumentIndex:
         lowered = node.text.lower()
         self.lowered_text[identifier] = lowered
         if self._text is not None:
-            self._text.index(identifier, lowered)
+            self._text.add(identifier, lowered)
         # Index metadata_dict(), not the raw pairs: the query predicates
         # read metadata_dict(), where a duplicated attribute name keeps
         # only its last entry — an exact plan must agree with them.
@@ -148,7 +122,7 @@ class ArgumentIndex:
         del self.order[identifier]
         self._discard(self.by_type, node.node_type, identifier)
         if self._text is not None:
-            self._text.unindex(identifier, self.lowered_text[identifier])
+            self._text.remove(identifier, self.lowered_text[identifier])
         del self.lowered_text[identifier]
         for name, params in node.metadata_dict().items():
             self._discard(self.by_attribute, name, identifier)
@@ -198,7 +172,7 @@ class ArgumentIndex:
                 self._index_node(new, position)
         return True
 
-    def text_postings(self) -> _TextPostings:
+    def text_postings(self) -> TextPostings:
         """Token + trigram postings, built lazily, then patched in step.
 
         Non-text workloads never pay for text postings: the maps are
@@ -207,20 +181,19 @@ class ArgumentIndex:
         :meth:`_unindex_node` alongside the other indices.
         """
         if self._text is None:
-            postings = _TextPostings()
+            postings = TextPostings()
             for identifier, lowered in self.lowered_text.items():
-                postings.index(identifier, lowered)
+                postings.add(identifier, lowered)
             self._text = postings
         return self._text
 
     def contains_candidates(self, lowered: str) -> set[str]:
         """Exactly the nodes whose folded text contains ``lowered``.
 
-        Trigram intersection narrows to a candidate superset, then each
-        candidate is verified against its lowered text — the returned
-        set is exact, so folded ``text_contains`` plans keep their
-        ``exact=True`` contract.  Needles shorter than a trigram scan
-        ``lowered_text`` directly (still O(V), but no false narrowing).
+        Verified trigram candidates (see
+        :meth:`~repro.core.search.TextPostings.verified_candidates`).
+        Needles shorter than a trigram scan ``lowered_text`` directly
+        (still O(V), but no false narrowing) and never build postings.
         """
         if len(lowered) < 3:
             return {
@@ -228,37 +201,18 @@ class ArgumentIndex:
                 for identifier, text in self.lowered_text.items()
                 if lowered in text
             }
-        candidates = self.grams_superset(lowered)
-        if candidates is None:
-            return set()
-        return {
-            identifier
-            for identifier in candidates
-            if lowered in self.lowered_text[identifier]
-        }
+        return self.text_postings().verified_candidates(
+            lowered, self.lowered_text.__getitem__
+        ) or set()
 
     def grams_superset(self, lowered: str) -> set[str] | None:
-        """Unverified trigram candidates for a lowered needle.
-
-        A guaranteed superset of every node whose text contains the
-        needle under *either* case discipline (folding is monotonic:
-        a case-sensitive occurrence survives lowering), so this is the
-        planner hook for the case-sensitive branch — the predicate
-        does the verification.  ``None`` means the needle is too short
-        to narrow.
-        """
+        """Unverified trigram candidates (see
+        :meth:`~repro.core.search.TextPostings.grams_superset`); needles
+        shorter than a trigram return ``None`` without building
+        postings."""
         if len(lowered) < 3:
             return None
-        postings = self.text_postings().grams
-        candidates: set[str] | None = None
-        for gram in trigrams(lowered):
-            ids = postings.get(gram)
-            if not ids:
-                return set()
-            candidates = set(ids) if candidates is None else candidates & ids
-            if not candidates:
-                return set()
-        return set() if candidates is None else candidates
+        return self.text_postings().grams_superset(lowered)
 
 
 def argument_index(

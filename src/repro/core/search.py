@@ -10,10 +10,11 @@ indices) with the snippet window chosen around the query terms.
 
 Three layers:
 
-* the **tokenizer** (:func:`tokenize` / :func:`trigrams`) — the one
-  canonical text analysis shared by the live
-  :class:`~repro.core.query.ArgumentIndex` text postings, the persisted
-  store sidecar (:mod:`repro.store.search`), and every oracle test.
+* the **tokenizer and postings** (:func:`tokenize` / :func:`trigrams`,
+  :class:`TextPostings`) — the one canonical text analysis and the one
+  token + trigram postings implementation, shared by the live
+  :class:`~repro.core.query.ArgumentIndex`, the persisted store sidecar
+  (:mod:`repro.store.search`), and every oracle test.
   :data:`TOKENIZER_VERSION` is recorded in persisted indexes so a
   future analyzer change invalidates them loudly instead of silently
   returning different candidates;
@@ -46,6 +47,7 @@ __all__ = [
     "TOKENIZER_VERSION",
     "tokenize",
     "trigrams",
+    "TextPostings",
     "SearchHit",
     "query_biased_summary",
     "search",
@@ -73,6 +75,92 @@ def trigrams(text: str) -> set[str]:
     """
     lowered = text.lower()
     return {lowered[i : i + 3] for i in range(len(lowered) - 2)}
+
+
+class TextPostings:
+    """Token + trigram inverted postings (term -> identifier set).
+
+    The one postings implementation: the live planner index
+    (:meth:`~repro.core.query.ArgumentIndex.text_postings`), the
+    persisted store sidecar (:class:`~repro.store.search.
+    StoreSearchIndex`) and every sidecar producer (indexed save,
+    compaction, :func:`~repro.store.search.build_search_index`) all
+    maintain and query postings through this class, so a planner answer
+    and a sidecar answer for the same argument state are identical.
+    """
+
+    __slots__ = ("tokens", "grams")
+
+    def __init__(self) -> None:
+        self.tokens: dict[str, set[str]] = {}
+        self.grams: dict[str, set[str]] = {}
+
+    def add(self, identifier: str, text: str) -> None:
+        for token in set(tokenize(text)):
+            self.tokens.setdefault(token, set()).add(identifier)
+        for gram in trigrams(text):
+            self.grams.setdefault(gram, set()).add(identifier)
+
+    def remove(self, identifier: str, text: str) -> None:
+        """Exact inverse of :meth:`add` (empty postings pruned)."""
+        for postings, terms in (
+            (self.tokens, set(tokenize(text))),
+            (self.grams, trigrams(text)),
+        ):
+            for term in terms:
+                entries = postings.get(term)
+                if entries is not None:
+                    entries.discard(identifier)
+                    if not entries:
+                        del postings[term]
+
+    def grams_superset(self, lowered: str) -> "set[str] | None":
+        """Unverified trigram candidates for a lowered needle.
+
+        A guaranteed superset of every node whose text contains the
+        needle under *either* case discipline (folding is monotonic: a
+        case-sensitive occurrence survives lowering), so this is the
+        planner hook for the case-sensitive branch — the predicate does
+        the verification.  ``None`` means the needle is too short to
+        narrow.
+        """
+        if len(lowered) < 3:
+            return None
+        candidates: "set[str] | None" = None
+        for gram in trigrams(lowered):
+            ids = self.grams.get(gram)
+            if not ids:
+                return set()
+            candidates = set(ids) if candidates is None else candidates & ids
+            if not candidates:
+                return set()
+        return set() if candidates is None else candidates
+
+    def verified_candidates(
+        self, lowered: str, lowered_text: Callable[[str], str]
+    ) -> "set[str] | None":
+        """Exactly the nodes whose folded text contains ``lowered``.
+
+        The trigram superset, each candidate checked against
+        ``lowered_text(identifier)`` — candidates are *checked, never
+        trusted*, so folded ``text_contains`` plans keep their
+        ``exact=True`` contract.  ``None``: needle too short to narrow.
+        """
+        candidates = self.grams_superset(lowered)
+        if candidates is None:
+            return None
+        return {
+            identifier
+            for identifier in candidates
+            if lowered in lowered_text(identifier)
+        }
+
+    def canonical(self) -> "dict[str, dict[str, list[str]]]":
+        """Order-insensitive postings snapshot for oracle comparison."""
+        return {
+            "tokens": {term: sorted(ids) for term, ids in self.tokens.items()},
+            "grams": {term: sorted(ids) for term, ids in self.grams.items()},
+        }
 
 
 # -- query-biased summaries -------------------------------------------------

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import re
 from pathlib import Path
 from typing import Any
@@ -80,6 +81,11 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 
 #: Store names are path segments; this keeps them that way.
 _STORE_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+
+#: A ``Content-Length`` value: decimal digits only (no sign, no space).
+_CONTENT_LENGTH = re.compile(r"[0-9]+")
+
+_log = logging.getLogger("repro.service")
 
 _REASONS = {
     200: "OK",
@@ -312,7 +318,12 @@ class ArgumentService:
                     status, payload = 500, {"error": str(error)}
                 except StoreError as error:
                     status, payload = 400, {"error": str(error)}
-                except Exception as error:  # pragma: no cover - safety net
+                except Exception as error:
+                    # Safety net: the connection keeps serving, and the
+                    # cause is logged, never only returned to the client.
+                    _log.exception(
+                        "unhandled error serving %s %s", method, path
+                    )
                     status, payload = 500, {"error": repr(error)}
                 keep_alive = headers.get("connection", "").lower() != "close"
                 await self._respond(writer, status, payload, keep_alive)
@@ -346,7 +357,12 @@ class ArgumentService:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0")
+        if not _CONTENT_LENGTH.fullmatch(declared):
+            raise ServiceError(400, f"malformed Content-Length {declared!r}")
+        # int() refuses digit strings past a few thousand digits, and
+        # anything this long is far over the body limit anyway.
+        length = int(declared) if len(declared) <= 18 else MAX_BODY_BYTES + 1
         if length > MAX_BODY_BYTES:
             raise ServiceError(413, "request body too large")
         body: Any = None

@@ -63,6 +63,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 
 from ..core.argument import Link, LinkKind, MutationDelta
 from ..core.nodes import Node, NodeType
+from ..core.search import TextPostings
 from ..notation.json_io import node_from_payload
 from .format import (
     JOURNAL_SCHEMA_VERSION,
@@ -503,16 +504,14 @@ def _compact_locked(stored: "StoredArgument") -> dict:
     if not stored.journal_segments:
         return stored.manifest
     _check_handle_current(stored)
-    from .search import SEARCH_INDEX_KEY, _PostingsBuilder, write_sidecar
+    from .search import SEARCH_INDEX_KEY, write_sidecar
 
     node_types: dict[str, NodeType] = {}
     old_sidecar = stored.manifest.get(SEARCH_INDEX_KEY)
     # An indexed store stays indexed through compaction: collect the
     # postings in the same streaming pass that folds the shards, so the
     # rebuild costs no extra read of the store.
-    postings = (
-        _PostingsBuilder() if isinstance(old_sidecar, str) else None
-    )
+    postings = TextPostings() if isinstance(old_sidecar, str) else None
 
     def noted_nodes() -> "Iterable[Node]":
         for node in stored.iter_nodes():

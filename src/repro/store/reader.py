@@ -43,6 +43,7 @@ import gzip
 import heapq
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterator
 from zlib import crc32, error as zlib_error
@@ -86,10 +87,6 @@ class StoreGeneration:
 
     def __str__(self) -> str:
         return f"{self.fingerprint:08x}+{len(self.segments)}"
-
-
-def _record_seq(record: dict[str, Any]) -> int:
-    return record["seq"]
 
 
 #: Keys every record of a shard kind must carry (validated as the shard
@@ -643,58 +640,17 @@ class StoredArgument:
             yield record
         self.shards_read.add(filename)
 
-    def iter_node_records(self) -> Iterator[dict[str, Any]]:
-        """All *base* node records, merged across shards into ``seq``
-        order — pre-journal; :meth:`iter_nodes` applies the overlay."""
-        return heapq.merge(
-            *(
-                self._stream_shard(name, _NODE_KEYS)
-                for name in self._node_shard_names
-            ),
-            key=_record_seq,
-        )
-
-    def _shadowed_node(
-        self, overlay: Any, record: dict[str, Any]
-    ) -> Node | None:
-        """The node a base record contributes under the overlay, if any."""
-        identifier = record["id"]
-        shadow = overlay.node_shadow.get(identifier, _MISSING)
-        if shadow is _MISSING:
-            return node_from_payload(record)
-        return shadow  # replacement Node, or None for a tombstone
-
     def iter_nodes(self) -> Iterator[Node]:
-        """Stream every node in insertion order (journal replayed)."""
-        overlay = self._overlay_or_none()
-        if overlay is None:
-            for record in self.iter_node_records():
-                yield node_from_payload(record)
-            return
-        for record in self.iter_node_records():
-            node = self._shadowed_node(overlay, record)
-            if node is not None:
-                yield node
-        yield from overlay.appended_nodes.values()
+        """Stream every node in insertion order (journal replayed): the
+        per-shard streams of :meth:`iter_shard_nodes`, merged by seq."""
+        shards = (self.iter_shard_nodes(i) for i in range(self.shard_count))
+        return map(itemgetter(1), heapq.merge(*shards, key=itemgetter(0)))
 
     def iter_links(self) -> Iterator[Link]:
-        """Stream every link in insertion order (journal replayed)."""
-        overlay = self._overlay_or_none()
-        for record in heapq.merge(
-            *(
-                self._stream_shard(name, _LINK_KEYS)
-                for name in self._link_shard_names
-            ),
-            key=_record_seq,
-        ):
-            link = Link(
-                record["source"], record["target"], LinkKind(record["kind"])
-            )
-            if overlay is not None and link in overlay.link_tombstones:
-                continue
-            yield link
-        if overlay is not None:
-            yield from overlay.appended_links
+        """Stream every link in insertion order (journal replayed): the
+        per-shard streams of :meth:`iter_shard_links`, merged by seq."""
+        shards = (self.iter_shard_links(i) for i in range(self.shard_count))
+        return map(itemgetter(1), heapq.merge(*shards, key=itemgetter(0)))
 
     def iter_shard_nodes(self, index: int) -> Iterator[tuple[int, Node]]:
         """Stream one node shard's ``(seq, node)`` pairs, seq-ascending.
@@ -707,15 +663,17 @@ class StoredArgument:
         post-base seqs — the id-hash partition survives the journal.
         """
         overlay = self._overlay_or_none()
+        shadows: dict[str, Any] = (
+            {} if overlay is None else overlay.node_shadow
+        )
         for record in self._stream_shard(
             self._node_shard_names[index], _NODE_KEYS
         ):
-            if overlay is None:
+            shadow = shadows.get(record["id"], _MISSING)
+            if shadow is _MISSING:
                 yield record["seq"], node_from_payload(record)
-                continue
-            node = self._shadowed_node(overlay, record)
-            if node is not None:
-                yield record["seq"], node
+            elif shadow is not None:  # None: a tombstone
+                yield record["seq"], shadow
         if overlay is not None:
             base_total = self.base_node_total
             for position, node in enumerate(

@@ -3,9 +3,9 @@
 Searching a corpus of stored cases with ``text_contains`` costs O(total
 text) per query: every store streams (and CRC-verifies) its node shards
 just to run a substring test.  This module persists the token + trigram
-inverted postings of :mod:`repro.core.search`'s canonical tokenizer as a
-**sidecar** next to the shards, under exactly the store's existing
-discipline:
+postings of :class:`repro.core.search.TextPostings` — the one postings
+implementation, shared with the live query planner — as a **sidecar**
+next to the shards, under exactly the store's existing discipline:
 
 * **checksummed + content-addressed** — the sidecar seals through the
   same :class:`~repro.store.writer._ShardWriter` as shards
@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 from zlib import crc32
 
-from ..core.search import TOKENIZER_VERSION, tokenize, trigrams
+from ..core.search import TOKENIZER_VERSION, TextPostings
 from .format import (
     MANIFEST_NAME,
     StoreCorruptionError,
@@ -83,59 +83,8 @@ def base_names_crc(names: Iterable[str]) -> int:
     return crc32("\n".join(names).encode("utf-8"))
 
 
-def _postings_add(
-    tokens: dict[str, set[str]],
-    grams: dict[str, set[str]],
-    identifier: str,
-    text: str,
-) -> None:
-    for token in set(tokenize(text)):
-        tokens.setdefault(token, set()).add(identifier)
-    for gram in trigrams(text):
-        grams.setdefault(gram, set()).add(identifier)
-
-
-def _postings_remove(
-    tokens: dict[str, set[str]],
-    grams: dict[str, set[str]],
-    identifier: str,
-    text: str,
-) -> None:
-    for token in set(tokenize(text)):
-        entries = tokens.get(token)
-        if entries is not None:
-            entries.discard(identifier)
-            if not entries:
-                del tokens[token]
-    for gram in trigrams(text):
-        entries = grams.get(gram)
-        if entries is not None:
-            entries.discard(identifier)
-            if not entries:
-                del grams[gram]
-
-
-class _PostingsBuilder:
-    """Accumulates postings during a streaming pass over nodes.
-
-    Shared by every sidecar producer — the indexed save, compaction's
-    ``noted_nodes`` hook, and :func:`build_search_index` — so all three
-    serialise identical postings for identical node streams.
-    """
-
-    __slots__ = ("tokens", "grams")
-
-    def __init__(self) -> None:
-        self.tokens: dict[str, set[str]] = {}
-        self.grams: dict[str, set[str]] = {}
-
-    def add(self, identifier: str, text: str) -> None:
-        _postings_add(self.tokens, self.grams, identifier, text)
-
-
 def _sidecar_records(
-    tokens: dict[str, set[str]],
-    grams: dict[str, set[str]],
+    postings: TextPostings,
     base_crc32: int,
     ops: int,
 ) -> Iterator[dict[str, Any]]:
@@ -152,20 +101,20 @@ def _sidecar_records(
         "ops": ops,
     }
     seq = 1
-    for kind, postings in (("token", tokens), ("gram", grams)):
-        for term in sorted(postings):
+    for kind, terms in (("token", postings.tokens), ("gram", postings.grams)):
+        for term in sorted(terms):
             yield {
                 "seq": seq,
                 "kind": kind,
                 "term": term,
-                "ids": sorted(postings[term]),
+                "ids": sorted(terms[term]),
             }
             seq += 1
 
 
 def write_sidecar(
     directory: Path,
-    builder: _PostingsBuilder,
+    postings: TextPostings,
     base_names: Iterable[str],
     ops: int,
     compression: "str | None",
@@ -180,7 +129,7 @@ def write_sidecar(
     writer = _ShardWriter(directory, _SEARCH_BASE, compression)
     try:
         for record in _sidecar_records(
-            builder.tokens, builder.grams, base_names_crc(base_names), ops
+            postings, base_names_crc(base_names), ops
         ):
             writer.write(record)
     finally:
@@ -188,15 +137,15 @@ def write_sidecar(
     return writer.finish(), writer.entry
 
 
-class StoreSearchIndex:
+class StoreSearchIndex(TextPostings):
     """A store's search postings, patched to one handle's generation.
 
-    ``tokens`` and ``grams`` are the inverted maps (term -> identifier
-    set) the query planner and ranked search resolve candidates from;
-    ``ops_applied`` is the journal watermark the maps reflect.  The
-    object deliberately exposes *only* the text-search capabilities —
-    plans needing the live index's attribute/type postings raise
-    ``AttributeError`` against it, which
+    The shared :class:`~repro.core.search.TextPostings` (``tokens`` and
+    ``grams``, term -> identifier set) the query planner and ranked
+    search resolve candidates from, plus ``ops_applied``, the journal
+    watermark the maps reflect.  The object deliberately exposes *only*
+    the text-search capabilities — plans needing the live index's
+    attribute/type postings raise ``AttributeError`` against it, which
     :func:`repro.core.query._select_stored` converts into the streaming
     scan fallback.
 
@@ -206,10 +155,7 @@ class StoreSearchIndex:
     O(delta) regression test asserts on.
     """
 
-    __slots__ = (
-        "_stored", "tokens", "grams", "base_crc32", "ops_applied",
-        "nodes_indexed",
-    )
+    __slots__ = ("_stored", "base_crc32", "ops_applied", "nodes_indexed")
 
     def __init__(
         self,
@@ -242,15 +188,12 @@ class StoreSearchIndex:
             len(stored.journal_ops()),
         )
         for node in stored.iter_nodes():
-            index._add(node.identifier, node.text)
+            index.add(node.identifier, node.text)
         return index
 
-    def _add(self, identifier: str, text: str) -> None:
-        _postings_add(self.tokens, self.grams, identifier, text)
+    def add(self, identifier: str, text: str) -> None:
+        super().add(identifier, text)
         self.nodes_indexed += 1
-
-    def _remove(self, identifier: str, text: str) -> None:
-        _postings_remove(self.tokens, self.grams, identifier, text)
 
     def apply_ops(self, ops: "Iterable[tuple[str, Any]]") -> None:
         """Patch the postings with decoded journal ops, oldest first.
@@ -263,13 +206,13 @@ class StoreSearchIndex:
         """
         for op, payload in ops:
             if op == "add_node":
-                self._add(payload.identifier, payload.text)
+                self.add(payload.identifier, payload.text)
             elif op == "remove_node":
-                self._remove(payload.identifier, payload.text)
+                self.remove(payload.identifier, payload.text)
             elif op == "replace_node":
                 old, new = payload
-                self._remove(old.identifier, old.text)
-                self._add(new.identifier, new.text)
+                self.remove(old.identifier, old.text)
+                self.add(new.identifier, new.text)
             # Link ops never touch text postings.
 
     @property
@@ -277,58 +220,22 @@ class StoreSearchIndex:
         """Node count of the generation the postings reflect."""
         return int(self._stored.node_count)
 
-    def grams_superset(self, lowered: str) -> "set[str] | None":
-        """Unverified trigram candidates — a guaranteed superset of the
-        nodes containing ``lowered`` under either case discipline; the
-        predicate verifies.  ``None``: needle too short to narrow."""
-        if len(lowered) < 3:
-            return None
-        candidates: "set[str] | None" = None
-        for gram in trigrams(lowered):
-            ids = self.grams.get(gram)
-            if not ids:
-                return set()
-            candidates = (
-                set(ids) if candidates is None else candidates & ids
-            )
-            if not candidates:
-                return set()
-        return set() if candidates is None else candidates
+    def _lowered_text(self, identifier: str) -> str:
+        try:
+            return self._stored.node(identifier).text.lower()
+        except StoreError:
+            # Postings out of step with the store (should not happen;
+            # derived data degrades, never crashes a read): no match.
+            return ""
 
     def contains_candidates(self, lowered: str) -> "set[str] | None":
         """Exactly the nodes whose folded text contains ``lowered``.
 
         Trigram candidates verified against the actual node text (one
-        lazy shard hydration per candidate's shard, not a store scan) —
-        candidates are *checked, never trusted*, so the folded
-        ``text_contains`` plan keeps its exactness over a store too.
+        lazy shard hydration per candidate's shard, not a store scan).
         ``None`` (needle shorter than a trigram) demands the full scan.
         """
-        if len(lowered) < 3:
-            return None
-        candidates = self.grams_superset(lowered)
-        verified: set[str] = set()
-        for identifier in candidates or ():
-            try:
-                node = self._stored.node(identifier)
-            except StoreError:
-                # Postings out of step with the store (should not
-                # happen; derived data degrades, never crashes a read).
-                continue
-            if lowered in node.text.lower():
-                verified.add(identifier)
-        return verified
-
-    def canonical(self) -> dict[str, dict[str, "list[str]"]]:
-        """Order-insensitive postings snapshot for oracle comparison."""
-        return {
-            "tokens": {
-                term: sorted(ids) for term, ids in self.tokens.items()
-            },
-            "grams": {
-                term: sorted(ids) for term, ids in self.grams.items()
-            },
-        }
+        return self.verified_candidates(lowered, self._lowered_text)
 
 
 def _parse_sidecar(
@@ -441,12 +348,12 @@ def build_search_index(stored: StoredArgument) -> dict[str, Any]:
     with writer_lease(stored.path):
         _check_not_torn(stored)
         _check_handle_current(stored)
-        builder = _PostingsBuilder()
+        postings = TextPostings()
         for node in stored.iter_nodes():
-            builder.add(node.identifier, node.text)
+            postings.add(node.identifier, node.text)
         name, entry = write_sidecar(
             stored.path,
-            builder,
+            postings,
             stored.base_key(),
             len(stored.journal_ops()),
             stored.compression,

@@ -44,6 +44,7 @@ from ..core.argument import Argument, Link
 from ..core.case import AssuranceCase
 from ..core.evidence import EvidenceItem
 from ..core.nodes import Node
+from ..core.search import TextPostings
 from ..notation.json_io import evidence_payload, node_payload
 from .format import (
     DEFAULT_SHARD_COUNT,
@@ -297,14 +298,14 @@ def _index_into(
     ``save(journal=True)`` fingerprint baseline valid (a separate
     sidecar commit would change the manifest out from under it).
     """
-    from .search import SEARCH_INDEX_KEY, _PostingsBuilder, write_sidecar
+    from .search import SEARCH_INDEX_KEY, write_sidecar
 
-    builder = _PostingsBuilder()
+    postings = TextPostings()
     for node in nodes:
-        builder.add(node.identifier, node.text)
+        postings.add(node.identifier, node.text)
     name, entry = write_sidecar(
         directory,
-        builder,
+        postings,
         list(manifest["node_shards"]) + list(manifest["link_shards"]),
         0,
         compression,

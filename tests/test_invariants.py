@@ -33,9 +33,10 @@ random mutation steps and after **every** step asserts:
 (g) the **search oracle**: a second store saved once with
     ``search_index=True`` and then maintained by journal appends —
     every Nth step the journal-patched sidecar postings equal a
-    freshly-rebuilt :class:`~repro.store.search.StoreSearchIndex`,
-    planner-backed ``text_contains`` selects over the stored argument
-    (exact folded plans and case-sensitive candidate plans alike)
+    freshly-rebuilt :class:`~repro.store.search.StoreSearchIndex` and
+    the live planner index's postings, planner-backed ``text_contains``
+    selects over the stored argument (exact folded plans and
+    case-sensitive candidate plans alike)
     agree with a naive predicate scan of the live argument, and ranked
     :func:`repro.core.search.search` returns exactly the nodes a naive
     re-implementation of its term semantics (token hit, else substring
@@ -535,6 +536,11 @@ class Harness:
             f"step {step_number}: journal-patched sidecar diverged from "
             "a fresh rebuild"
         )
+        live = argument_index(argument).text_postings()
+        assert live.canonical() == patched.canonical(), (
+            f"step {step_number}: live planner postings diverged from the "
+            "journal-patched sidecar"
+        )
         for needle, case_sensitive in self._NEEDLES:
             query = text_contains(needle, case_sensitive)
             planned = sorted(
@@ -576,6 +582,7 @@ class Harness:
             assert scores == sorted(scores, reverse=True)
 
 
+@pytest.mark.search
 @pytest.mark.parametrize("seed", [0xA11CE, 0xB0B, 0xC0FFEE])
 def test_randomized_mutation_invariants(seed: int, tmp_path) -> None:
     harness = Harness(seed, store_dir=tmp_path)

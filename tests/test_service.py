@@ -305,6 +305,56 @@ class TestErrorContract:
         finally:
             connection.close()
 
+    @pytest.mark.parametrize(
+        "declared, status",
+        [("abc", 400), ("-1", 400), ("+5", 400), ("1e3", 400), ("", 400),
+         ("9" * 5000, 413)],
+        ids=["letters", "negative", "signed", "exponent", "empty",
+             "overlong"],
+    )
+    def test_malformed_content_length_is_answered_then_closed(
+        self, served, declared, status
+    ):
+        import socket
+
+        request = (
+            f"POST /stores/{STORE}/query HTTP/1.1\r\n"
+            f"Host: x\r\nContent-Length: {declared}\r\n\r\n{{}}"
+        ).encode("latin-1")
+        with socket.create_connection(
+            (served.host, served.port), timeout=10
+        ) as sock:
+            sock.sendall(request)
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        status_line = received.split(b"\r\n", 1)[0]
+        assert status_line.startswith(f"HTTP/1.1 {status} ".encode()), (
+            received[:200]
+        )
+        assert b"Connection: close" in received
+
+    def test_unhandled_errors_are_500_and_logged(
+        self, served, monkeypatch, caplog
+    ):
+        def broken_node(self, identifier):
+            raise RuntimeError("simulated read fault")
+
+        monkeypatch.setattr(StoredArgument, "node", broken_node)
+        client = served.client()
+        with caplog.at_level("ERROR", logger="repro.service"):
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.node(STORE, "G1")
+        assert excinfo.value.status == 500
+        assert "simulated read fault" in excinfo.value.detail
+        (record,) = [
+            record for record in caplog.records
+            if record.name == "repro.service"
+        ]
+        assert f"GET /stores/{STORE}/nodes/G1" in record.getMessage()
+        assert record.exc_info is not None
+        assert record.exc_info[0] is RuntimeError
+
 
 class TestAppendProtocol:
     HAZARD_OPS = [
