@@ -64,14 +64,19 @@ from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
 from zlib import crc32
 
-from ..core.argument import LinkKind
 from ..core.nodes import NodeType
 from ..store.format import (
+    CITATION_KEYS,
+    EVIDENCE_KEYS,
     GZIP_COMPRESSION,
     ID_HASH,
     JOURNAL_SCHEMA_VERSION,
     LEASE_NAME,
+    LINK_KEYS,
+    LINK_KIND_BY_VALUE,
     MANIFEST_NAME,
+    NODE_KEYS,
+    NODE_TYPE_BY_VALUE,
     STORE_SCHEMA_VERSION,
     shard_of,
 )
@@ -94,14 +99,7 @@ FSCK_NOTE = "note"
 #: The content-address embedded in a sealed shard/segment filename.
 _CONTENT_ADDRESS = re.compile(r"-([0-9a-f]{8})\.jsonl(?:\.gz)?$")
 
-_NODE_KEYS = ("seq", "id", "type", "text")
-_LINK_KEYS = ("seq", "source", "target", "kind")
-_EVIDENCE_KEYS = ("seq", "id", "kind", "description")
-_CITATION_KEYS = ("seq", "solution", "evidence")
 _JOURNAL_KEYS = ("op",)
-
-_NODE_TYPES = frozenset(t.value for t in NodeType)
-_LINK_KINDS = frozenset(k.value for k in LinkKind)
 
 _NODE_OPS = ("add_node", "remove_node")
 _LINK_OPS = ("add_link", "remove_link")
@@ -448,7 +446,7 @@ class _Fsck:
         lines = self._read_lines(name)
         if lines is None:
             return
-        records = self._decode_records(name, lines, _NODE_KEYS)
+        records = self._decode_records(name, lines, NODE_KEYS)
         if records is None:
             return
         self.report.shards_checked += 1
@@ -468,7 +466,7 @@ class _Fsck:
             if not isinstance(identifier, str):
                 self.fatal(name, f"non-string node id {identifier!r}")
                 continue
-            if record["type"] not in _NODE_TYPES:
+            if record["type"] not in NODE_TYPE_BY_VALUE:
                 self.fatal(
                     name,
                     f"node {identifier!r} has unknown type "
@@ -496,7 +494,7 @@ class _Fsck:
         lines = self._read_lines(name)
         if lines is None:
             return
-        records = self._decode_records(name, lines, _LINK_KEYS)
+        records = self._decode_records(name, lines, LINK_KEYS)
         if records is None:
             return
         self.report.shards_checked += 1
@@ -513,7 +511,7 @@ class _Fsck:
                 previous_seq = seq
             if isinstance(seq, int):
                 self._base_link_seqs.append(seq)
-            if record["kind"] not in _LINK_KINDS:
+            if record["kind"] not in LINK_KIND_BY_VALUE:
                 self.fatal(
                     name,
                     f"link {source!r} -> {record['target']!r} has "
@@ -603,7 +601,7 @@ class _Fsck:
                     isinstance(link.get(k), str)
                     for k in ("source", "target", "kind")
                 )
-                if payload_ok and link["kind"] not in _LINK_KINDS:
+                if payload_ok and link["kind"] not in LINK_KIND_BY_VALUE:
                     payload_ok = False
             if not payload_ok:
                 self._shard_failures.append(
@@ -780,7 +778,7 @@ class _Fsck:
         lines = self._read_lines(self.manifest["evidence_shard"])
         if lines is not None:
             records = self._decode_records(
-                self.manifest["evidence_shard"], lines, _EVIDENCE_KEYS
+                self.manifest["evidence_shard"], lines, EVIDENCE_KEYS
             )
             if records is not None:
                 self.report.shards_checked += 1
@@ -794,7 +792,7 @@ class _Fsck:
         citations: "Optional[list[dict[str, Any]]]" = None
         if lines is not None:
             citations = self._decode_records(
-                citations_name, lines, _CITATION_KEYS
+                citations_name, lines, CITATION_KEYS
             )
             if citations is not None:
                 self.report.shards_checked += 1

@@ -904,10 +904,6 @@ def _note_failure(error: BaseException, detail: str) -> None:
         note(detail)
 
 
-#: Enum members keyed by wire value, for rebuilding shipped rows.
-_NODE_TYPE_BY_VALUE = {member.value: member for member in NodeType}
-_LINK_KIND_BY_VALUE = {member.value: member for member in LinkKind}
-
 #: What one shard-scan task returns to the parent: node-rule buckets,
 #: the node fragment as ``(seqs, ids, type values)`` columns, and the
 #: link shard as ``(sources, targets, kind values)`` columns.  Flat
@@ -1005,7 +1001,7 @@ def _run_parallel_stored(
     failing shard noted on the exception.
     """
     # Runtime import: repro.store imports this module transitively.
-    from ..store.format import shard_of
+    from ..store.format import LINK_KIND_BY_VALUE, NODE_TYPE_BY_VALUE, shard_of
 
     node_rules, link_rules, global_rules = _split_rules(rules)
     node_fns = tuple(rule for _, rule in node_rules)
@@ -1056,12 +1052,12 @@ def _run_parallel_stored(
             for (rule_index, _), part in zip(node_rules, node_parts):
                 buckets[rule_index].extend(part)
             for seq, identifier, type_value in zip(*node_cols):
-                ctx.note_node(seq, identifier, _NODE_TYPE_BY_VALUE[type_value])
+                ctx.note_node(seq, identifier, NODE_TYPE_BY_VALUE[type_value])
             # Sources are disjoint across link shards (sharded by
             # source id) and columns keep shard seq order, so noting
             # preserves per-source adjacency order.
             for source, target, kind_value in zip(*link_cols):
-                link = Link(source, target, _LINK_KIND_BY_VALUE[kind_value])
+                link = Link(source, target, LINK_KIND_BY_VALUE[kind_value])
                 ctx.note_link(link)
                 if link_rules:
                     pending.setdefault(

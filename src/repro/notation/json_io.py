@@ -8,7 +8,8 @@ The per-record payload helpers (:func:`node_payload`,
 :func:`node_from_payload`, :func:`evidence_payload`,
 :func:`evidence_from_payload`) are public: the persistent sharded store
 (:mod:`repro.store`) streams exactly these payloads, so the document form
-and the sharded form stay one schema.
+and the sharded form stay one schema, and one decoder
+(:func:`repro.store.format.node_from_record`) rebuilds nodes from both.
 
 Malformed documents are rejected up front with a clear :class:`ValueError`
 — duplicate node identifiers and links whose endpoints name no node in
@@ -24,7 +25,7 @@ from typing import Any
 from ..core.argument import Argument, LinkKind
 from ..core.case import AssuranceCase, SafetyCriterion
 from ..core.evidence import EvidenceItem, EvidenceKind
-from ..core.nodes import Node, NodeType
+from ..core.nodes import Node
 
 __all__ = [
     "argument_to_json",
@@ -60,19 +61,15 @@ def node_payload(node: Node) -> dict[str, Any]:
 
 
 def node_from_payload(payload: dict[str, Any]) -> Node:
-    """Rebuild a node from its payload (extra keys are ignored)."""
-    metadata = tuple(sorted(
-        (name, tuple(params))
-        for name, params in payload.get("metadata", {}).items()
-    ))
-    return Node(
-        identifier=payload["id"],
-        node_type=NodeType(payload["type"]),
-        text=payload["text"],
-        undeveloped=payload.get("undeveloped", False),
-        module=payload.get("module"),
-        metadata=metadata,
-    )
+    """Rebuild a node from its payload (extra keys are ignored).
+
+    The store's record decoder, :func:`repro.store.format.
+    node_from_record`: documents and shards share one decode step.
+    """
+    # Deferred: repro.store imports this module.
+    from ..store.format import node_from_record
+
+    return node_from_record(payload)
 
 
 def argument_to_json(argument: Argument, indent: int | None = 2) -> str:

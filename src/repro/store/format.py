@@ -40,7 +40,10 @@ so an interrupted save at any moment leaves the old store fully loadable
 Integrity is checked per shard: the manifest records each shard's line
 count and the CRC-32 of its bytes; the reader verifies both as it
 streams and raises :class:`StoreCorruptionError` *naming the shard* on
-any mismatch, truncated line, or undecodable record.
+any mismatch, truncated line, or undecodable record.  The record
+vocabulary — the keys each record kind carries and the valid node types
+and link kinds — is defined once, at the end of this module, with the
+decoders every reader uses to turn records back into nodes and links.
 
 Shards may optionally be **gzip-compressed**, recorded in the manifest as
 ``"compression": "gzip"`` and reflected in the ``.jsonl.gz`` filename
@@ -85,6 +88,9 @@ import os
 import zlib
 from typing import Any
 
+from ..core.argument import Link, LinkKind
+from ..core.nodes import Node, NodeType
+
 __all__ = [
     "STORE_SCHEMA_VERSION",
     "JOURNAL_SCHEMA_VERSION",
@@ -104,6 +110,15 @@ __all__ = [
     "tmp_name",
     "validate_compression",
     "encode_record",
+    "NODE_KEYS",
+    "LINK_KEYS",
+    "EVIDENCE_KEYS",
+    "CITATION_KEYS",
+    "NODE_TYPE_BY_VALUE",
+    "LINK_KIND_BY_VALUE",
+    "RECORD_ERRORS",
+    "node_from_record",
+    "link_from_record",
     "durable",
     "set_durability",
     "fsync_fileobj",
@@ -300,3 +315,66 @@ def validate_compression(compression: "str | None") -> "str | None":
 def encode_record(record: dict[str, Any]) -> bytes:
     """One JSONL line, deterministic bytes (key order = insertion order)."""
     return json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n"
+
+
+
+# -- the record vocabulary ---------------------------------------------------
+
+#: Keys every record of a shard kind must carry.  Readers reject a line
+#: lacking one as corruption (never a crash); fsck reports it offline.
+NODE_KEYS = ("seq", "id", "type", "text")
+LINK_KEYS = ("seq", "source", "target", "kind")
+EVIDENCE_KEYS = ("seq", "id", "kind", "description")
+CITATION_KEYS = ("seq", "solution", "evidence")
+
+#: Enum members keyed by their wire value.  The keys are the valid
+#: ``type``/``kind`` values; a dict lookup decodes a record's enum far
+#: cheaper than calling the enum class.
+NODE_TYPE_BY_VALUE: "dict[str, NodeType]" = {
+    member.value: member for member in NodeType
+}
+LINK_KIND_BY_VALUE: "dict[str, LinkKind]" = {
+    member.value: member for member in LinkKind
+}
+
+#: What :func:`node_from_record`/:func:`link_from_record` raise for a
+#: decodable record whose fields do not make a node or link (unknown
+#: enum value, wrong field type, text that fails ``Node`` validation).
+RECORD_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
+
+
+def node_from_record(record: dict[str, Any]) -> Node:
+    """Rebuild a node from its store/journal record (extra keys ignored).
+
+    The one record-to-node step of every store read.  Metadata sorts
+    only when present (the writer omits empty metadata); an unknown
+    ``type`` raises the enum's own ``ValueError``.
+    """
+    try:
+        node_type = NODE_TYPE_BY_VALUE[record["type"]]
+    except (KeyError, TypeError):
+        node_type = NodeType(record["type"])
+    metadata: "tuple[tuple[str, tuple[Any, ...]], ...]" = ()
+    if "metadata" in record:
+        metadata = tuple(sorted(
+            (name, tuple(params))
+            for name, params in record["metadata"].items()
+        ))
+    return Node(
+        record["id"],
+        node_type,
+        record["text"],
+        record.get("undeveloped", False),
+        record.get("module"),
+        metadata,
+    )
+
+
+def link_from_record(record: dict[str, Any]) -> Link:
+    """Rebuild a link from its store/journal record (extra keys ignored);
+    an unknown ``kind`` raises the enum's own ``ValueError``."""
+    try:
+        kind = LINK_KIND_BY_VALUE[record["kind"]]
+    except (KeyError, TypeError):
+        kind = LinkKind(record["kind"])
+    return Link(record["source"], record["target"], kind)

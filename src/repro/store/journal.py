@@ -61,17 +61,20 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, Any, Iterable
 
-from ..core.argument import Link, LinkKind, MutationDelta
+from ..core.argument import Link, MutationDelta
 from ..core.nodes import Node, NodeType
 from ..core.search import TextPostings
-from ..notation.json_io import node_from_payload
 from .format import (
+    CITATION_KEYS,
     JOURNAL_SCHEMA_VERSION,
     LEASE_NAME,
     MANIFEST_NAME,
+    RECORD_ERRORS,
     StoreCorruptionError,
     StoreError,
     journal_base,
+    link_from_record,
+    node_from_record,
 )
 from .lease import writer_lease
 from .writer import (
@@ -137,26 +140,20 @@ def encode_op(op: str, payload: Any) -> dict[str, Any]:
     raise StoreError(f"unknown mutation op {op!r} cannot be journalled")
 
 
-def _link_from_payload(payload: dict[str, Any]) -> Link:
-    return Link(
-        payload["source"], payload["target"], LinkKind(payload["kind"])
-    )
-
-
 def decode_op(record: dict[str, Any], segment: str) -> tuple[str, Any]:
     """Rebuild the ``(op, payload)`` mutation a journal record encodes."""
     op = record.get("op")
     try:
         if op == "replace_node":
             return op, (
-                node_from_payload(record["old"]),
-                node_from_payload(record["new"]),
+                node_from_record(record["old"]),
+                node_from_record(record["new"]),
             )
         if op in _NODE_OPS:
-            return op, node_from_payload(record["node"])
+            return op, node_from_record(record["node"])
         if op in _LINK_OPS:
-            return op, _link_from_payload(record["link"])
-    except (KeyError, TypeError, ValueError) as error:
+            return op, link_from_record(record["link"])
+    except RECORD_ERRORS as error:
         raise StoreCorruptionError(
             segment, f"malformed {op!r} journal record ({error})"
         ) from None
@@ -560,9 +557,7 @@ def _compact_locked(stored: "StoredArgument") -> dict:
         old_citations = stored.manifest["citations_shard"]
         live = [
             record
-            for record in stored._stream_shard(
-                old_citations, ("seq", "solution", "evidence")
-            )
+            for record in stored._stream_shard(old_citations, CITATION_KEYS)
             if node_types.get(record["solution"]) is NodeType.SOLUTION
         ]
         (citations_shard,), citations_meta = _write_sharded(

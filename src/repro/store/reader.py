@@ -34,7 +34,9 @@ journal's write-side entry points.
 
 Every shard is verified as it streams — CRC-32 and record count against
 the manifest, JSON decode per line — and any mismatch raises
-:class:`~repro.store.format.StoreCorruptionError` naming the shard.
+:class:`~repro.store.format.StoreCorruptionError` naming the shard.  A
+decodable record whose fields make no node or link (an unknown type or
+kind, text that fails node validation) raises it too, naming the line.
 """
 
 from __future__ import annotations
@@ -43,25 +45,33 @@ import gzip
 import heapq
 import json
 from dataclasses import dataclass
+from json.scanner import make_scanner
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, TypeVar
 from zlib import crc32, error as zlib_error
 
-from ..core.argument import Argument, Link, LinkKind
+from ..core.argument import Argument, Link
 from ..core.case import AssuranceCase, SafetyCriterion
 from ..core.nodes import Node, NodeType
-from ..notation.json_io import evidence_from_payload, node_from_payload
+from ..notation.json_io import evidence_from_payload
 from .format import (
+    CITATION_KEYS,
     COMPRESSIONS,
+    EVIDENCE_KEYS,
     GZIP_COMPRESSION,
     ID_HASH,
     JOURNAL_SCHEMA_VERSION,
+    LINK_KEYS,
     MANIFEST_NAME,
+    NODE_KEYS,
+    RECORD_ERRORS,
     STORE_SCHEMA_VERSION,
     StoreConflictError,
     StoreCorruptionError,
     StoreError,
+    link_from_record,
+    node_from_record,
     shard_of,
 )
 
@@ -89,12 +99,12 @@ class StoreGeneration:
         return f"{self.fingerprint:08x}+{len(self.segments)}"
 
 
-#: Keys every record of a shard kind must carry (validated as the shard
-#: streams, so malformed-but-decodable lines are corruption, not crashes).
-_NODE_KEYS = ("seq", "id", "type", "text")
-_LINK_KEYS = ("seq", "source", "target", "kind")
-_EVIDENCE_KEYS = ("seq", "id", "kind", "description")
-_CITATION_KEYS = ("seq", "solution", "evidence")
+#: The C scanner ``json.loads`` drives, called directly on each shard
+#: line: one call decodes a record without ``json.loads``'s per-call
+#: type checks and whitespace regex passes.
+_SCAN_RECORD = make_scanner(json.JSONDecoder())
+
+_Item = TypeVar("_Item")
 
 
 #: Sentinel distinguishing "no shadow entry" from a ``None`` tombstone.
@@ -573,12 +583,19 @@ class StoredArgument:
         id-hash distribution keeps at roughly 1/shard_count of the store)
         so the CRC-32 and the UTF-8 decode each run once at C speed —
         this is the hot path of streaming well-formedness and of every
-        load.  Per-line JSON errors — including lines that decode to
-        something other than a record carrying the ``required`` keys —
-        raise at the offending line; count and checksum are verified
-        up front against the manifest, so a consumed stream implies an
-        intact shard.  Counts, checksums, and line numbers always refer
-        to the *decompressed* content of a gzip shard.
+        load.  Count and checksum are verified up front against the
+        manifest, so a consumed stream implies an intact shard.  Counts,
+        checksums, and line numbers always refer to the *decompressed*
+        content of a gzip shard.
+
+        Each line decodes with one call to the C scanner behind
+        ``json.loads`` at offset 0, accepted only when it consumed the
+        whole line.  Anything else — leading or trailing whitespace,
+        trailing garbage, a BOM, a syntax error — falls back to
+        ``json.loads(line)`` itself, so the records accepted and the
+        ``line N is not valid JSON (...)`` errors are exactly
+        ``json.loads``'s.  A line that decodes to something other than
+        a record carrying the ``required`` keys raises at that line.
         """
         meta = self.manifest["shards"].get(filename)
         if meta is None:
@@ -616,22 +633,24 @@ class StoredArgument:
                 f"expected {meta['records']} record(s), found "
                 f"{len(lines)} (truncated or padded shard)",
             )
+        required_keys = frozenset(required)
+        scan = _SCAN_RECORD
         for line_number, line in enumerate(lines, start=1):
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise StoreCorruptionError(
-                    filename,
-                    f"line {line_number} is not valid JSON ({error})",
-                ) from None
-            if type(record) is not dict:
-                record = None
-            else:
-                for key in required:
-                    if key not in record:
-                        record = None
-                        break
-            if record is None:
+                record, end = scan(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(line):
+                try:
+                    record = json.loads(line)
+                except ValueError as error:
+                    raise StoreCorruptionError(
+                        filename,
+                        f"line {line_number} is not valid JSON ({error})",
+                    ) from None
+            if type(record) is not dict or not (
+                record.keys() >= required_keys
+            ):
                 raise StoreCorruptionError(
                     filename,
                     f"line {line_number} is not a store record "
@@ -639,6 +658,27 @@ class StoredArgument:
                 )
             yield record
         self.shards_read.add(filename)
+
+    def _decode_shard(
+        self,
+        filename: str,
+        required: tuple[str, ...],
+        decode: "Callable[[dict[str, Any]], _Item]",
+    ) -> Iterator[tuple[int, _Item]]:
+        """Stream a shard's ``(seq, object)`` pairs, each record decoded
+        by ``decode``; a record whose fields make no valid object raises
+        :class:`StoreCorruptionError` naming the shard and the line."""
+        records = self._stream_shard(filename, required)
+        for line_number, record in enumerate(records, start=1):
+            try:
+                item = decode(record)
+            except RECORD_ERRORS as error:
+                raise StoreCorruptionError(
+                    filename,
+                    f"line {line_number} is not a valid record "
+                    f"({error})",
+                ) from None
+            yield record["seq"], item
 
     def iter_nodes(self) -> Iterator[Node]:
         """Stream every node in insertion order (journal replayed): the
@@ -662,25 +702,24 @@ class StoredArgument:
         appended nodes hashing to this shard follow with their
         post-base seqs — the id-hash partition survives the journal.
         """
-        overlay = self._overlay_or_none()
-        shadows: dict[str, Any] = (
-            {} if overlay is None else overlay.node_shadow
+        base = self._decode_shard(
+            self._node_shard_names[index], NODE_KEYS, node_from_record
         )
-        for record in self._stream_shard(
-            self._node_shard_names[index], _NODE_KEYS
-        ):
-            shadow = shadows.get(record["id"], _MISSING)
+        overlay = self._overlay_or_none()
+        if overlay is None:
+            yield from base
+            return
+        shadows = overlay.node_shadow
+        for seq, node in base:
+            shadow = shadows.get(node.identifier, _MISSING)
             if shadow is _MISSING:
-                yield record["seq"], node_from_payload(record)
+                yield seq, node
             elif shadow is not None:  # None: a tombstone
-                yield record["seq"], shadow
-        if overlay is not None:
-            base_total = self.base_node_total
-            for position, node in enumerate(
-                overlay.appended_nodes.values()
-            ):
-                if shard_of(node.identifier, self.shard_count) == index:
-                    yield base_total + position, node
+                yield seq, shadow
+        base_total = self.base_node_total
+        for position, node in enumerate(overlay.appended_nodes.values()):
+            if shard_of(node.identifier, self.shard_count) == index:
+                yield base_total + position, node
 
     def iter_shard_links(self, index: int) -> Iterator[tuple[int, Link]]:
         """Stream one link shard's ``(seq, link)`` pairs, seq-ascending.
@@ -690,21 +729,24 @@ class StoredArgument:
         shard equals global insertion order.  The journal replays in
         place exactly as in :meth:`iter_shard_nodes`.
         """
+        base = self._decode_shard(
+            self._link_shard_names[index], LINK_KEYS, link_from_record
+        )
         overlay = self._overlay_or_none()
-        for record in self._stream_shard(
-            self._link_shard_names[index], _LINK_KEYS
-        ):
-            link = Link(
-                record["source"], record["target"], LinkKind(record["kind"])
-            )
-            if overlay is not None and link in overlay.link_tombstones:
-                continue
-            yield record["seq"], link
-        if overlay is not None:
-            base_total = self.base_link_total
-            for position, link in enumerate(overlay.appended_links):
-                if shard_of(link.source, self.shard_count) == index:
-                    yield base_total + position, link
+        if overlay is None:
+            yield from base
+            return
+        tombstones = overlay.link_tombstones
+        if tombstones:
+            for seq, link in base:
+                if link not in tombstones:
+                    yield seq, link
+        else:
+            yield from base
+        base_total = self.base_link_total
+        for position, link in enumerate(overlay.appended_links):
+            if shard_of(link.source, self.shard_count) == index:
+                yield base_total + position, link
 
     # -- lazy per-shard access ---------------------------------------------
 
@@ -712,9 +754,10 @@ class StoredArgument:
         shard = self._node_shards.get(index)
         if shard is None:
             shard = {
-                record["id"]: (record["seq"], node_from_payload(record))
-                for record in self._stream_shard(
-                    self._node_shard_names[index], _NODE_KEYS
+                node.identifier: (seq, node)
+                for seq, node in self._decode_shard(
+                    self._node_shard_names[index], NODE_KEYS,
+                    node_from_record,
                 )
             }
             self._node_shards[index] = shard
@@ -724,16 +767,10 @@ class StoredArgument:
         shard = self._link_shards.get(index)
         if shard is None:
             shard = {}
-            for record in self._stream_shard(
-                self._link_shard_names[index], _LINK_KEYS
+            for seq, link in self._decode_shard(
+                self._link_shard_names[index], LINK_KEYS, link_from_record
             ):
-                link = Link(
-                    record["source"], record["target"],
-                    LinkKind(record["kind"]),
-                )
-                shard.setdefault(link.source, []).append(
-                    (record["seq"], link)
-                )
+                shard.setdefault(link.source, []).append((seq, link))
             self._link_shards[index] = shard
         return shard
 
@@ -916,12 +953,12 @@ def load_case(
         manifest["case_name"], argument, criterion
     )
     for record in stored._stream_shard(
-        manifest["evidence_shard"], _EVIDENCE_KEYS
+        manifest["evidence_shard"], EVIDENCE_KEYS
     ):
         case.evidence.add(evidence_from_payload(record))
     journaled = bool(stored.journal_segments)
     for record in stored._stream_shard(
-        manifest["citations_shard"], _CITATION_KEYS
+        manifest["citations_shard"], CITATION_KEYS
     ):
         solution = record["solution"]
         # Journal edits can orphan a base citations record — its

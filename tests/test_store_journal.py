@@ -30,6 +30,7 @@ from repro.store import (
     StoreError,
 )
 from repro.store.format import MANIFEST_NAME
+from repro.store.journal import decode_op
 
 pytestmark = pytest.mark.journal
 
@@ -759,3 +760,15 @@ class TestFromStore:
     def test_rejects_a_subject_that_is_no_argument(self, tmp_path):
         with pytest.raises(TypeError, match="got PosixPath"):
             IncrementalChecker(tmp_path, GSN_STANDARD_RULES.rules)
+
+
+@pytest.mark.parametrize("record", [
+    {"op": "add_node", "node": {"id": "G9", "type": "bogus", "text": "t"}},
+    {"op": "add_node", "node": {"id": "G9", "type": "goal", "text": " "}},
+    {"op": "add_node", "node": {"id": "G9", "type": "goal", "text": 5}},
+    {"op": "add_link",
+     "link": {"source": "G1", "target": "G2", "kind": "bogus"}},
+], ids=["unknown-type", "blank-text", "non-string-text", "unknown-kind"])
+def test_bad_journal_record_is_corruption_naming_the_segment(record):
+    with pytest.raises(StoreCorruptionError, match="journal-0000"):
+        decode_op(record, "journal-0000-00000000.jsonl")

@@ -7,7 +7,8 @@ Two contracts of the persistent store:
   in-memory original does, rule for rule, in order;
 * **corruption is loud and located** — any tampering a shard can suffer
   (bit flips, truncated JSONL lines, padded records, missing files,
-  undecodable lines) raises a typed
+  undecodable lines, CRC-valid records whose fields make no node or
+  link) raises a typed
   :class:`~repro.store.StoreCorruptionError` that names the shard, so an
   operator of a 100k-node store knows which file to restore.
 """
@@ -19,6 +20,7 @@ from zlib import crc32
 
 import pytest
 
+import repro
 from conftest import check
 from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
@@ -189,6 +191,53 @@ def test_record_missing_required_keys_is_corruption(stored_dir) -> None:
     _patch_manifest_crc(stored_dir, shard)
     with pytest.raises(StoreCorruptionError, match=shard):
         list(StoredArgument(stored_dir).iter_links())
+
+
+def _tamper_first_record(store_dir, prefix: str, **fields) -> str:
+    """Rewrite the first record of a shard with ``fields`` changed and
+    reseal its checksum, so the line is CRC-valid, decodable JSON that
+    carries every required key — only its field values are wrong."""
+    shard = _nonempty_shard(store_dir, prefix)
+    path = store_dir / shard
+    lines = path.read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    record.update(fields)
+    lines[0] = json.dumps(record, separators=(",", ":")).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+    _patch_manifest_crc(store_dir, shard)
+    return shard
+
+
+def _assert_bad_record_is_typed(store_dir, shard: str) -> None:
+    """Both a full load and a check raise the typed corruption error,
+    naming the shard and the line."""
+    with pytest.raises(StoreCorruptionError, match=shard) as excinfo:
+        StoredArgument(store_dir).load()
+    assert excinfo.value.shard == shard
+    assert "line 1 " in excinfo.value.detail
+    with pytest.raises(StoreCorruptionError, match=shard) as excinfo:
+        repro.check(StoredArgument(store_dir))
+    assert "line 1 " in excinfo.value.detail
+
+
+def test_unknown_node_type_is_corruption(stored_dir) -> None:
+    shard = _tamper_first_record(stored_dir, "nodes-", type="bogus")
+    _assert_bad_record_is_typed(stored_dir, shard)
+
+
+def test_unknown_link_kind_is_corruption(stored_dir) -> None:
+    shard = _tamper_first_record(stored_dir, "links-", kind="bogus")
+    _assert_bad_record_is_typed(stored_dir, shard)
+
+
+def test_blank_node_text_is_corruption(stored_dir) -> None:
+    shard = _tamper_first_record(stored_dir, "nodes-", text=" ")
+    _assert_bad_record_is_typed(stored_dir, shard)
+
+
+def test_non_string_node_text_is_corruption(stored_dir) -> None:
+    shard = _tamper_first_record(stored_dir, "nodes-", text=5)
+    _assert_bad_record_is_typed(stored_dir, shard)
 
 
 def test_padded_shard_raises_record_count_mismatch(stored_dir) -> None:
