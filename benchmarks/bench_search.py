@@ -5,7 +5,9 @@ the situation where "which case argued about X?" stops being a grep
 and starts being a query workload.  This bench generates a corpus of
 thousands of small stored cases (a share of them journal-edited after
 the indexed save, so the patched-sidecar path is part of what is
-measured), then answers the same ``text_contains`` questions two ways:
+measured), then answers the same ``text_contains`` questions — one of
+them conjoined with ``node_type_is``, a typed query the text-only
+sidecar narrows through its text side — two ways:
 
 * **indexed** — a warm :class:`repro.store.CaseCorpus` whose handles
   resolve candidates from the persisted token/trigram sidecar
@@ -47,7 +49,7 @@ from results import DEFAULT_OUT, DEFAULT_REPORT, _stats, append_run, \
 
 from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
-from repro.core.query import Query, select, text_contains
+from repro.core.query import Query, node_type_is, select, text_contains
 from repro.store import CaseCorpus, StoredArgument
 
 FULL_STORES = 2000
@@ -64,15 +66,24 @@ _VOCABULARY = (
     "procedure audit commissioning maintenance specification review"
 ).split()
 
-# (needle, case_sensitive, plant_every) — plant_every is the store
-# stride the term is injected at; None means it rides the vocabulary.
-_QUERIES: "tuple[tuple[str, bool, int | None], ...]" = (
-    ("porosity", False, 97),        # rare token
-    ("actuator", False, 11),        # medium-frequency token
-    ("relief valve", False, 29),    # substring across a token boundary
-    ("ELIEF VALV", False, 29),      # folded, non-token-aligned trigrams
-    ("Overpressure", True, 43),     # case-sensitive: grams + predicate
+# (needle, case_sensitive, plant_every, node_type) — plant_every is the
+# store stride the term is injected at (None: another row plants it);
+# node_type, when set, conjoins ``node_type_is`` with the text query.
+_QUERIES: "tuple[tuple[str, bool, int | None, NodeType | None], ...]" = (
+    ("porosity", False, 97, None),       # rare token
+    ("actuator", False, 11, None),       # medium-frequency token
+    ("relief valve", False, 29, None),   # substring across a token boundary
+    ("ELIEF VALV", False, 29, None),     # folded, non-token-aligned trigrams
+    ("Overpressure", True, 43, None),    # case-sensitive: grams + predicate
+    # Typed: drops the journaled "actuator recall" context amendments.
+    ("actuator", False, None, NodeType.SOLUTION),
 )
+
+
+def _query(needle: str, case_sensitive: bool,
+           node_type: "NodeType | None") -> Query:
+    query = text_contains(needle, case_sensitive)
+    return query if node_type is None else query & node_type_is(node_type)
 
 
 def _case_spec(index: int, rng: random.Random,
@@ -108,7 +119,7 @@ def _case_spec(index: int, rng: random.Random,
         ]
     # Plant each query's term at its stride so selectivity is known.
     planted = []
-    for needle, sensitive, stride in _QUERIES:
+    for needle, sensitive, stride, _ in _QUERIES:
         if stride is not None and index % stride == 0:
             term = needle if sensitive else needle.lower()
             planted.append(term)
@@ -163,8 +174,10 @@ def indexed_pass(corpus: CaseCorpus,
 
 
 def scan_pass(root: Path, names: "list[str]", needle: str,
-              case_sensitive: bool) -> "set[tuple[str, str]]":
-    """Brute-force baseline: fresh handle, stream and substring-test.
+              case_sensitive: bool,
+              node_type: "NodeType | None") -> "set[tuple[str, str]]":
+    """Brute-force baseline: fresh handle, stream and substring-test
+    (and type-test, for a typed query).
 
     Opening a new :class:`StoredArgument` per store is the honest
     unindexed workload — without a persisted index every invocation
@@ -175,6 +188,8 @@ def scan_pass(root: Path, names: "list[str]", needle: str,
     for name in names:
         handle = StoredArgument(root / name)
         for node in handle.iter_nodes():
+            if node_type is not None and node.node_type is not node_type:
+                continue
             text = node.text if case_sensitive else node.text.lower()
             if (needle if case_sensitive else lowered) in text:
                 hits.add((name, node.identifier))
@@ -201,14 +216,17 @@ def run_search(options: argparse.Namespace) -> "dict[str, Any]":
         # Warm-up: first indexed pass loads every sidecar (and patches
         # journaled ones to their watermark) — that is per-handle
         # setup, not per-query cost, so it stays outside the timings.
-        for needle, case_sensitive, _ in _QUERIES:
-            indexed_pass(corpus, text_contains(needle, case_sensitive))
+        for needle, case_sensitive, _, node_type in _QUERIES:
+            indexed_pass(corpus, _query(needle, case_sensitive, node_type))
 
         rows: "list[dict[str, Any]]" = []
         scan_total = 0.0
         indexed_total = 0.0
-        for needle, case_sensitive, _ in _QUERIES:
-            query = text_contains(needle, case_sensitive)
+        for needle, case_sensitive, _, node_type in _QUERIES:
+            query = _query(needle, case_sensitive, node_type)
+            label = needle if node_type is None else (
+                f"{needle} & type == {node_type.value}"
+            )
             indexed_samples: "list[float]" = []
             scan_samples: "list[float]" = []
             expected: "set[tuple[str, str]] | None" = None
@@ -219,12 +237,12 @@ def run_search(options: argparse.Namespace) -> "dict[str, Any]":
                 indexed_samples.append(seconds)
                 seconds, scanned = timed(
                     lambda: scan_pass(
-                        scratch, names, needle, case_sensitive
+                        scratch, names, needle, case_sensitive, node_type
                     )
                 )
                 scan_samples.append(seconds)
                 assert indexed == scanned, (
-                    f"indexed != scan for {needle!r}: "
+                    f"indexed != scan for {label!r}: "
                     f"{sorted(indexed ^ scanned)[:5]}"
                 )
                 if expected is None:
@@ -235,8 +253,9 @@ def run_search(options: argparse.Namespace) -> "dict[str, Any]":
             scan_total += scan_stats["min_s"]
             indexed_total += indexed_stats["min_s"]
             row = {
-                "q": needle,
+                "q": label,
                 "case_sensitive": case_sensitive,
+                "node_type": None if node_type is None else node_type.value,
                 "hits": len(expected or set()),
                 "indexed_s": indexed_stats,
                 "scan_s": scan_stats,
@@ -251,7 +270,7 @@ def run_search(options: argparse.Namespace) -> "dict[str, Any]":
             }
             rows.append(row)
             print(
-                f"  {needle!r:>16}: {row['hits']} hits, scan "
+                f"  {label!r:>16}: {row['hits']} hits, scan "
                 f"{scan_stats['min_s'] * 1e3:.1f} ms, indexed "
                 f"{indexed_stats['min_s'] * 1e3:.2f} ms "
                 f"({row['speedup_min']:.1f}x)"

@@ -18,15 +18,18 @@ What gets checked, file by file:
   the decompressed bytes vs. the manifest, the **content-address** in
   the filename vs. the actual content (catching a manifest edited to
   match tampered bytes), line count, per-line JSON decode + required
-  record keys, node-type/link-kind vocabulary, **id-hash partition**
-  (``crc32(id) % shard_count`` puts each record in the shard holding
-  it), per-shard ascending ``seq``, global id uniqueness, and the seq
-  domain being exactly ``range(total)``;
-* every **journal segment**: the same seal checks plus op-shape
-  validation, with torn-tail classification — damage confined to the
-  *final* segment is one interrupted append and is reported
-  ``recoverable`` (the state ``ignore_torn_tail=True`` would surface),
-  damage in the *middle* is real corruption and is ``fatal``;
+  record keys, every record decoding through the reader's own
+  ``node_from_record``/``link_from_record`` (enum vocabulary, field
+  types, non-empty node text — fsck passes only what loads), the
+  **id-hash partition** (``crc32(id) % shard_count`` puts each record
+  in the shard holding it), per-shard ascending ``seq``, global id
+  uniqueness, and the seq domain being exactly ``range(total)``;
+* every **journal segment**: the same seal checks plus op decoding
+  through the reader's ``decode_op``, with torn-tail classification —
+  damage confined to the *final* segment is one interrupted append and
+  is reported ``recoverable`` (the state ``ignore_torn_tail=True``
+  would surface), damage in the *middle* is real corruption and is
+  ``fatal``;
 * **counts**: base records plus journal deltas must equal the
   manifest's ``node_count``/``link_count`` (skipped, with a note, when
   a torn tail makes the journal's contribution unknowable);
@@ -61,7 +64,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 from zlib import crc32
 
 from ..core.nodes import NodeType
@@ -73,14 +76,16 @@ from ..store.format import (
     JOURNAL_SCHEMA_VERSION,
     LEASE_NAME,
     LINK_KEYS,
-    LINK_KIND_BY_VALUE,
     MANIFEST_NAME,
     NODE_KEYS,
-    NODE_TYPE_BY_VALUE,
+    RECORD_ERRORS,
     STORE_SCHEMA_VERSION,
+    StoreCorruptionError,
+    link_from_record,
+    node_from_record,
     shard_of,
 )
-from ..store.journal import _MANIFEST_TMP, _STORE_FILE
+from ..store.journal import _MANIFEST_TMP, _STORE_FILE, decode_op
 from ..store.lease import lease_is_stale, read_lease
 
 __all__ = [
@@ -101,9 +106,7 @@ _CONTENT_ADDRESS = re.compile(r"-([0-9a-f]{8})\.jsonl(?:\.gz)?$")
 
 _JOURNAL_KEYS = ("op",)
 
-_NODE_OPS = ("add_node", "remove_node")
 _LINK_OPS = ("add_link", "remove_link")
-_KNOWN_OPS = _NODE_OPS + _LINK_OPS + ("replace_node",)
 
 
 @dataclass(frozen=True)
@@ -452,7 +455,7 @@ class _Fsck:
         self.report.shards_checked += 1
         self._base_nodes += len(records)
         previous_seq = -1
-        for record in records:
+        for lineno, record in enumerate(records, start=1):
             seq, identifier = record["seq"], record["id"]
             if not isinstance(seq, int) or seq <= previous_seq:
                 self.fatal(
@@ -466,12 +469,7 @@ class _Fsck:
             if not isinstance(identifier, str):
                 self.fatal(name, f"non-string node id {identifier!r}")
                 continue
-            if record["type"] not in NODE_TYPE_BY_VALUE:
-                self.fatal(
-                    name,
-                    f"node {identifier!r} has unknown type "
-                    f"{record['type']!r}",
-                )
+            self._check_decodes(name, lineno, node_from_record, record)
             placed = shard_of(identifier, self.shard_count)
             if placed != index:
                 self.fatal(
@@ -500,7 +498,7 @@ class _Fsck:
         self.report.shards_checked += 1
         self._base_links += len(records)
         previous_seq = -1
-        for record in records:
+        for lineno, record in enumerate(records, start=1):
             seq, source = record["seq"], record["source"]
             if not isinstance(seq, int) or seq <= previous_seq:
                 self.fatal(
@@ -511,12 +509,7 @@ class _Fsck:
                 previous_seq = seq
             if isinstance(seq, int):
                 self._base_link_seqs.append(seq)
-            if record["kind"] not in LINK_KIND_BY_VALUE:
-                self.fatal(
-                    name,
-                    f"link {source!r} -> {record['target']!r} has "
-                    f"unknown kind {record['kind']!r}",
-                )
+            self._check_decodes(name, lineno, link_from_record, record)
             if not isinstance(source, str):
                 self.fatal(name, f"non-string link source {source!r}")
                 continue
@@ -528,6 +521,22 @@ class _Fsck:
                     f"partition (hashes to shard {placed}, stored in "
                     f"shard {index})",
                 )
+
+    def _check_decodes(
+        self,
+        name: str,
+        lineno: int,
+        decode: "Callable[[dict[str, Any]], Any]",
+        record: "dict[str, Any]",
+    ) -> None:
+        """Fatal unless ``decode`` — the reader's own record-to-object
+        step — accepts the record, so fsck passes only what loads."""
+        try:
+            decode(record)
+        except RECORD_ERRORS as error:
+            self.fatal(
+                name, f"line {lineno} is not a valid record ({error})"
+            )
 
     def _check_seq_domain(
         self, kind: str, seqs: "list[int]", shard_names: "list[str]"
@@ -582,28 +591,19 @@ class _Fsck:
             return False
         for lineno, record in enumerate(records, start=1):
             op = record.get("op")
-            if op not in _KNOWN_OPS:
+            try:
+                # The reader's own decode: unknown ops and payloads that
+                # make no node or link fail here exactly as on load.
+                decode_op(record, name)
+            except StoreCorruptionError as error:
                 self._shard_failures.append(
-                    (name, f"line {lineno}: unknown journal op {op!r}")
+                    (name, f"line {lineno}: {error.detail}")
                 )
                 return False
-            payload_ok = True
-            if op == "replace_node":
-                payload_ok = (
-                    isinstance(record.get("old"), dict)
-                    and isinstance(record.get("new"), dict)
-                )
-            elif op in _NODE_OPS:
-                payload_ok = isinstance(record.get("node"), dict)
-            elif op in _LINK_OPS:
-                link = record.get("link")
-                payload_ok = isinstance(link, dict) and all(
-                    isinstance(link.get(k), str)
-                    for k in ("source", "target", "kind")
-                )
-                if payload_ok and link["kind"] not in LINK_KIND_BY_VALUE:
-                    payload_ok = False
-            if not payload_ok:
+            if op in _LINK_OPS and not all(
+                isinstance(record["link"].get(k), str)
+                for k in ("source", "target")
+            ):
                 self._shard_failures.append(
                     (name, f"line {lineno}: malformed {op!r} payload")
                 )

@@ -24,7 +24,8 @@ catastrophic' (§III.H).  This module provides that capability:
   the factory helpers carry *candidate plans*: ``select`` intersects or
   unions candidate identifier sets from the indices and only runs the
   predicate over that candidate set, instead of scanning every node per
-  predicate.  Hand-rolled queries (no plan) fall back to the full scan;
+  predicate.  A conjunction narrows through whichever side planned.
+  Hand-rolled queries (no plan) fall back to the full scan;
 * :func:`traceability_view` — the paper's example: the sub-argument
   spanning every node matching a query, plus the paths connecting the
   matches to the root (a 'view' in their sense).  Path membership is
@@ -241,9 +242,14 @@ def argument_index(
     return index
 
 
-#: A plan maps the index to a candidate identifier set, or None when the
-#: query cannot be narrowed and every node must be considered.
-Plan = Callable[[ArgumentIndex], "set[str] | None"]
+#: A plan maps an index to ``(ids, exact)`` — candidate identifiers that
+#: include every match, and whether they are *exactly* the matches — or
+#: to ``None`` when the index cannot narrow and every node must be
+#: considered.  The index is an :class:`ArgumentIndex` for a live
+#: argument or a store's search sidecar
+#: (:class:`~repro.store.search.StoreSearchIndex`), which carries text
+#: postings only.
+Plan = Callable[[Any], "tuple[set[str], bool] | None"]
 
 
 @dataclass(frozen=True)
@@ -256,19 +262,24 @@ class Query:
         worst = attribute_param("hazard", 1, "remote") \
               & attribute_param("hazard", 2, "catastrophic")
 
-    ``plan`` is the optional planner hook: given an :class:`ArgumentIndex`
-    it returns the candidate identifiers that *might* match (a superset of
-    the true matches), or ``None`` when no index applies.  The predicate
-    always has the final word, so a plan can only speed evaluation up,
-    never change the result.
+    ``plan`` is the optional planner hook (see :data:`Plan`): given an
+    index it answers ``(ids, exact)`` — a superset of the true matches,
+    flagged exact when it *is* the matches, so :func:`select` can skip
+    re-running the predicate — or ``None`` when that index cannot
+    narrow this query.  The predicate has the final word on every
+    non-exact answer, so a plan can only speed evaluation up, never
+    change the result.
 
-    ``exact`` strengthens the plan contract: whenever the plan returns a
-    non-``None`` set, that set is *exactly* the matches, so
-    :func:`select` can skip re-running the predicate over the
-    candidates.  Every factory helper below is exact (their plans read
-    the answer straight off the index, returning ``None`` in the rare
-    unindexable cases); ``&``/``|`` preserve exactness, ``~`` and
-    hand-rolled queries drop it.
+    Exactness travels with each answer.  ``a & b`` narrows through
+    whichever sides planned: both planned gives the intersection, exact
+    only when both answers are; one side planned gives that side's
+    candidates, never exact, because the other side's predicate must
+    still filter them.  ``a | b`` plans only when both sides do.  ``~``
+    and hand-rolled queries carry no plan.
+
+    ``exact`` records whether a *fully* planned answer is exact: true
+    for the factory helpers except case-sensitive ``text_contains``,
+    and for ``&``/``|`` of exact queries.
     """
 
     description: str
@@ -279,41 +290,36 @@ class Query:
     def __call__(self, node: Node) -> bool:
         return self.predicate(node)
 
-    def candidates(self, index: ArgumentIndex) -> set[str] | None:
-        """Candidate identifiers from the planner, or None for full scan."""
+    def candidates(self, index: Any) -> "tuple[set[str], bool] | None":
+        """The plan's ``(ids, exact)`` answer, or None for a full scan."""
         if self.plan is None:
             return None
         return self.plan(index)
 
     def __and__(self, other: "Query") -> "Query":
-        exact = self.exact and other.exact
-
-        def plan(index: ArgumentIndex) -> set[str] | None:
+        def plan(index: Any) -> "tuple[set[str], bool] | None":
             left = self.candidates(index)
             right = other.candidates(index)
             if left is None:
-                # An exact conjunction must not narrow one-sidedly: the
-                # remaining set is a superset of the matches, so demand
-                # the full scan instead of claiming exactness.
-                return None if exact else right
+                return None if right is None else (right[0], False)
             if right is None:
-                return None if exact else left
-            return left & right
+                return left[0], False
+            return left[0] & right[0], left[1] and right[1]
 
         return Query(
             f"({self.description} and {other.description})",
             lambda node: self(node) and other(node),
             plan,
-            exact,
+            self.exact and other.exact,
         )
 
     def __or__(self, other: "Query") -> "Query":
-        def plan(index: ArgumentIndex) -> set[str] | None:
+        def plan(index: Any) -> "tuple[set[str], bool] | None":
             left = self.candidates(index)
             right = other.candidates(index)
             if left is None or right is None:
                 return None
-            return left | right
+            return left[0] | right[0], left[1] and right[1]
 
         return Query(
             f"({self.description} or {other.description})",
@@ -329,29 +335,64 @@ class Query:
         )
 
 
+def _leaf(
+    description: str,
+    predicate: Callable[[Node], bool],
+    lookup: "Callable[[Any], set[str] | None]",
+    exact: bool = True,
+) -> Query:
+    """A factory query whose plan answers ``lookup(index)``, flagged
+    ``exact``; ``None`` from the lookup means the index cannot narrow."""
+
+    def plan(index: Any) -> "tuple[set[str], bool] | None":
+        ids = lookup(index)
+        return None if ids is None else (ids, exact)
+
+    return Query(description, predicate, plan, exact)
+
+
+def _live_leaf(
+    description: str,
+    predicate: Callable[[Node], bool],
+    lookup: "Callable[[ArgumentIndex], set[str] | None]",
+) -> Query:
+    """An exact leaf over the live index's type or attribute postings.
+
+    The store sidecar carries text postings only, so against it the
+    leaf answers ``None`` (cannot narrow) instead of probing for maps
+    it does not have.
+    """
+
+    def live_lookup(index: Any) -> "set[str] | None":
+        if not isinstance(index, ArgumentIndex):
+            return None
+        return lookup(index)
+
+    return _leaf(description, predicate, live_lookup)
+
+
 def has_attribute(name: str) -> Query:
     """Nodes carrying the named metadata attribute."""
-    return Query(
+    return _live_leaf(
         f"has {name}",
         lambda node: name in node.metadata_dict(),
         lambda index: index.by_attribute.get(name, set()),
-        exact=True,
     )
 
 
 def attribute_equals(name: str, params: tuple[Any, ...]) -> Query:
     """Nodes whose attribute has exactly these parameters."""
-    def plan(index: ArgumentIndex) -> set[str] | None:
+
+    def lookup(index: ArgumentIndex) -> "set[str] | None":
         try:
             return index.by_attribute_value.get((name, params), set())
         except TypeError:  # unhashable params: fall back to scanning
             return None
 
-    return Query(
+    return _live_leaf(
         f"{name} == {params!r}",
         lambda node: node.metadata_dict().get(name) == params,
-        plan,
-        exact=True,
+        lookup,
     )
 
 
@@ -366,50 +407,48 @@ def attribute_param(name: str, index: int, value: Any) -> Query:
             and params[index] == value
         )
 
-    def plan(arg_index: ArgumentIndex) -> set[str] | None:
+    def lookup(arg_index: ArgumentIndex) -> "set[str] | None":
         try:
             return arg_index.by_param.get((name, index, value), set())
         except TypeError:
             return None
 
-    return Query(
-        f"{name}[{index}] == {value!r}", predicate, plan, exact=True
-    )
+    return _live_leaf(f"{name}[{index}] == {value!r}", predicate, lookup)
 
 
 def node_type_is(node_type: NodeType) -> Query:
     """Nodes of one GSN kind."""
-    return Query(
+    return _live_leaf(
         f"type == {node_type.value}",
         lambda node: node.node_type is node_type,
         lambda index: index.by_type.get(node_type, set()),
-        exact=True,
     )
 
 
 def text_contains(needle: str, case_sensitive: bool = False) -> Query:
     """Plain substring match on node text.
 
-    Both branches are planned.  The folded branch resolves *exact*
-    candidates from the trigram postings (verified against the lowered
-    text, so the predicate is skipped).  The sensitive branch narrows
-    through the same lowered postings — folding is monotonic, so the
-    lowered-needle candidates are a superset of the case-sensitive
-    matches — and leaves the predicate to arbitrate case, hence
-    ``exact=False``.
+    Both branches are planned, against the live index and the store
+    sidecar alike.  The folded branch resolves *exact* candidates from
+    the trigram postings (verified against the lowered text, so the
+    predicate is skipped).  The sensitive branch narrows through the
+    same lowered postings — folding is monotonic, so the lowered-needle
+    candidates are a superset of the case-sensitive matches — and
+    leaves the predicate to arbitrate case, hence ``exact=False``.  A
+    store sidecar answers ``None`` for needles shorter than a trigram.
     """
     lowered = needle.lower()
     if case_sensitive:
-        return Query(
+        return _leaf(
             f"text contains {needle!r}",
             lambda node: needle in node.text,
             lambda index: index.grams_superset(lowered),
+            exact=False,
         )
-    return Query(
+    return _leaf(
         f"text icontains {needle!r}",
         lambda node: lowered in node.text.lower(),
         lambda index: index.contains_candidates(lowered),
-        exact=True,
     )
 
 
@@ -417,17 +456,19 @@ def select(argument: Argument, query: Query) -> list[Node]:
     """All nodes matching the query, in insertion order.
 
     Planned queries evaluate the predicate only over the index-derived
-    candidate set — and *exact* plans (see :class:`Query`) skip the
-    predicate entirely, reading the answer straight off the index;
-    unplanned queries scan every node, exactly as before.
+    candidate set — and *exact* answers (see :class:`Query`) skip the
+    predicate entirely, reading the answer straight off the index; a
+    conjunction with one unplannable side still narrows through the
+    other.  Queries the index cannot narrow scan every node.
 
-    Also accepts a :class:`repro.store.StoredArgument`: the predicate
-    streams over the store's node shards (checksum-verified, merged back
-    into insertion order) without hydrating the argument, so querying a
-    case bigger than memory stays O(matches) in space.  Detection uses
-    the shared duck-typed helpers in :mod:`repro.core.analysis` so this
-    module never imports :mod:`repro.store`, which imports it
-    transitively.
+    Also accepts a :class:`repro.store.StoredArgument`: planned queries
+    resolve through the store's search sidecar (see
+    :func:`_select_stored`); otherwise the predicate streams over the
+    store's node shards (checksum-verified, merged back into insertion
+    order) without hydrating the argument, so querying a case bigger
+    than memory stays O(matches) in space.  Detection uses the shared
+    duck-typed helpers in :mod:`repro.core.analysis` so this module
+    never imports :mod:`repro.store`, which imports it transitively.
     """
     if not isinstance(argument, Argument):
         if query.plan is not None and is_stored_argument(argument):
@@ -441,11 +482,12 @@ def select(argument: Argument, query: Query) -> list[Node]:
         # No plan means a full scan regardless; skip building the index.
         return [node for node in argument.nodes if query(node)]
     index = argument_index(argument)
-    candidates = query.candidates(index)
-    if candidates is None:
+    planned = query.candidates(index)
+    if planned is None:
         return [node for node in argument.nodes if query(node)]
+    candidates, exact = planned
     ordered = sorted(candidates, key=index.order.__getitem__)
-    if query.exact:
+    if exact:
         return [argument.node(identifier) for identifier in ordered]
     return [
         node
@@ -457,25 +499,26 @@ def select(argument: Argument, query: Query) -> list[Node]:
 def _select_stored(stored: Any, query: Query) -> list[Node] | None:
     """Resolve a planned query through a store's persisted search index.
 
+    The sidecar carries text postings only, so type and attribute
+    leaves answer ``None`` against it; a conjunction still narrows
+    through its text side and lets the predicate decide the rest.
+    Only the candidates' own shards are hydrated.
+
     Returns ``None`` whenever the streaming scan must run instead: no
-    (current) sidecar, a plan needing live-index capabilities the
-    sidecar lacks (attribute/type postings — those plans raise
-    ``AttributeError`` against the narrower index object), or a plan
-    that itself declines.  The sidecar only ever *narrows*; the
-    predicate still arbitrates non-exact plans, so a fallback can never
-    change the result, only its cost.
+    (current) sidecar, or a plan the sidecar cannot narrow.  The
+    sidecar only ever *narrows*; the predicate still arbitrates
+    non-exact answers, so a fallback can never change the result, only
+    its cost.
     """
     from ..store.search import load_search_index
 
     index = load_search_index(stored)
     if index is None:
         return None
-    try:
-        candidates = query.candidates(index)
-    except AttributeError:
+    planned = query.candidates(index)
+    if planned is None:
         return None
-    if candidates is None:
-        return None
+    candidates, exact = planned
     entries = []
     for identifier in candidates:
         try:
@@ -483,7 +526,7 @@ def _select_stored(stored: Any, query: Query) -> list[Node] | None:
         except KeyError:
             return None  # index out of step with the store: scan instead
     entries.sort(key=lambda entry: entry[0])
-    if query.exact:
+    if exact:
         return [node for _, node in entries]
     return [node for _, node in entries if query(node)]
 

@@ -35,9 +35,10 @@ Three layers:
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from .argument import Argument, LinkKind
@@ -266,8 +267,6 @@ class _Lookup:
     substring_ids: Callable[[str], "set[str]"]
     node: Callable[[str], Node]
     supporters: Callable[[str], "list[Node]"]
-    sort_key: Callable[[str], Any]
-    index: Any = field(default=None)
 
 
 class _ScanIndex:
@@ -281,10 +280,8 @@ class _ScanIndex:
     def __init__(self, nodes: Iterable[Node]) -> None:
         self.tokens: dict[str, set[str]] = {}
         self.lowered: dict[str, str] = {}
-        self.order: dict[str, int] = {}
-        for position, node in enumerate(nodes):
+        for node in nodes:
             identifier = node.identifier
-            self.order[identifier] = position
             self.lowered[identifier] = node.text.lower()
             for token in set(tokenize(node.text)):
                 self.tokens.setdefault(token, set()).add(identifier)
@@ -308,7 +305,6 @@ def _live_lookup(argument: Argument) -> _Lookup:
         substring_ids=index.contains_candidates,
         node=argument.node,
         supporters=argument.supporters,
-        sort_key=index.order.__getitem__,
     )
 
 
@@ -336,17 +332,14 @@ def _stored_lookup(stored: Any) -> _Lookup:
             or set(),
             node=stored.node,
             supporters=_stored_supporters(stored),
-            sort_key=lambda identifier: stored._node_entry(identifier)[0],
-            index=index,
         )
     scan = _ScanIndex(stored.iter_nodes())
     return _Lookup(
-        doc_count=len(scan.order),
+        doc_count=len(scan.lowered),
         token_ids=lambda term: scan.tokens.get(term, frozenset()),
         substring_ids=scan.substring_ids,
         node=stored.node,
         supporters=_stored_supporters(stored),
-        sort_key=scan.order.__getitem__,
     )
 
 
@@ -371,12 +364,28 @@ def _lookup(subject: Any) -> _Lookup:
 _SUBSTRING_DISCOUNT = 0.5
 
 
+def _hit_order(
+    score: float, store: "str | None", identifier: str
+) -> "tuple[float, str, str]":
+    """The ranking key: best score first, then store and identifier."""
+    return (-round(score, 6), store or "", identifier)
+
+
 def _rank_subject(
     store: "str | None",
     subject: Any,
     terms: "tuple[str, ...]",
     neighbourhood: int,
+    limit: int,
 ) -> "list[SearchHit]":
+    """One subject's best ``limit`` hits, best first.
+
+    Every matched node is scored, but only the top ``limit`` by
+    :func:`_hit_order` are rendered into summaries and neighbourhoods.
+    That is enough for a corpus too: the merged ranking uses the same
+    key, so no hit beyond a subject's own top ``limit`` can make the
+    merged top ``limit``.
+    """
     lookup = _lookup(subject)
     if not lookup.doc_count:
         return []
@@ -412,8 +421,13 @@ def _rank_subject(
             )
             score += term_weight[term] * (1.0 + math.log1p(occurrences))
         scores[identifier] = score
+    best = heapq.nsmallest(
+        limit,
+        scores.items(),
+        key=lambda item: _hit_order(item[1], store, item[0]),
+    )
     hits: "list[SearchHit]" = []
-    for identifier, score in scores.items():
+    for identifier, score in best:
         node = lookup.node(identifier)
         hit_terms = tuple(sorted(matched[identifier]))
         rendered: "list[str]" = []
@@ -442,9 +456,6 @@ def _rank_subject(
                 store=store,
             )
         )
-    hits.sort(
-        key=lambda hit: (-hit.score, hit.store or "", hit.identifier)
-    )
     return hits
 
 
@@ -464,7 +475,8 @@ def search(
     (:class:`~repro.store.search.CaseCorpus`).  Hits are ranked by a
     tf–idf-shaped score (idf per store for corpora) and rendered as
     query-biased summaries — the claim's densest-matching snippet plus
-    up to ``neighbourhood`` supporting children.
+    up to ``neighbourhood`` supporting children.  Every match is
+    scored, but only the ``limit`` hits returned are rendered.
     """
     terms = tuple(dict.fromkeys(tokenize(query_text)))
     if not terms or limit < 1:
@@ -476,8 +488,10 @@ def search(
         pairs = [(None, subject)]
     hits: "list[SearchHit]" = []
     for store, source in pairs:
-        hits.extend(_rank_subject(store, source, terms, neighbourhood))
+        hits.extend(
+            _rank_subject(store, source, terms, neighbourhood, limit)
+        )
     hits.sort(
-        key=lambda hit: (-hit.score, hit.store or "", hit.identifier)
+        key=lambda hit: _hit_order(hit.score, hit.store, hit.identifier)
     )
     return hits[:limit]

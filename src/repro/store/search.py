@@ -143,11 +143,12 @@ class StoreSearchIndex(TextPostings):
     The shared :class:`~repro.core.search.TextPostings` (``tokens`` and
     ``grams``, term -> identifier set) the query planner and ranked
     search resolve candidates from, plus ``ops_applied``, the journal
-    watermark the maps reflect.  The object deliberately exposes *only*
-    the text-search capabilities — plans needing the live index's
-    attribute/type postings raise ``AttributeError`` against it, which
-    :func:`repro.core.query._select_stored` converts into the streaming
-    scan fallback.
+    watermark the maps reflect.  It carries text postings only: type
+    and attribute query leaves answer ``None`` (cannot narrow) against
+    it, so a query conjunction narrows through its text side alone and
+    the predicate decides the rest (see
+    :func:`repro.core.query._select_stored`); a query with no text side
+    falls back to the streaming scan.
 
     ``nodes_indexed`` counts nodes (re)indexed by *this object* since it
     was created — zero for a sidecar loaded clean, and exactly the

@@ -26,6 +26,7 @@ from repro.analysis_static.fsck import (
 from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
 from repro.store import StoredArgument, shard_of
+from repro.store.format import StoreCorruptionError
 from repro.store.fsck import main
 
 pytestmark = [pytest.mark.static, pytest.mark.store]
@@ -261,6 +262,51 @@ def test_partition_violation_is_fatal(store_dir) -> None:
     assert not report.ok
     assert fresh in _fatal_artifacts(report)
     assert any("id-hash partition" in f.detail for f in report.fatal)
+
+
+@pytest.mark.parametrize("text", [" ", 5], ids=["blank", "number"])
+def test_record_the_reader_rejects_is_fatal_naming_shard_and_line(
+    store_dir, text
+) -> None:
+    """A sealed, well-placed record whose fields make no node: fsck must
+    fail exactly where the reader's decode would."""
+    shard = _nonempty_shard(store_dir, "nodes-")
+    path = store_dir / shard
+    lines = path.read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    record["text"] = text
+    lines[0] = json.dumps(record, separators=(",", ":")).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+    fresh = _reseal(store_dir, shard)
+    with pytest.raises(StoreCorruptionError):
+        StoredArgument(store_dir).load()
+    report = fsck_store(store_dir)
+    assert not report.ok
+    assert fresh in _fatal_artifacts(report)
+    assert any(
+        f.artifact == fresh and "line 1 is not a valid record" in f.detail
+        for f in report.fatal
+    )
+
+
+def test_journal_record_the_reader_rejects_is_fatal(journaled_dir) -> None:
+    manifest = _manifest(journaled_dir)
+    middle = manifest["journal"][0]
+    path = journaled_dir / middle
+    lines = path.read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    assert record["op"] == "add_node"
+    record["node"]["text"] = " "
+    lines[0] = json.dumps(record, separators=(",", ":")).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+    fresh = _reseal(journaled_dir, middle)
+    with pytest.raises(StoreCorruptionError):
+        StoredArgument(journaled_dir).load()
+    report = fsck_store(journaled_dir)
+    assert not report.ok
+    assert fresh in _fatal_artifacts(report)
+    assert any("line 1: malformed 'add_node'" in f.detail
+               for f in report.fatal)
 
 
 def test_seq_domain_gap_is_fatal(store_dir) -> None:
