@@ -16,14 +16,17 @@ editors as plain HTTP clients):
 3. snapshot isolation: a reader that fetched before the appends still
    queries the generation it started on, while new requests see the
    merged result;
-4. the service re-checks well-formedness over the shared store
-   (streaming, never hydrating) and ``compact`` + ``gc`` fold the
-   session's journal away.
+4. the service re-checks well-formedness over the shared store with
+   its one incremental checker (never hydrating), and the demo compares
+   that verdict with a from-scratch ``streaming`` check of the same
+   generation — exiting non-zero on any mismatch — before ``compact``
+   + ``gc`` fold the session's journal away.
 
 Run: ``python examples/service_demo.py``
 """
 
 import asyncio
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -46,32 +49,46 @@ def build_store(root: Path) -> None:
     builder.build().save(root / "braking.store")
 
 
-def start_service(root: Path) -> "tuple[ServiceClient, asyncio.AbstractEventLoop]":
-    loop = asyncio.new_event_loop()
-    address: "dict[str, tuple[str, int]]" = {}
-    ready = threading.Event()
+class Served:
+    """The service on a background event-loop thread, and its shutdown."""
 
-    def serve() -> None:
-        asyncio.set_event_loop(loop)
-        service = ArgumentService(root)
-        address["bound"] = loop.run_until_complete(service.start())
-        ready.set()
-        try:
-            loop.run_until_complete(service.serve_forever())
-        except asyncio.CancelledError:
-            pass
+    def __init__(self, root: Path) -> None:
+        self.loop = asyncio.new_event_loop()
+        self.service = ArgumentService(root)
+        address: "dict[str, tuple[str, int]]" = {}
+        ready = threading.Event()
 
-    threading.Thread(target=serve, daemon=True).start()
-    ready.wait(10)
-    host, port = address["bound"]
-    print(f"service on http://{host}:{port}\n")
-    return ServiceClient(host, port), loop
+        def serve() -> None:
+            asyncio.set_event_loop(self.loop)
+            address["bound"] = self.loop.run_until_complete(
+                self.service.start()
+            )
+            ready.set()
+            try:
+                self.loop.run_until_complete(self.service.serve_forever())
+            except asyncio.CancelledError:
+                pass  # close() below ends serve_forever
+            finally:
+                self.loop.close()
+
+        self.thread = threading.Thread(target=serve, daemon=True)
+        self.thread.start()
+        ready.wait(10)
+        self.host, self.port = address["bound"]
+        print(f"service on http://{self.host}:{self.port}\n")
+
+    def stop(self) -> None:
+        asyncio.run_coroutine_threadsafe(
+            self.service.close(), self.loop
+        ).result(10)
+        self.thread.join(10)
 
 
-def main() -> None:
+def main() -> int:
     root = Path(tempfile.mkdtemp(prefix="service-demo-"))
     build_store(root)
-    client, loop = start_service(root)
+    served = Served(root)
+    client = ServiceClient(served.host, served.port)
     store = "braking.store"
 
     summary = client.store(store)
@@ -80,8 +97,8 @@ def main() -> None:
 
     # Both editors pin the same generation before editing.
     generation = summary["generation"]
-    engineer = ServiceClient(client.host, client.port)
-    verifier = ServiceClient(client.host, client.port)
+    engineer = ServiceClient(served.host, served.port)
+    verifier = ServiceClient(served.host, served.port)
 
     # The engineer lands a new hazard first...
     result = engineer.append(store, [
@@ -117,7 +134,7 @@ def main() -> None:
     print(f"verifier rebased   -> generation {result['generation']}, "
           f"{result['nodes']} nodes\n")
 
-    # Reads are planned queries + streaming checks over the shared store.
+    # Reads: a planned query, then the store's incremental check.
     goals = client.query(store, {"all": [
         {"type": "goal"}, {"text_contains": "hazard h4"},
     ]})
@@ -125,10 +142,20 @@ def main() -> None:
           [node["id"] for node in goals["nodes"]])
     verdict = client.check(store)
     print(f"well-formed: {verdict['well_formed']} "
-          f"({len(verdict['violations'])} violations)")
+          f"({len(verdict['violations'])} violations, "
+          f"{verdict['mode']} check)")
     for violation in verdict["violations"][:3]:
         print(f"  [{violation['rule']}] {violation['subject']}: "
               f"{violation['detail']}")
+    # The incremental verdict must equal a from-scratch check.  Nothing
+    # appends in between, so both name the same generation.
+    fresh = client.check(store, mode="streaming")
+    agree = (
+        fresh["generation"] == verdict["generation"]
+        and fresh["violations"] == verdict["violations"]
+    )
+    print(f"streaming re-check at {fresh['generation']}: "
+          f"{'agrees' if agree else 'DIFFERS'}")
 
     # Fold the editing session's journal away.
     compacted = client.compact(store)
@@ -138,8 +165,9 @@ def main() -> None:
 
     for editor in (client, engineer, verifier):
         editor.close()
-    loop.call_soon_threadsafe(loop.stop)
+    served.stop()
+    return 0 if agree else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

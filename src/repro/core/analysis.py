@@ -97,7 +97,9 @@ requested mode onto the engine that runs it; the checking facade
     for a stored one (no hydration — single nodes come from lazy
     per-shard lookups).  Only touched subjects re-evaluate, plus the
     global rules.  A rotated delta log, or a compacted or rewritten
-    store, forces one full rebuild.
+    store, forces one full rebuild; a coalesced journal (same ops) does
+    not.  A store-backed checker can also be advanced to a given pinned
+    snapshot, which is how the HTTP service keeps one per store.
 
 All modes produce the same violation list: rules in rule-set order, and
 within one rule the violations in canonical ``(subject, detail)`` order —
@@ -1099,12 +1101,11 @@ class _StoreView:
     a link index that only the incremental path pays for.
     """
 
-    __slots__ = ("stored", "sidecar", "links", "incident")
+    __slots__ = ("stored", "sidecar", "incident")
 
     def __init__(self, stored: Any) -> None:
         self.stored = stored
         self.sidecar = _Sidecar(stored.name)
-        self.links: dict[Link, None] = {}
         self.incident: dict[str, dict[Link, None]] = {}
 
     def __contains__(self, identifier: str) -> bool:
@@ -1115,7 +1116,7 @@ class _StoreView:
         return node
 
     def has_link(self, link: Link) -> bool:
-        return link in self.links
+        return link in self.incident.get(link.source, ())
 
     def links_of(self, identifier: str) -> list[Link]:
         return list(self.incident.get(identifier, ()))
@@ -1124,11 +1125,9 @@ class _StoreView:
         """Patch sidecar and link index with one journal record."""
         self.sidecar.apply_op(op, payload)
         if op == "add_link":
-            self.links[payload] = None
             self.incident.setdefault(payload.source, {})[payload] = None
             self.incident.setdefault(payload.target, {})[payload] = None
         elif op == "remove_link":
-            self.links.pop(payload, None)
             for end in (payload.source, payload.target):
                 incident = self.incident.get(end)
                 if incident is not None:
@@ -1158,9 +1157,18 @@ class IncrementalChecker:
     compacted or rewritten store, forces a full rebuild, so the result
     always equals a fresh full check.  A stored subject is never
     hydrated: ``stored.hydrated`` stays ``False``.
+
+    A store-backed checker keys its watermark on op content: a coalesce
+    (same ops, new segment names) costs one comparison of the consumed
+    ops, not a rebuild.  It can follow its own handle (``check()``
+    refreshes it) or a chain of pinned snapshots of the store
+    (``check(snapshot)`` catches up to exactly that generation), which
+    is how the service keeps one checker per store across the
+    snapshots its appends swap in.
     """
 
     _view: _StoreView
+    _ops: "list[tuple[str, Any]]"
 
     def __init__(self, subject: Any, rules: Iterable[ScopedRule]) -> None:
         self._rules = tuple(rules)
@@ -1175,6 +1183,21 @@ class IncrementalChecker:
         self._global_hits: list[tuple[Violation, ...]] = [
             () for _ in self._global_rules
         ]
+        # The engines' dispatch-filter tables, keyed by hit-map slot.
+        node_slots = {
+            index: slot for slot, (index, _) in enumerate(self._node_rules)
+        }
+        self._node_dispatch = {
+            node_type: [(node_slots[index], rule) for index, rule in rules]
+            for node_type, rules in _node_dispatch(self._node_rules).items()
+        }
+        link_slots = {
+            index: slot for slot, (index, _) in enumerate(self._link_rules)
+        }
+        self._link_dispatch = {
+            kind: [(link_slots[index], rule) for index, rule in rules]
+            for kind, rules in _link_dispatch(self._link_rules).items()
+        }
         self._seq = -1
         self._argument: "Argument | None" = None
         self._graph: Any = subject
@@ -1216,48 +1239,64 @@ class IncrementalChecker:
 
         Links stream first (the support aggregates node rules read),
         then nodes (evaluating node rules as records parse — node
-        payloads are not retained), then link rules over the link index
-        and the global rules over the completed sidecar.  No hydration:
-        this is the streaming check's cost, paid once at attach and
-        again only if the base shards are replaced underneath us.
+        payloads are not retained), then link rules over the buffered
+        links and the global rules over the completed sidecar.  Both
+        streams run in insertion order, unlike the streaming check's
+        shard order: every later check walks these maps in that order,
+        and building them in it keeps those walks local in memory.  No
+        hydration: this is the streaming check's cost plus the link
+        index, paid once at attach and again only if the base shards
+        are replaced underneath us.
         """
+        self._base_key: "tuple | None" = None  # set once the pass completes
         view = self._view = self._graph = _StoreView(stored)
         sidecar = view.sidecar
         self._ctx = sidecar
         self._clear_hits()
-        for link in stored.iter_links():
+        # The hit maps start empty, so these loops only ever add.
+        links = list(stored.iter_links())
+        for link in links:
             view.apply_op("add_link", link)
+        node_hits, node_dispatch = self._node_hits, self._node_dispatch
         for seq, node in enumerate(stored.iter_nodes()):
-            sidecar.note_node(seq, node.identifier, node.node_type)
-            self._refresh_node(node)
+            identifier = node.identifier
+            sidecar.note_node(seq, identifier, node.node_type)
+            for slot, rule in node_dispatch[node.node_type]:
+                found = rule.fn(node, sidecar)
+                if found:
+                    node_hits[slot][identifier] = tuple(found)
         sidecar.finalise()
-        for link in view.links:
-            self._refresh_link(link)
+        link_hits, link_dispatch = self._link_hits, self._link_dispatch
+        for link in links:
+            for slot, rule in link_dispatch[link.kind]:
+                found = rule.fn(link, sidecar)
+                if found:
+                    link_hits[slot][link] = tuple(found)
         self._refresh_globals()
-        self._seq = len(stored.journal_ops())
+        self._ops = stored.journal_ops()
+        self._seq = len(self._ops)
         self._base_key = stored.base_key()
         self._journal_key = tuple(stored.journal_segments)
 
     def _refresh_node(self, node: Node) -> None:
         identifier = node.identifier
-        for slot, (_, rule) in enumerate(self._node_rules):
-            types = rule.node_types
-            if types is not None and node.node_type not in types:
-                # Dispatch filter: the rule cannot fire for this type —
-                # clear any entry left from a pre-retype evaluation.
-                self._node_hits[slot].pop(identifier, None)
-                continue
+        hits = self._node_hits
+        applicable = self._node_dispatch[node.node_type]
+        if len(applicable) < len(hits):
+            # Some rules cannot fire for this type: clear any entry
+            # they left from a pre-retype evaluation.
+            for slot_hits in hits:
+                slot_hits.pop(identifier, None)
+        for slot, rule in applicable:
             found = rule.fn(node, self._ctx)
             if found:
-                self._node_hits[slot][identifier] = tuple(found)
+                hits[slot][identifier] = tuple(found)
             else:
-                self._node_hits[slot].pop(identifier, None)
+                hits[slot].pop(identifier, None)
 
     def _refresh_link(self, link: Link) -> None:
-        for slot, (_, rule) in enumerate(self._link_rules):
-            kind = rule.link_kind
-            if kind is not None and link.kind is not kind:
-                continue  # a link never changes kind; nothing cached
+        # A link never changes kind, so rules filtered out hold nothing.
+        for slot, rule in self._link_dispatch[link.kind]:
             found = rule.fn(link, self._ctx)
             if found:
                 self._link_hits[slot][link] = tuple(found)
@@ -1326,40 +1365,61 @@ class IncrementalChecker:
                 found = rule.fn(self._ctx)
             self._global_hits[slot] = tuple(found)
 
-    def _sync_store(self) -> None:
+    def _sync_store(self, snapshot: Any = None) -> None:
         """Catch up with the persisted journal before assembling.
 
-        ``refresh()`` re-reads the manifest; anything but a pure journal
-        extension forces one streaming rebuild, otherwise only the
-        records appended since the last check patch the sidecar and
-        re-evaluate their touched subjects.  A pure extension means the
-        base shards are unchanged *and* the consumed segment names are
-        a prefix of the current journal — position alone is not enough,
-        because a compaction can reproduce identical base shards (the
-        names are content-addressed) while resetting the journal, after
-        which a regrown journal of the same length holds different
-        records.
+        With no ``snapshot``, ``refresh()`` re-reads the manifest of the
+        checker's own handle.  Given a pinned ``snapshot`` (a handle of
+        the same store), the checker moves to exactly the generation it
+        serves and calls no ``refresh()``; later node lookups go to it.
+
+        The watermark is keyed on op content, not segment names.  The
+        records past it patch the sidecar and re-evaluate their touched
+        subjects when the base shards are unchanged *and* the ops the
+        checker consumed are a prefix of the current journal.  Consumed
+        segment names that prefix the current ones prove that at once
+        (the names are content-addressed).  Otherwise, as after a
+        coalesce, the consumed ops are compared with the new prefix by
+        value: O(journal), once.  Anything else forces one streaming
+        rebuild.  Position alone is not enough, because a compaction
+        can reproduce identical base shards while resetting the
+        journal, after which a regrown journal of the same length holds
+        different records.
         """
-        stored = self._view.stored
-        stored.refresh()
+        if snapshot is None:
+            stored = self._view.stored
+            stored.refresh()
+        else:
+            stored = self._view.stored = snapshot
         segments = tuple(stored.journal_segments)
         ops = stored.journal_ops()
+        seq = self._seq
         if (
             stored.base_key() != self._base_key
-            or segments[:len(self._journal_key)] != self._journal_key
-            or len(ops) < self._seq  # torn-tail recovery shrank it
+            or len(ops) < seq  # torn-tail recovery shrank it
+            or (
+                segments[:len(self._journal_key)] != self._journal_key
+                and ops[:seq] != self._ops[:seq]
+            )
         ):
             self._rebuild_store(stored)
             return
-        if len(ops) > self._seq:
-            records = tuple(ops[self._seq:])
-            for op, payload in records:
-                self._view.apply_op(op, payload)
-            self._apply(records)
+        if len(ops) > seq:
+            records = tuple(ops[seq:])
+            try:
+                for op, payload in records:
+                    self._view.apply_op(op, payload)
+                self._apply(records)
+            except BaseException:
+                # A catch-up that failed part-way (a read fault, say)
+                # leaves the caches half patched: rebuild next time.
+                self._base_key = None
+                raise
             self._seq = len(ops)
+        self._ops = ops
         self._journal_key = segments
 
-    def check(self) -> list[Violation]:
+    def check(self, snapshot: Any = None) -> list[Violation]:
         """Current violations; output identical to a fresh full check.
 
         With no mutations since the last call this is pure cache
@@ -1368,9 +1428,20 @@ class IncrementalChecker:
         back to full evaluation), and a rotated delta log (or, for a
         store-backed checker, a replaced base-shard generation) forces
         a complete rebuild.
+
+        A store-backed checker given a pinned ``snapshot`` checks
+        exactly the generation that handle serves, without refreshing
+        anything (see :meth:`_sync_store`); with none it follows its
+        own handle's store on disk.  A live checker follows its
+        argument and takes no snapshot.
         """
         if self._argument is None:
-            self._sync_store()
+            self._sync_store(snapshot)
+        elif snapshot is not None:
+            raise TypeError(
+                "a live-argument checker follows its argument's delta "
+                "log; only a store-backed checker takes a snapshot"
+            )
         else:
             delta = self._argument.delta_since(self._seq)
             if delta is None:

@@ -246,8 +246,8 @@ def argument_index(
 #: include every match, and whether they are *exactly* the matches — or
 #: to ``None`` when the index cannot narrow and every node must be
 #: considered.  The index is an :class:`ArgumentIndex` for a live
-#: argument or a store's search sidecar
-#: (:class:`~repro.store.search.StoreSearchIndex`), which carries text
+#: argument or a store's search sidecar at one handle's generation
+#: (:class:`~repro.store.search.SearchIndexView`), which carries text
 #: postings only.
 Plan = Callable[[Any], "tuple[set[str], bool] | None"]
 

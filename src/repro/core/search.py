@@ -39,7 +39,7 @@ import heapq
 import math
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import AbstractSet, Any, Callable, Iterable, Mapping
 
 from .argument import Argument, LinkKind
 from .nodes import Node
@@ -48,6 +48,7 @@ __all__ = [
     "TOKENIZER_VERSION",
     "tokenize",
     "trigrams",
+    "PostingsView",
     "TextPostings",
     "SearchHit",
     "query_biased_summary",
@@ -78,42 +79,20 @@ def trigrams(text: str) -> set[str]:
     return {lowered[i : i + 3] for i in range(len(lowered) - 2)}
 
 
-class TextPostings:
-    """Token + trigram inverted postings (term -> identifier set).
+class PostingsView:
+    """The read side of token + trigram postings (term -> identifier set).
 
-    The one postings implementation: the live planner index
-    (:meth:`~repro.core.query.ArgumentIndex.text_postings`), the
-    persisted store sidecar (:class:`~repro.store.search.
-    StoreSearchIndex`) and every sidecar producer (indexed save,
-    compaction, :func:`~repro.store.search.build_search_index`) all
-    maintain and query postings through this class, so a planner answer
-    and a sidecar answer for the same argument state are identical.
+    Every read goes through ``tokens`` and ``grams`` as plain mappings,
+    so a flat :class:`TextPostings` and a layered store generation
+    (:class:`~repro.store.search.SearchIndexView`: a shared sidecar
+    base under a per-generation journal delta) answer the same
+    questions by the same code.  Readers never mutate the returned sets.
     """
 
-    __slots__ = ("tokens", "grams")
+    __slots__ = ()
 
-    def __init__(self) -> None:
-        self.tokens: dict[str, set[str]] = {}
-        self.grams: dict[str, set[str]] = {}
-
-    def add(self, identifier: str, text: str) -> None:
-        for token in set(tokenize(text)):
-            self.tokens.setdefault(token, set()).add(identifier)
-        for gram in trigrams(text):
-            self.grams.setdefault(gram, set()).add(identifier)
-
-    def remove(self, identifier: str, text: str) -> None:
-        """Exact inverse of :meth:`add` (empty postings pruned)."""
-        for postings, terms in (
-            (self.tokens, set(tokenize(text))),
-            (self.grams, trigrams(text)),
-        ):
-            for term in terms:
-                entries = postings.get(term)
-                if entries is not None:
-                    entries.discard(identifier)
-                    if not entries:
-                        del postings[term]
+    tokens: Mapping[str, AbstractSet[str]]
+    grams: Mapping[str, AbstractSet[str]]
 
     def grams_superset(self, lowered: str) -> "set[str] | None":
         """Unverified trigram candidates for a lowered needle.
@@ -162,6 +141,47 @@ class TextPostings:
             "tokens": {term: sorted(ids) for term, ids in self.tokens.items()},
             "grams": {term: sorted(ids) for term, ids in self.grams.items()},
         }
+
+
+class TextPostings(PostingsView):
+    """Token + trigram inverted postings, maintained in place.
+
+    The one postings implementation: the live planner index
+    (:meth:`~repro.core.query.ArgumentIndex.text_postings`), the
+    persisted store sidecar (:class:`~repro.store.search.
+    StoreSearchIndex`) and every sidecar producer (indexed save,
+    compaction, :func:`~repro.store.search.build_search_index`) all
+    maintain and query postings through this class, so a planner answer
+    and a sidecar answer for the same argument state are identical.
+    """
+
+    __slots__ = ("tokens", "grams")
+
+    tokens: dict[str, set[str]]
+    grams: dict[str, set[str]]
+
+    def __init__(self) -> None:
+        self.tokens = {}
+        self.grams = {}
+
+    def add(self, identifier: str, text: str) -> None:
+        for token in set(tokenize(text)):
+            self.tokens.setdefault(token, set()).add(identifier)
+        for gram in trigrams(text):
+            self.grams.setdefault(gram, set()).add(identifier)
+
+    def remove(self, identifier: str, text: str) -> None:
+        """Exact inverse of :meth:`add` (empty postings pruned)."""
+        for postings, terms in (
+            (self.tokens, set(tokenize(text))),
+            (self.grams, trigrams(text)),
+        ):
+            for term in terms:
+                entries = postings.get(term)
+                if entries is not None:
+                    entries.discard(identifier)
+                    if not entries:
+                        del postings[term]
 
 
 # -- query-biased summaries -------------------------------------------------
@@ -263,7 +283,7 @@ class _Lookup:
     """The narrow search surface over one subject (live or stored)."""
 
     doc_count: int
-    token_ids: Callable[[str], "frozenset[str] | set[str]"]
+    token_ids: Callable[[str], AbstractSet[str]]
     substring_ids: Callable[[str], "set[str]"]
     node: Callable[[str], Node]
     supporters: Callable[[str], "list[Node]"]

@@ -137,9 +137,11 @@ class ServiceClient:
         workers: "int | None" = None,
     ) -> Any:
         """Check the store; ``mode`` selects the engine (server default:
-        streaming).  The response carries ``mode`` (the engine actually
-        used) and ``obligations.failed`` (formal obligations that did
-        not discharge) alongside the violations."""
+        incremental, the store's one checker advanced to the current
+        snapshot; the one-shot modes check from scratch).  The response
+        carries ``generation`` (the one checked), ``mode`` (the engine
+        actually used) and ``obligations.failed`` (formal obligations
+        that did not discharge) alongside the violations."""
         body: "dict[str, Any]" = {}
         if mode is not None:
             body["mode"] = mode

@@ -13,9 +13,22 @@ The interesting part is not the HTTP, it is the serving discipline:
   committed generation, so no read ever blocks on or observes a write;
 * a committed write opens a fresh handle, lets it
   :meth:`~repro.store.StoredArgument.adopt_base_caches` from the
-  outgoing snapshot (same content-addressed base shards → same caches),
-  and swaps it in with plain assignment — the asyncio equivalent of the
-  store's atomic manifest rename.
+  outgoing snapshot (same content-addressed base shards → same shard
+  caches and the same parsed search sidecar, under which each snapshot
+  layers only its own journal delta), and swaps it in with plain
+  assignment — the asyncio equivalent of the store's atomic manifest
+  rename.  Derived state follows the generation a snapshot serves, not
+  the handle object, and no snapshot's caches refer back to it, so a
+  superseded snapshot is freed as soon as its last reader lets go;
+* checks go, by default, to the store's one
+  :class:`~repro.core.analysis.IncrementalChecker`, behind a thread
+  lock of its own (appends never wait on checks).  Under that lock the
+  checker reads the current snapshot and catches up to exactly its
+  generation — only the journal ops since its last check re-evaluate —
+  and the reply names the generation checked.  A compaction rotates the
+  base, so the next check rebuilds once.  The one-shot modes
+  (``streaming``, ``parallel``, ...) still check a snapshot from
+  scratch, so the two can be compared.
 
 Endpoints (all payloads JSON)::
 
@@ -26,7 +39,7 @@ Endpoints (all payloads JSON)::
     GET  /stores/{name}/subtree/{id}
     POST /stores/{name}/query    {"type": ..., "all": [...], ...}
     POST /stores/{name}/search   {"q": "...", "limit": 10}
-    POST /stores/{name}/check
+    POST /stores/{name}/check    {"mode": "incremental", ...}
     POST /stores/{name}/append   {"ops": [...], "expect_generation": ...}
     POST /stores/{name}/compact
     POST /stores/{name}/gc
@@ -45,6 +58,7 @@ import asyncio
 import json
 import logging
 import re
+import threading
 from pathlib import Path
 from typing import Any
 from urllib.parse import unquote
@@ -60,7 +74,7 @@ from ..core.query import (
 )
 from ..checking import check as run_check
 from ..claims import GSN_OBLIGATION_RULES
-from ..core.analysis import CHECK_MODES
+from ..core.analysis import CHECK_MODES, IncrementalChecker, Violation
 from ..core.wellformed import RuleSet
 from ..notation.json_io import node_payload
 from ..store import (
@@ -108,15 +122,23 @@ class ServiceError(Exception):
 
 
 class _StoreState:
-    """One served store: its snapshot handle and write queue."""
+    """One served store: its snapshot handle, write queue and checker.
 
-    __slots__ = ("name", "path", "lock", "snapshot")
+    ``checker`` is the store's one :class:`IncrementalChecker`, created
+    by the first incremental check.  ``check_lock`` (a thread lock, not
+    the asyncio write lock, so appends never wait on checks) admits one
+    check at a time to it.
+    """
+
+    __slots__ = ("name", "path", "lock", "snapshot", "check_lock", "checker")
 
     def __init__(self, name: str, path: Path) -> None:
         self.name = name
         self.path = path
         self.lock = asyncio.Lock()
         self.snapshot = StoredArgument(path)
+        self.check_lock = threading.Lock()
+        self.checker: "IncrementalChecker | None" = None
 
 
 def _parse_query(spec: Any) -> Query:
@@ -539,18 +561,34 @@ class ArgumentService:
             ],
         }
 
-    #: The one-shot engines: every check reads the current snapshot,
-    #: which each append replaces, so an incremental checker would
-    #: never see its subject again.
-    _CHECK_MODES = tuple(m for m in CHECK_MODES if m != "incremental")
+    #: Every facade mode.  ``incremental`` (the default) advances the
+    #: store's one checker to the current snapshot; the one-shot modes
+    #: check the snapshot from scratch, so the two can be compared.
+    _CHECK_MODES = CHECK_MODES
+
+    def _check_incremental(
+        self, state: _StoreState
+    ) -> "tuple[StoredArgument, list[Violation]]":
+        """The store's checker, advanced to the current snapshot.
+
+        The snapshot is read under the check lock, so the checker only
+        ever moves forward through the generations the service serves.
+        An append only costs the next check its own ops; a compaction
+        rotates the base, so the next check rebuilds once.
+        """
+        with state.check_lock:
+            snapshot = state.snapshot
+            if state.checker is None:
+                state.checker = IncrementalChecker(snapshot, self.rules.rules)
+            return snapshot, state.checker.check(snapshot)
 
     async def _post_check(
         self, state: _StoreState, body: Any
     ) -> tuple[int, Any]:
-        mode = "streaming"
+        mode = "incremental"
         workers = None
         if isinstance(body, dict):
-            mode = body.get("mode", "streaming")
+            mode = body.get("mode", mode)
             workers = body.get("workers")
         if mode not in self._CHECK_MODES:
             raise ServiceError(
@@ -563,27 +601,30 @@ class ArgumentService:
             or workers < 1
         ):
             raise ServiceError(400, "'workers' must be a positive integer")
-        snapshot = state.snapshot
-        report = await self._in_thread(
-            lambda: run_check(
-                snapshot, self.rules, mode=mode, workers=workers
+        if mode == "incremental":
+            snapshot, violations = await self._in_thread(
+                self._check_incremental, state
             )
-        )
-        failed = [
-            v for v in report.violations
-            if v.rule == "evidence-obligation"
-        ]
+        else:
+            snapshot = state.snapshot
+            report = await self._in_thread(
+                lambda: run_check(
+                    snapshot, self.rules, mode=mode, workers=workers
+                )
+            )
+            mode, violations = report.mode, list(report.violations)
+        failed = [v for v in violations if v.rule == "evidence-obligation"]
         return 200, {
             "generation": str(snapshot.generation),
-            "well_formed": report.well_formed,
-            "mode": report.mode,
+            "well_formed": not violations,
+            "mode": mode,
             "violations": [
                 {
                     "rule": violation.rule,
                     "subject": violation.subject,
                     "detail": violation.detail,
                 }
-                for violation in report.violations
+                for violation in violations
             ],
             "obligations": {"failed": len(failed)},
         }

@@ -93,6 +93,7 @@ from .reader import StoredArgument, StoreGeneration, load_argument, load_case
 from .search import (
     SEARCH_SCHEMA_VERSION,
     CaseCorpus,
+    SearchIndexView,
     StoreSearchIndex,
     build_search_index,
     load_search_index,
@@ -126,6 +127,7 @@ __all__ = [
     "load_case",
     "SEARCH_SCHEMA_VERSION",
     "CaseCorpus",
+    "SearchIndexView",
     "StoreSearchIndex",
     "build_search_index",
     "load_search_index",

@@ -448,7 +448,9 @@ def coalesce(stored: "StoredArgument") -> dict:
     Pure manifest hygiene: the op sequence — and therefore every
     reader's replay — is unchanged; only the segment boundaries vanish.
     O(journal) work, no shard rewriting (that is :func:`compact`), one
-    atomic manifest swap.  The superseded segments stay on disk for
+    atomic manifest swap.  The handle resyncs to the coalesced manifest
+    and keeps its parsed overlay (it wrote the merged segment from
+    exactly those ops).  The superseded segments stay on disk for
     pinned snapshot readers until :func:`gc`.  A no-op below two
     segments.
     """
@@ -477,6 +479,12 @@ def coalesce(stored: "StoredArgument") -> dict:
         manifest["journal_schema"] = JOURNAL_SCHEMA_VERSION
         manifest["shards"] = {**carried, name: writer.entry}
         _commit(stored.path, manifest, sweep=False)
+        # This handle just wrote the merged segment from its own parsed
+        # ops, so that overlay stays exact: resync to the new manifest
+        # but keep it, rather than decode the whole journal again.
+        overlay = stored._overlay
+        stored.refresh()
+        stored._overlay = overlay
     return manifest
 
 

@@ -153,10 +153,13 @@ class StoredArgument:
         self._node_shards: dict[int, dict[str, tuple[int, Node]]] = {}
         self._link_shards: dict[int, dict[str, list[tuple[int, Link]]]] = {}
         self._overlay: Any = None
-        # Loaded (and journal-patched) search sidecar; survives journal
-        # refreshes like the base shard caches do, so each append only
-        # patches the delta — see repro.store.search.load_search_index.
-        self._search_index: Any = None
+        # Search postings (see repro.store.search.load_search_index):
+        # the parsed sidecar, shared with adopting handles; this
+        # handle's journal delta over it; and a weak reference to the
+        # view last handed out.  None of them refers to the handle.
+        self._search_base: Any = None
+        self._search_generation: Any = None
+        self._search_view: Any = None
         self._read_manifest()
         if generation is not None:
             self._pin_to(generation)
@@ -369,9 +372,9 @@ class StoredArgument:
         self.manifest = manifest
         self.manifest_fingerprint = generation.fingerprint
         self._overlay = None
-        # A patched index cannot be *unwound* to the pinned prefix;
-        # drop it and let the sidecar re-verify against the rewound ops.
-        self._search_index = None
+        # A patched delta cannot be *unwound* to the pinned prefix;
+        # drop it and re-patch the parsed sidecar to the rewound ops.
+        self._search_generation = None
 
     def refresh(self) -> str:
         """Re-read the manifest; resync the handle to the store on disk.
@@ -436,7 +439,8 @@ class StoredArgument:
         self._node_shards.clear()
         self._link_shards.clear()
         self.shards_read.clear()
-        self._search_index = None
+        self._search_base = None
+        self._search_generation = None
         return "rewritten"
 
     def adopt_base_caches(self, other: "StoredArgument") -> bool:
@@ -447,12 +451,16 @@ class StoredArgument:
         files, so when both handles reference the same base generation
         their per-shard caches are interchangeable — sharing them makes
         a new snapshot O(journal delta) instead of O(read shards again).
-        Returns whether adoption happened.
+        The parsed search sidecar is shared the same way: it indexes
+        the base, and each handle patches its own journal delta over
+        it.  Returns whether adoption happened.
         """
         if other.base_key() != self.base_key() or other is self:
             return False
         self._node_shards = other._node_shards
         self._link_shards = other._link_shards
+        if self._search_base is None:
+            self._search_base = other._search_base
         self.shards_read |= other.shards_read & set(
             self._node_shard_names
         ) | other.shards_read & set(self._link_shard_names)

@@ -14,11 +14,13 @@ next to the shards, under exactly the store's existing discipline:
 * **journal-patched, O(delta) per edit** — ``save(journal=True)`` /
   ``append_delta`` never rewrite the sidecar.  Its header records the
   number of journal ops it reflects; the journal *is* the persisted
-  delta log, so :func:`load_search_index` patches the loaded postings
-  forward from exactly the suffix of
-  :meth:`~repro.store.reader.StoredArgument.journal_ops` past that
-  watermark, caches the patched index on the handle, and each
-  subsequent append patches only its own delta;
+  delta log.  :func:`load_search_index` parses the sidecar once per
+  base generation (:class:`StoreSearchIndex`, shared read-only by
+  every handle that adopts the base caches) and layers each handle's
+  own delta on top: the identifiers added and removed per term by
+  the suffix of :meth:`~repro.store.reader.StoredArgument.journal_ops`
+  past that watermark.  A refreshing handle patches only each new
+  append's ops, and a pinned snapshot never sees a newer one's;
 * **rebuilt on compact(), swept by gc()** — compaction folds the
   journal into fresh shards and rebuilds the sidecar in the same
   streaming pass at watermark zero (byte-identical to a clean indexed
@@ -38,11 +40,18 @@ patched indexes between queries.
 
 from __future__ import annotations
 
+import weakref
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import AbstractSet, Any, Iterable, Iterator, Mapping
 from zlib import crc32
 
-from ..core.search import TOKENIZER_VERSION, TextPostings
+from ..core.search import (
+    TOKENIZER_VERSION,
+    PostingsView,
+    TextPostings,
+    tokenize,
+    trigrams,
+)
 from .format import (
     MANIFEST_NAME,
     StoreCorruptionError,
@@ -57,6 +66,7 @@ __all__ = [
     "SEARCH_INDEX_KEY",
     "SEARCH_SCHEMA_VERSION",
     "StoreSearchIndex",
+    "SearchIndexView",
     "CaseCorpus",
     "build_search_index",
     "load_search_index",
@@ -138,40 +148,37 @@ def write_sidecar(
 
 
 class StoreSearchIndex(TextPostings):
-    """A store's search postings, patched to one handle's generation.
+    """The postings of one sealed sidecar, parsed once per base generation.
 
     The shared :class:`~repro.core.search.TextPostings` (``tokens`` and
-    ``grams``, term -> identifier set) the query planner and ranked
-    search resolve candidates from, plus ``ops_applied``, the journal
-    watermark the maps reflect.  It carries text postings only: type
-    and attribute query leaves answer ``None`` (cannot narrow) against
-    it, so a query conjunction narrows through its text side alone and
-    the predicate decides the rest (see
-    :func:`repro.core.query._select_stored`); a query with no text side
-    falls back to the streaming scan.
+    ``grams``, term -> identifier set) as the sidecar file ``sidecar``
+    holds them, plus ``base_crc32`` (the base shard generation they
+    index) and ``ops_applied`` (the journal watermark they reflect).
+    Constructing one means parsing one sidecar (or, through
+    :meth:`build`, indexing a store from scratch).
 
-    ``nodes_indexed`` counts nodes (re)indexed by *this object* since it
-    was created — zero for a sidecar loaded clean, and exactly the
-    journal delta's node touches after patching — which is what the
-    O(delta) regression test asserts on.
+    Once parsed, the postings are never written again: every handle
+    serving the same base generation shares them (through
+    :meth:`~repro.store.reader.StoredArgument.adopt_base_caches`), and
+    each handle layers its own journal delta on top (see
+    :meth:`apply_ops` and :class:`SearchIndexView`).
     """
 
-    __slots__ = ("_stored", "base_crc32", "ops_applied", "nodes_indexed")
+    __slots__ = ("base_crc32", "ops_applied", "sidecar")
 
     def __init__(
         self,
-        stored: StoredArgument,
         tokens: dict[str, set[str]],
         grams: dict[str, set[str]],
         base_crc32: int,
         ops_applied: int,
+        sidecar: "str | None" = None,
     ) -> None:
-        self._stored = stored
         self.tokens = tokens
         self.grams = grams
         self.base_crc32 = base_crc32
         self.ops_applied = ops_applied
-        self.nodes_indexed = 0
+        self.sidecar = sidecar
 
     @classmethod
     def build(cls, stored: StoredArgument) -> "StoreSearchIndex":
@@ -181,40 +188,182 @@ class StoreSearchIndex(TextPostings):
         op the handle currently serves.  This is the reference the
         invariant oracle compares journal-patched indexes against.
         """
-        index = cls(
-            stored,
-            {},
-            {},
+        postings = TextPostings()
+        for node in stored.iter_nodes():
+            postings.add(node.identifier, node.text)
+        return cls(
+            postings.tokens,
+            postings.grams,
             base_names_crc(stored.base_key()),
             len(stored.journal_ops()),
         )
-        for node in stored.iter_nodes():
-            index.add(node.identifier, node.text)
-        return index
 
-    def add(self, identifier: str, text: str) -> None:
-        super().add(identifier, text)
-        self.nodes_indexed += 1
+    def apply_ops(
+        self, ops: "Iterable[tuple[str, Any]]", generation: "_Generation"
+    ) -> None:
+        """Record decoded journal ops, oldest first, in ``generation``.
 
-    def apply_ops(self, ops: "Iterable[tuple[str, Any]]") -> None:
-        """Patch the postings with decoded journal ops, oldest first.
-
-        Journal records carry full node payloads (``remove_node`` the
-        removed node, ``replace_node`` both versions), so patching
-        needs no store reads at all — O(delta text), like the live
-        index's :meth:`~repro.core.query.ArgumentIndex.apply`.  The
-        caller advances :attr:`ops_applied`.
+        ``generation`` is one handle's delta over these postings; the
+        postings themselves never change.  Journal records carry full
+        node payloads (``remove_node`` the removed node,
+        ``replace_node`` both versions), so patching needs no store
+        reads at all — O(delta text), like the live index's
+        :meth:`~repro.core.query.ArgumentIndex.apply`.  A replacement
+        that keeps the text (a metadata edit) touches no postings.  The
+        caller advances the generation's ``ops_applied``.
         """
         for op, payload in ops:
             if op == "add_node":
-                self.add(payload.identifier, payload.text)
+                generation.add(payload.identifier, payload.text)
             elif op == "remove_node":
-                self.remove(payload.identifier, payload.text)
+                generation.remove(payload.identifier, payload.text)
             elif op == "replace_node":
                 old, new = payload
-                self.remove(old.identifier, old.text)
-                self.add(new.identifier, new.text)
+                if old.text != new.text:
+                    generation.remove(old.identifier, old.text)
+                    generation.add(new.identifier, new.text)
             # Link ops never touch text postings.
+
+
+class _LayeredTerms(Mapping[str, AbstractSet[str]]):
+    """One kind of postings (tokens or grams) at one generation.
+
+    ``base`` is the shared parsed sidecar map and is never written.
+    ``added`` and ``removed`` hold, per term, the identifiers that the
+    journal ops past the sidecar's watermark added to and removed from
+    it.  ``added`` never overlaps the base posting and ``removed`` stays
+    inside it, so a lookup answers ``(base - removed) | added``; terms
+    left with no identifiers vanish, as in a flat
+    :class:`~repro.core.search.TextPostings`.
+    """
+
+    __slots__ = ("base", "added", "removed")
+
+    def __init__(self, base: dict[str, set[str]]) -> None:
+        self.base = base
+        self.added: dict[str, set[str]] = {}
+        self.removed: dict[str, set[str]] = {}
+
+    def add(self, identifier: str, term: str) -> None:
+        if identifier in self.base.get(term, ()):
+            _discard(self.removed, term, identifier)
+        else:
+            self.added.setdefault(term, set()).add(identifier)
+
+    def remove(self, identifier: str, term: str) -> None:
+        if identifier in self.added.get(term, ()):
+            _discard(self.added, term, identifier)
+        elif identifier in self.base.get(term, ()):
+            self.removed.setdefault(term, set()).add(identifier)
+
+    def __getitem__(self, term: str) -> AbstractSet[str]:
+        added = self.added.get(term)
+        removed = self.removed.get(term)
+        base = self.base.get(term)
+        if added is None and removed is None:
+            if base is None:
+                raise KeyError(term)
+            return base
+        merged = set(base or ())
+        if removed is not None:
+            merged -= removed
+        if added is not None:
+            merged |= added
+        if not merged:
+            raise KeyError(term)
+        return merged
+
+    def __iter__(self) -> Iterator[str]:
+        for term in self.base.keys() | self.added.keys():
+            if self.get(term):
+                yield term
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
+def _discard(postings: dict[str, set[str]], term: str, identifier: str) -> None:
+    entries = postings.get(term)
+    if entries is not None:
+        entries.discard(identifier)
+        if not entries:
+            del postings[term]
+
+
+class _Generation:
+    """A handle's search postings: the shared parsed sidecar (``base``)
+    under this generation's journal delta, patched up to journal op
+    ``ops_applied``.
+
+    Cached on the handle.  It holds no handle, so caching it makes no
+    reference cycle, and a superseded snapshot is freed as soon as its
+    last reference goes.  ``nodes_indexed`` counts the nodes (re)indexed
+    since the handle opened its index: zero for a clean load, exactly
+    the journal delta's node touches after patching.
+    """
+
+    __slots__ = ("base", "tokens", "grams", "ops_applied", "nodes_indexed")
+
+    def __init__(self, base: StoreSearchIndex) -> None:
+        self.base = base
+        self.tokens = _LayeredTerms(base.tokens)
+        self.grams = _LayeredTerms(base.grams)
+        self.ops_applied = base.ops_applied
+        self.nodes_indexed = 0
+
+    def add(self, identifier: str, text: str) -> None:
+        for token in set(tokenize(text)):
+            self.tokens.add(identifier, token)
+        for gram in trigrams(text):
+            self.grams.add(identifier, gram)
+        self.nodes_indexed += 1
+
+    def remove(self, identifier: str, text: str) -> None:
+        for token in set(tokenize(text)):
+            self.tokens.remove(identifier, token)
+        for gram in trigrams(text):
+            self.grams.remove(identifier, gram)
+
+
+class SearchIndexView(PostingsView):
+    """A store's search index at one handle's generation.
+
+    What :func:`load_search_index` returns: a thin view binding the
+    handle's cached postings (shared base plus journal delta) to the
+    handle itself, which verifies candidates against node text and
+    counts documents.  The query planner and ranked search resolve
+    candidates through it.  It carries text postings only: type and
+    attribute query leaves answer ``None`` (cannot narrow) against it,
+    so a query conjunction narrows through its text side alone and the
+    predicate decides the rest (see
+    :func:`repro.core.query._select_stored`); a query with no text side
+    falls back to the streaming scan.
+
+    The handle keeps only a weak reference to its view, so the view,
+    which holds the handle, never keeps it alive.
+    """
+
+    __slots__ = ("tokens", "grams", "_stored", "_generation", "__weakref__")
+
+    def __init__(self, stored: StoredArgument, generation: _Generation) -> None:
+        self._stored = stored
+        self._generation = generation
+        self.tokens = generation.tokens
+        self.grams = generation.grams
+
+    @property
+    def base_crc32(self) -> int:
+        return self._generation.base.base_crc32
+
+    @property
+    def ops_applied(self) -> int:
+        """The journal watermark the postings reflect."""
+        return self._generation.ops_applied
+
+    @property
+    def nodes_indexed(self) -> int:
+        """Nodes (re)indexed since the handle opened its index."""
+        return self._generation.nodes_indexed
 
     @property
     def doc_count(self) -> int:
@@ -241,14 +390,14 @@ class StoreSearchIndex(TextPostings):
 
 def _parse_sidecar(
     stored: StoredArgument, name: str
-) -> "tuple[dict[str, set[str]], dict[str, set[str]], int, int] | None":
+) -> "StoreSearchIndex | None":
     """Read + verify the sidecar file; ``None`` on any mismatch.
 
     Damage (torn write, checksum mismatch, malformed records) and
     staleness (wrong schema/tokenizer version, a base generation other
-    than the handle's, a watermark past the current journal) all
-    degrade identically: no index, scan instead.  ``casefsck`` is the
-    loud path for operators; readers just stay correct.
+    than the handle's) degrade identically: no index, scan instead.
+    ``casefsck`` is the loud path for operators; readers just stay
+    correct.
     """
     try:
         records = list(stored._stream_shard(name, ("seq", "kind")))
@@ -281,53 +430,80 @@ def _parse_sidecar(
             return None
         postings = tokens if kind == "token" else grams
         postings[term] = set(ids)
-    return tokens, grams, header["base_crc32"], ops
+    return StoreSearchIndex(tokens, grams, header["base_crc32"], ops, name)
 
 
-def load_search_index(
-    stored: StoredArgument,
-) -> "StoreSearchIndex | None":
-    """The store's search index at this handle's generation, or ``None``.
-
-    Returns ``None`` — meaning *scan instead* — when the store has no
-    sidecar, or the sidecar is damaged or stale (see
-    :func:`_parse_sidecar`).  Otherwise the postings are patched forward
-    from the journal-op suffix past the sidecar's watermark and cached
-    on the handle: a handle that refreshes after each
-    ``save(journal=True)`` pays O(that delta) per edit, never a reload
-    or rebuild.  The cache survives journal refreshes exactly like the
-    base shard caches and drops on ``"rewritten"``.
-    """
+def _generation(stored: StoredArgument) -> "_Generation | None":
+    """The handle's postings patched to its generation (see
+    :func:`load_search_index`), or ``None``: scan instead."""
     name = stored.manifest.get(SEARCH_INDEX_KEY)
     if not isinstance(name, str) or name not in stored.manifest["shards"]:
         return None
     ops = stored.journal_ops()
-    cached = stored._search_index
-    if isinstance(cached, StoreSearchIndex):
-        if (
-            cached.base_crc32 == base_names_crc(stored.base_key())
-            and cached.ops_applied <= len(ops)
-        ):
-            if cached.ops_applied < len(ops):
-                cached.apply_ops(ops[cached.ops_applied:])
-                cached.ops_applied = len(ops)
-            return cached
-        stored._search_index = None
-    parsed = _parse_sidecar(stored, name)
-    if parsed is None:
-        return None
-    tokens, grams, base_crc32, applied = parsed
-    if applied > len(ops):
+    base_crc32 = base_names_crc(stored.base_key())
+    generation: "_Generation | None" = stored._search_generation
+    if generation is not None and (
+        generation.base.sidecar != name
+        or generation.base.base_crc32 != base_crc32
+        or generation.ops_applied > len(ops)
+    ):
+        generation = stored._search_generation = None
+    if generation is not None:
+        if generation.ops_applied < len(ops):
+            generation.base.apply_ops(ops[generation.ops_applied:], generation)
+            generation.ops_applied = len(ops)
+        return generation
+    base: "StoreSearchIndex | None" = stored._search_base
+    if base is None or base.sidecar != name or base.base_crc32 != base_crc32:
+        base = stored._search_base = _parse_sidecar(stored, name)
+        if base is None:
+            return None
+    if base.ops_applied > len(ops):
         return None  # indexes journal state this generation never saw
-    index = StoreSearchIndex(stored, tokens, grams, base_crc32, applied)
-    if applied < len(ops):
-        index.apply_ops(ops[applied:])
-        index.ops_applied = len(ops)
-        index.nodes_indexed = 0  # patching to *open* a handle is setup,
-        # not per-edit cost; the O(delta) counter starts at the handle's
-        # own generation.
-    stored._search_index = index
-    return index
+    generation = _Generation(base)
+    if base.ops_applied < len(ops):
+        base.apply_ops(ops[base.ops_applied:], generation)
+        generation.ops_applied = len(ops)
+        generation.nodes_indexed = 0  # patching to *open* a handle is
+        # setup, not per-edit cost; the O(delta) counter starts at the
+        # handle's own generation.
+    stored._search_generation = generation
+    return generation
+
+
+def load_search_index(
+    stored: StoredArgument,
+) -> "SearchIndexView | None":
+    """The store's search index at this handle's generation, or ``None``.
+
+    Returns ``None`` — meaning *scan instead* — when the store has no
+    sidecar, or the sidecar is damaged or stale (see
+    :func:`_parse_sidecar`).  Otherwise it returns a
+    :class:`SearchIndexView` over two cached parts that hold no handle:
+
+    * the parsed sidecar (:class:`StoreSearchIndex`), parsed once per
+      base generation and shared, never mutated, by every handle that
+      adopts this one's base caches (the service's snapshot chain);
+    * the handle's own delta: the identifiers added and removed per
+      term by the journal ops past the sidecar's watermark.  A handle
+      that refreshes after each ``save(journal=True)`` patches only
+      that edit's ops.  The journal bounds the delta, and compaction
+      folds it into a new sidecar.
+
+    Both survive journal refreshes exactly like the base shard caches
+    and drop on ``"rewritten"``.  While a view is alive, further calls
+    return the same view.
+    """
+    generation = _generation(stored)
+    if generation is None:
+        return None
+    view: "SearchIndexView | None" = (
+        stored._search_view() if stored._search_view is not None else None
+    )
+    if view is None or view._generation is not generation:
+        view = SearchIndexView(stored, generation)
+        stored._search_view = weakref.ref(view)
+    return view
 
 
 def build_search_index(stored: StoredArgument) -> dict[str, Any]:

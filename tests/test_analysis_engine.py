@@ -163,9 +163,7 @@ class TestModeResolution:
         from repro.service.server import ArgumentService
 
         assert facade_modes is CHECK_MODES
-        assert ArgumentService._CHECK_MODES == tuple(
-            mode for mode in CHECK_MODES if mode != "incremental"
-        )
+        assert ArgumentService._CHECK_MODES == CHECK_MODES
 
     def test_run_rules_refuses_incremental(self, ill_formed):
         with pytest.raises(ValueError, match="IncrementalChecker"):

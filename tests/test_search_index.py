@@ -281,6 +281,182 @@ class TestCompaction:
         assert rebuilt.canonical() == patched.canonical()
 
 
+# -- layered postings: a shared parsed base under a per-handle delta --------
+
+
+def _journal_walk(argument: Argument, step: int) -> None:
+    """One edit of a walk that adds, retexts, retypes and removes."""
+    if step % 5 == 4 and f"W{step - 4}" in argument:
+        argument.remove_node(f"W{step - 4}")
+    elif step % 5 == 2 and f"W{step - 2}" in argument:
+        old = argument.node(f"W{step - 2}")
+        argument.replace_node(old.with_text(f"Amended spillway note {step}"))
+    elif step % 5 == 3 and "Sn1" in argument:
+        # A retype and back keeps the text: the postings must not move.
+        old = argument.node("Sn1")
+        argument.replace_node(Node(old.identifier, NodeType.GOAL, old.text))
+        argument.replace_node(old)
+    else:
+        argument.add_node(Node(
+            f"W{step}", NodeType.SOLUTION,
+            f"Weld inspection log {step}: porosity within relief limits",
+        ))
+        argument.add_link("G2", f"W{step}", LinkKind.SUPPORTED_BY)
+    if step == 6:
+        argument.remove_node("C1")  # a base node leaves the postings
+    if step == 8:
+        argument.add_node(Node(
+            "C1", NodeType.CONTEXT, "Plant pressure never exceeds 9 bar",
+        ))
+
+
+class TestLayeredPostings:
+    def test_every_generation_of_a_journal_walk_equals_a_rebuild(
+        self, tmp_path
+    ):
+        argument = _argument()
+        directory = tmp_path / "walk.store"
+        argument.save(directory, search_index=True)
+        editor = StoredArgument(directory)
+        load_search_index(editor)
+        previous = editor
+        for step in range(14):
+            _journal_walk(argument, step)
+            argument.save(directory, journal=True)
+            assert editor.refresh() == "journal", step
+            snapshot = StoredArgument(directory)
+            snapshot.adopt_base_caches(previous)
+            previous = snapshot
+            rebuilt = StoreSearchIndex.build(StoredArgument(directory))
+            for handle in (editor, snapshot):
+                index = load_search_index(handle)
+                assert index is not None, step
+                assert index.canonical() == rebuilt.canonical(), (
+                    f"step {step}: layered postings diverged from a "
+                    "rebuild"
+                )
+            assert load_search_index(snapshot).canonical() == (
+                ArgumentIndex(argument).text_postings().canonical()
+            )
+
+    def test_an_older_snapshot_keeps_its_results(self, indexed_dir):
+        argument = StoredArgument(indexed_dir).load()
+        older = StoredArgument(indexed_dir)
+        queries = ("porosity", "relief valve", "spillway")
+
+        def answers(handle: StoredArgument) -> tuple:
+            return (
+                load_search_index(handle).canonical(),
+                [
+                    [(hit.identifier, hit.score)
+                     for hit in search(handle, query)]
+                    for query in queries
+                ],
+                [
+                    [node.identifier
+                     for node in select(handle, text_contains(query))]
+                    for query in queries
+                ],
+            )
+
+        before = answers(older)
+        held = load_search_index(older)
+        previous = older
+        for step in range(6):
+            _journal_walk(argument, step)
+            argument.save(indexed_dir, journal=True)
+            newer = StoredArgument(indexed_dir)
+            assert newer.adopt_base_caches(previous)
+            answers(newer)
+            previous = newer
+            assert answers(older) == before, (
+                f"step {step}: a newer snapshot's patch leaked into an "
+                "older pinned one"
+            )
+            assert held.canonical() == before[0], step
+        assert answers(previous) != before, "the walk changed the results"
+
+    def test_adopted_handles_share_one_parsed_base(
+        self, indexed_dir, monkeypatch
+    ):
+        import repro.store.search as store_search
+
+        parses: list[str] = []
+        original = store_search._parse_sidecar
+
+        def counting_parse(stored, name):
+            parses.append(name)
+            return original(stored, name)
+
+        monkeypatch.setattr(store_search, "_parse_sidecar", counting_parse)
+        argument = StoredArgument(indexed_dir).load()
+        first = StoredArgument(indexed_dir)
+        base = load_search_index(first)._generation.base
+        frozen = base.canonical()
+        previous = first
+        for step in range(8):
+            _journal_walk(argument, step)
+            argument.save(indexed_dir, journal=True)
+            snapshot = StoredArgument(indexed_dir)
+            snapshot.adopt_base_caches(previous)
+            index = load_search_index(snapshot)
+            assert index._generation.base is base, step
+            assert search(snapshot, "porosity")
+            previous = snapshot
+        assert len(parses) == 1, "one parse per base generation"
+        assert base.canonical() == frozen, "the shared base is never written"
+        previous.compact()
+        compacted = StoredArgument(indexed_dir)
+        compacted.adopt_base_caches(previous)
+        assert load_search_index(compacted)._generation.base is not base
+        assert len(parses) == 2, "a compaction rotates the base: one parse"
+
+
+# -- a superseded handle is freed by refcount, not by a full GC --------------
+
+
+@pytest.fixture
+def no_gc():
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestHandlesFreedByRefcount:
+    @pytest.mark.parametrize("read", ["search", "select", "load"])
+    def test_a_handle_that_served_a_search_is_freed(
+        self, indexed_dir, no_gc, read
+    ):
+        import weakref
+
+        argument = StoredArgument(indexed_dir).load()
+        argument.add_node(Node("Sn2", NodeType.SOLUTION, "Porosity retest"))
+        argument.save(indexed_dir, journal=True)
+        handle = StoredArgument(indexed_dir)
+        assert handle.journal_segments
+        view = None
+        if read == "search":
+            assert search(handle, "porosity")
+        elif read == "select":
+            assert select(handle, text_contains("porosity"))
+        else:
+            view = load_search_index(handle)
+            assert view.contains_candidates("porosity") == {"Sn1", "Sn2"}
+        successor = StoredArgument(indexed_dir)
+        successor.adopt_base_caches(handle)
+        alive = weakref.ref(handle)
+        del handle, view
+        assert alive() is None, (
+            f"a handle that served {read} must die with its last reference"
+        )
+        assert search(successor, "porosity")
+
+
 # -- ranked search and summaries ----------------------------------------------
 
 

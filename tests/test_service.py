@@ -14,17 +14,21 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import threading
 from typing import Any
 
 import pytest
 
+import repro
+from repro.claims import GSN_OBLIGATION_RULES, OBLIGATION_KEY
 from repro.core import ArgumentBuilder
 from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
 from repro.service import ArgumentService, ServiceClient, ServiceClientError
 from repro.service.client import ops_for_delta
 from repro.store import StoredArgument
+from repro.store.journal import COALESCE_AFTER
 
 pytestmark = pytest.mark.service
 
@@ -83,6 +87,8 @@ class ServiceFixture:
         future.result(10)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(10)
+        assert not self.thread.is_alive(), "service loop failed to stop"
+        self.loop.close()
 
 
 @pytest.fixture()
@@ -280,7 +286,7 @@ class TestErrorContract:
         self, served
     ):
         client = served.client()
-        for mode in ("full", "incremental", "psychic"):
+        for mode in ("full", "psychic"):
             with pytest.raises(ServiceClientError) as excinfo:
                 client.check(STORE, mode=mode)
             assert excinfo.value.status == 400, mode
@@ -491,3 +497,217 @@ class TestConcurrentTraffic:
         )
         final = served.client().store(STORE)
         assert final["nodes"] == 6 + 2 * rounds, "a service append was lost"
+
+
+# -- the default check: one incremental checker per store ---------------------
+
+
+def _edit(argument: Argument, step: int) -> None:
+    """One edit of a session whose verdict keeps changing: unsupported
+    goals come and go, evidence carries passing and failing obligations,
+    claims are retexted and retyped."""
+    kind = step % 5
+    if kind == 0:
+        argument.add_node(Node(
+            f"X{step}", NodeType.GOAL, f"Hazard X{step} is managed",
+        ))
+        argument.add_link("S1", f"X{step}", LinkKind.SUPPORTED_BY)
+    elif kind == 1:
+        spec = "valid: p | ~p" if step % 2 else "valid: p"
+        argument.add_node(Node(
+            f"E{step}", NodeType.SOLUTION, f"Analysis record {step}",
+            metadata=((OBLIGATION_KEY, (spec,)),),
+        ))
+        argument.add_link(f"X{step - 1}", f"E{step}", LinkKind.SUPPORTED_BY)
+    elif kind == 2:
+        old = argument.node(f"X{step - 2}")
+        argument.replace_node(old.with_text(f"Hazard X{step - 2} is closed"))
+    elif kind == 3:
+        old = argument.node(f"E{step - 2}")
+        argument.replace_node(Node(old.identifier, NodeType.GOAL, old.text))
+    else:
+        argument.remove_node(f"X{step - 4}")
+
+
+def _verdict(violations) -> list:
+    return [
+        (v["rule"], v["subject"], v["detail"]) if isinstance(v, dict)
+        else (v.rule, v.subject, v.detail)
+        for v in violations
+    ]
+
+
+def _streaming(handle: StoredArgument) -> list:
+    report = repro.check(handle, GSN_OBLIGATION_RULES, mode="streaming")
+    return _verdict(report)
+
+
+class TestIncrementalCheck:
+    def test_default_check_equals_streaming_at_every_generation(
+        self, served, tmp_path
+    ):
+        path = tmp_path / STORE
+        client = served.client()
+        argument = StoredArgument(path).load()
+        verdicts = set()
+
+        def expect_fresh_equivalent() -> None:
+            reply = client.check(STORE)
+            handle = StoredArgument(path)
+            assert reply["generation"] == str(handle.generation)
+            assert reply["mode"] == "incremental"
+            expected = _streaming(handle)
+            assert _verdict(reply["violations"]) == expected, (
+                f"generation {reply['generation']}"
+            )
+            assert reply["well_formed"] is (not expected)
+            assert reply["obligations"]["failed"] == sum(
+                rule == "evidence-obligation" for rule, _, _ in expected
+            )
+            verdicts.add(tuple(expected))
+
+        expect_fresh_equivalent()
+        for step in range(COALESCE_AFTER + 6):
+            seq = argument.mutation_seq
+            _edit(argument, step)
+            client.append(STORE, argument.delta_since(seq))
+            expect_fresh_equivalent()
+        assert client.store(STORE)["journal_segments"] < COALESCE_AFTER, (
+            "the session must have crossed an auto-coalesce"
+        )
+        client.compact(STORE)
+        expect_fresh_equivalent()
+        client.gc(STORE)
+        expect_fresh_equivalent()
+        argument = StoredArgument(path).load()
+        for step in range(COALESCE_AFTER + 6, COALESCE_AFTER + 11):
+            seq = argument.mutation_seq
+            _edit(argument, step)
+            client.append(STORE, argument.delta_since(seq))
+            expect_fresh_equivalent()
+        assert len(verdicts) > 10, "the session must move the verdict"
+        one_shot = client.check(STORE, mode="streaming")
+        assert one_shot["mode"] == "streaming"
+        assert _verdict(one_shot["violations"]) == \
+            _streaming(StoredArgument(path))
+
+    def test_checks_racing_appends_match_the_generation_they_name(
+        self, served, tmp_path
+    ):
+        path = tmp_path / STORE
+        argument = StoredArgument(path).load()
+        order = [str(StoredArgument(path).generation)]
+        expected = {order[0]: _streaming(StoredArgument(path))}
+        done = threading.Event()
+        errors: "list[BaseException]" = []
+        replies: "list[list[dict]]" = [[], []]
+
+        def writer() -> None:
+            client = served.client()
+            try:
+                for step in range(COALESCE_AFTER + 6):
+                    seq = argument.mutation_seq
+                    _edit(argument, step)
+                    reply = client.append(STORE, argument.delta_since(seq))
+                    # One writer: the disk stays at this generation
+                    # until its next append.
+                    handle = StoredArgument(path)
+                    assert str(handle.generation) == reply["generation"]
+                    expected[reply["generation"]] = _streaming(handle)
+                    order.append(reply["generation"])
+            except BaseException as error:  # pragma: no cover
+                errors.append(error)
+            finally:
+                done.set()
+
+        def checker(seen: "list[dict]") -> None:
+            client = served.client()
+            try:
+                while not done.is_set():
+                    seen.append(client.check(STORE))
+                seen.append(client.check(STORE))
+            except BaseException as error:  # pragma: no cover
+                errors.append(error)
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=checker, args=(seen,))
+            for seen in replies
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        position = {generation: index for index, generation in
+                    enumerate(order)}
+        for seen in replies:
+            assert seen[-1]["generation"] == order[-1]
+            steps = [position[reply["generation"]] for reply in seen]
+            assert steps == sorted(steps), "a checker moved backwards"
+            for reply in seen:
+                assert _verdict(reply["violations"]) == \
+                    expected[reply["generation"]], reply["generation"]
+
+    def test_the_outgoing_snapshot_is_freed_by_refcount(self, served):
+        import gc
+        import weakref
+
+        client = served.client()
+        client.check(STORE)
+        client.search(STORE, "hazard")
+        client.query(STORE, {"text_contains": "hazard"})
+        outgoing = weakref.ref(served.service._stores[STORE].snapshot)
+        gc.collect()
+        gc.disable()
+        try:
+            client.append(STORE, TestAppendProtocol.HAZARD_OPS)
+            assert client.search(STORE, "hazard")["hits"]
+            client.check(STORE)  # the store's checker moves on
+            assert outgoing() is None, (
+                "a superseded snapshot must die with its last reference"
+            )
+        finally:
+            gc.enable()
+
+    def test_a_check_that_fails_part_way_is_not_trusted_after(
+        self, served, tmp_path, monkeypatch
+    ):
+        client = served.client()
+        client.check(STORE)
+        client.append(STORE, [
+            {"op": "add_node", "node": {
+                "id": "G-N", "type": "goal", "text": "Hazard N is managed",
+            }},
+            {"op": "add_node", "node": {
+                "id": "Sn-N", "type": "solution", "text": "Report N",
+            }},
+            {"op": "add_link", "link": {
+                "source": "G1", "target": "G-N", "kind": "supported_by",
+            }},
+            {"op": "add_link", "link": {
+                "source": "G-N", "target": "Sn-N", "kind": "supported_by",
+            }},
+        ])
+        healthy = StoredArgument.node
+
+        def failing_node(self, identifier):
+            raise RuntimeError("simulated read fault")
+
+        monkeypatch.setattr(StoredArgument, "node", failing_node)
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.check(STORE)
+        assert excinfo.value.status == 500
+        monkeypatch.setattr(StoredArgument, "node", healthy)
+        client.append(STORE, [{"op": "remove_link", "link": {
+            "source": "G-N", "target": "Sn-N", "kind": "supported_by",
+        }}])
+        reply = client.check(STORE)
+        expected = _streaming(StoredArgument(tmp_path / STORE))
+        assert any(subject == "G-N" for _, subject, _ in expected)
+        assert _verdict(reply["violations"]) == expected

@@ -30,7 +30,7 @@ from repro.store import (
     StoreError,
 )
 from repro.store.format import MANIFEST_NAME
-from repro.store.journal import decode_op
+from repro.store.journal import COALESCE_AFTER, decode_op
 
 pytestmark = pytest.mark.journal
 
@@ -760,6 +760,158 @@ class TestFromStore:
     def test_rejects_a_subject_that_is_no_argument(self, tmp_path):
         with pytest.raises(TypeError, match="got PosixPath"):
             IncrementalChecker(tmp_path, GSN_STANDARD_RULES.rules)
+
+
+class TestWatermark:
+    """The checker's watermark is keyed on op content, not segment names:
+    a coalesce keeps the op stream, so it must not force a rebuild."""
+
+    @staticmethod
+    def _grow_past_coalesce(argument: Argument, store) -> None:
+        for index in range(COALESCE_AFTER + 2):
+            argument.add_node(Node(
+                f"X{index}", NodeType.GOAL, f"Late claim {index} holds",
+            ))
+            argument.add_link("S0", f"X{index}", LinkKind.SUPPORTED_BY)
+            if index % 3 == 0:
+                argument.add_node(Node(
+                    f"E{index}", NodeType.SOLUTION, f"Evidence {index}",
+                ))
+                argument.add_link(
+                    f"X{index}", f"E{index}", LinkKind.SUPPORTED_BY
+                )
+            argument.save(store, journal=True)
+
+    @staticmethod
+    def _base_shards(stored: StoredArgument) -> set:
+        return set(stored.manifest["node_shards"]) | set(
+            stored.manifest["link_shards"]
+        )
+
+    def test_own_handle_checker_reads_no_base_shard_across_a_coalesce(
+        self, tmp_path
+    ):
+        store = tmp_path / "case.store"
+        argument = gsn_argument()
+        argument.save(store)
+        stored = StoredArgument(store)
+        checker = IncrementalChecker(stored, GSN_STANDARD_RULES.rules)
+        # One incremental step first: it hydrates S0's shard, which
+        # every later edit touches through its new link.
+        argument.add_node(Node("W0", NodeType.GOAL, "Early claim holds"))
+        argument.add_link("S0", "W0", LinkKind.SUPPORTED_BY)
+        argument.save(store, journal=True)
+        assert checker.check() == check(argument)
+        before = len(stored.journal_segments)
+        self._grow_past_coalesce(argument, store)
+        stored.shards_read.clear()
+        got = checker.check()
+        assert len(stored.journal_segments) < before + COALESCE_AFTER, (
+            "the journal must have coalesced"
+        )
+        assert not stored.shards_read & self._base_shards(stored), (
+            "a coalesce keeps the op stream: no base shard may be re-read"
+        )
+        assert got == check(StoredArgument(store), mode="serial")
+        assert got == check(argument)
+
+    def test_snapshot_checker_follows_pinned_handles_across_a_coalesce(
+        self, tmp_path
+    ):
+        store = tmp_path / "case.store"
+        argument = gsn_argument()
+        argument.save(store)
+        argument.add_node(Node("W0", NodeType.GOAL, "Early claim holds"))
+        argument.save(store, journal=True)
+        checker = IncrementalChecker(
+            StoredArgument(store), GSN_STANDARD_RULES.rules
+        )
+        argument.add_link("S0", "W0", LinkKind.SUPPORTED_BY)
+        argument.save(store, journal=True)
+        first = StoredArgument(store)
+        assert checker.check(first) == check(argument)
+        self._grow_past_coalesce(argument, store)
+        snapshot = StoredArgument(store)
+        snapshot.adopt_base_caches(first)
+        assert len(snapshot.journal_segments) < COALESCE_AFTER
+        snapshot.shards_read.clear()
+        got = checker.check(snapshot)
+        assert not snapshot.shards_read & self._base_shards(snapshot)
+        assert got == check(StoredArgument(store), mode="serial")
+        # A snapshot is checked as pinned: no refresh to newer appends.
+        pinned = snapshot.generation
+        argument.add_node(Node("Z0", NodeType.GOAL, "Unsupported claim"))
+        argument.save(store, journal=True)
+        assert checker.check(snapshot) == got
+        assert snapshot.generation == pinned
+        newer = StoredArgument(store)
+        assert checker.check(newer) == check(argument)
+
+    def test_a_different_op_prefix_still_rebuilds(self, tmp_path):
+        store = tmp_path / "case.store"
+        argument = gsn_argument()
+        argument.save(store)
+        argument.add_node(Node("T0", NodeType.GOAL, "Transient claim"))
+        argument.add_link("S0", "T0", LinkKind.SUPPORTED_BY)
+        argument.save(store, journal=True)
+        stored = StoredArgument(store)
+        checker = IncrementalChecker(stored, GSN_STANDARD_RULES.rules)
+        assert checker.check(stored) == check(argument)
+        # Another writer rewrites the store behind the checker: the same
+        # base shards (content-addressed, so the same names), then a
+        # same-length journal holding other records.
+        other = gsn_argument()
+        other.save(store)
+        other.add_node(Node("T1", NodeType.GOAL, "Another claim"))
+        other.add_link("S0", "T1", LinkKind.SUPPORTED_BY)
+        other.save(store, journal=True)
+        rewritten = StoredArgument(store)
+        assert rewritten.base_key() == stored.base_key()
+        assert len(rewritten.journal_ops()) == len(stored.journal_ops())
+        assert checker.check(rewritten) == check(other)
+
+    def test_an_own_coalesce_decodes_nothing_again(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.store.journal as journal_module
+        from repro.core.argument import MutationDelta
+
+        store = tmp_path / "case.store"
+        gsn_argument().save(store)
+        stored = StoredArgument(store)
+        checker = IncrementalChecker(stored, GSN_STANDARD_RULES.rules)
+        checker.check()
+        decoded: list[str] = []
+        original = journal_module.decode_op
+
+        def counting_decode(record, segment):
+            decoded.append(segment)
+            return original(record, segment)
+
+        monkeypatch.setattr(journal_module, "decode_op", counting_decode)
+        for index in range(COALESCE_AFTER + 1):
+            decoded.clear()
+            stored.append_delta(MutationDelta((
+                ("add_node", Node(
+                    f"X{index}", NodeType.GOAL, f"Late claim {index}",
+                )),
+                ("add_link", Link("S0", f"X{index}", LinkKind.SUPPORTED_BY)),
+            )))
+            checker.check()
+            assert len(decoded) <= 4, (
+                f"append {index} decoded {len(decoded)} records: the "
+                "handle's own coalesce must keep its parsed ops"
+            )
+        assert len(stored.journal_segments) == 2, "one coalesce happened"
+        assert checker.check() == check(StoredArgument(store), mode="serial")
+
+    def test_a_live_checker_takes_no_snapshot(self, tmp_path):
+        store = tmp_path / "case.store"
+        argument = gsn_argument()
+        argument.save(store)
+        checker = IncrementalChecker(argument, GSN_STANDARD_RULES.rules)
+        with pytest.raises(TypeError, match="snapshot"):
+            checker.check(StoredArgument(store))
 
 
 @pytest.mark.parametrize("record", [
