@@ -15,7 +15,8 @@ The interesting part is not the HTTP, it is the serving discipline:
   :meth:`~repro.store.StoredArgument.adopt_base_caches` from the
   outgoing snapshot (same content-addressed base shards → same shard
   caches and the same parsed search sidecar, under which each snapshot
-  layers only its own journal delta), and swaps it in with plain
+  layers only its own journal delta; the parsed journal is copied and
+  extended by the new segment alone), and swaps it in with plain
   assignment — the asyncio equivalent of the store's atomic manifest
   rename.  Derived state follows the generation a snapshot serves, not
   the handle object, and no snapshot's caches refer back to it, so a

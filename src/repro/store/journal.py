@@ -243,6 +243,25 @@ class JournalOverlay:
                 else:
                     self.link_tombstones.add(payload)
 
+    def copy(self) -> "JournalOverlay":
+        """An independent overlay in the same state.
+
+        :meth:`extend` and :meth:`finalise` mutate in place, so a handle
+        that starts from another handle's overlay extends a copy: the
+        other handle keeps serving exactly its own generation.
+        """
+        clone = JournalOverlay((), torn_segment=self.torn_segment)
+        clone.ops = list(self.ops)
+        clone.node_shadow = dict(self.node_shadow)
+        clone.appended_nodes = dict(self.appended_nodes)
+        clone.appended_node_positions = dict(self.appended_node_positions)
+        clone.link_tombstones = set(self.link_tombstones)
+        clone.appended_links = dict(self.appended_links)
+        clone.appended_out = {
+            source: list(links) for source, links in self.appended_out.items()
+        }
+        return clone
+
     def finalise(self, base_link_total: int) -> None:
         """Assign appended records their post-base positions."""
         self.appended_node_positions = {

@@ -453,7 +453,11 @@ class StoredArgument:
         a new snapshot O(journal delta) instead of O(read shards again).
         The parsed search sidecar is shared the same way: it indexes
         the base, and each handle patches its own journal delta over
-        it.  Returns whether adoption happened.
+        it.  When ``other`` has parsed its journal and that journal is a
+        prefix of this handle's (segment names are content-addressed),
+        this handle's overlay starts from a copy of it and decodes only
+        the newer segments, so an append's snapshot costs that append,
+        not the whole journal.  Returns whether adoption happened.
         """
         if other.base_key() != self.base_key() or other is self:
             return False
@@ -464,7 +468,33 @@ class StoredArgument:
         self.shards_read |= other.shards_read & set(
             self._node_shard_names
         ) | other.shards_read & set(self._link_shard_names)
+        if self._overlay is None:
+            self._adopt_overlay(other)
         return True
+
+    def _adopt_overlay(self, other: "StoredArgument") -> None:
+        """Extend a copy of ``other``'s parsed overlay (see
+        :meth:`adopt_base_caches`); otherwise leave the overlay to parse
+        on first use.  A torn-tail overlay is never carried over (as in
+        :meth:`refresh`), and a damaged newer segment is left for that
+        first use to report."""
+        overlay = other._overlay
+        consumed = other.journal_segments
+        if (
+            overlay is None
+            or overlay.torn_segment is not None
+            or self.journal_segments[:len(consumed)] != consumed
+        ):
+            return
+        from .journal import load_overlay
+
+        try:
+            self._overlay = load_overlay(
+                self, base=overlay.copy(), start=len(consumed)
+            )
+        except StoreCorruptionError:
+            return
+        self.shards_read |= other.shards_read & set(consumed)
 
     def append_delta(self, delta: Any) -> dict[str, Any]:
         """Seal one mutation delta as a journal segment (O(delta) writes).

@@ -428,6 +428,43 @@ class TestAppendProtocol:
         assert result["applied"] == len(delta)
         assert client.node(STORE, "C1")["node"]["type"] == "context"
 
+    def test_an_append_decodes_only_its_own_segment(
+        self, served, monkeypatch
+    ):
+        import repro.store.journal as journal_module
+
+        client = served.client()
+
+        def hazard_ops(index: int) -> "list[dict[str, Any]]":
+            return [{"op": "add_node", "node": {
+                "id": f"G-X{index}", "type": "goal",
+                "text": f"Hazard X{index} is acceptably managed",
+            }}, {"op": "add_link", "link": {
+                "source": "S1", "target": f"G-X{index}",
+                "kind": "supported_by",
+            }}]
+
+        for index in range(8):
+            client.append(STORE, hazard_ops(index))
+        decoded: list[str] = []
+        original = journal_module.decode_op
+
+        def counting_decode(record, segment):
+            decoded.append(segment)
+            return original(record, segment)
+
+        monkeypatch.setattr(journal_module, "decode_op", counting_decode)
+        for index in range(8, 12):
+            decoded.clear()
+            result = client.append(STORE, hazard_ops(index))
+            assert result["nodes"] == 7 + index
+            # The new segment, plus the tail check of the one before it.
+            assert len(decoded) <= 4, (
+                f"append {index} decoded {len(decoded)} records: the new "
+                "snapshot must extend its predecessor's parsed journal"
+            )
+        assert client.node(STORE, "G-X11")["node"]["type"] == "goal"
+
     def test_compact_and_gc_fold_the_journal(self, served, tmp_path):
         client = served.client()
         client.append(STORE, self.HAZARD_OPS)

@@ -914,6 +914,131 @@ class TestWatermark:
             checker.check(StoredArgument(store))
 
 
+class TestSnapshotChain:
+    """A snapshot that adopts its predecessor's caches also starts from
+    its parsed journal, as the service's append chain does."""
+
+    @staticmethod
+    def _counting_decode(monkeypatch) -> "list[str]":
+        import repro.store.journal as journal_module
+
+        decoded: list[str] = []
+        original = journal_module.decode_op
+
+        def counting_decode(record, segment):
+            decoded.append(segment)
+            return original(record, segment)
+
+        monkeypatch.setattr(journal_module, "decode_op", counting_decode)
+        return decoded
+
+    @staticmethod
+    def _overlay_state(stored: StoredArgument) -> tuple:
+        overlay = stored.journal_overlay()
+        return (
+            list(overlay.ops), dict(overlay.node_shadow),
+            list(overlay.appended_nodes.items()),
+            dict(overlay.appended_node_positions),
+            set(overlay.link_tombstones), list(overlay.appended_links),
+            dict(overlay.appended_out), stored.node_count, stored.link_count,
+        )
+
+    def test_each_snapshot_decodes_only_its_own_segment(
+        self, tmp_path, monkeypatch
+    ):
+        store = tmp_path / "case.store"
+        argument = gsn_argument()
+        argument.save(store)
+        argument.add_node(Node("W0", NodeType.GOAL, "Early claim holds"))
+        argument.add_link("S0", "W0", LinkKind.SUPPORTED_BY)
+        argument.save(store, journal=True)
+        previous = StoredArgument(store)
+        previous.journal_ops()
+        previous_state = argument.copy()
+        decoded = self._counting_decode(monkeypatch)
+        edits = [
+            lambda a: edit_session(a),
+            lambda a: a.remove_node("X1"),
+            lambda a: a.replace_node(
+                Node("Sn2", NodeType.SOLUTION, "Retested record 2")
+            ),
+            lambda a: a.remove_link(Link("G4", "Sn4", LinkKind.SUPPORTED_BY)),
+        ]
+        for edit in edits:
+            edit(argument)
+            argument.save(store, journal=True)
+            before = self._overlay_state(previous)
+            decoded.clear()
+            snapshot = StoredArgument(store)
+            assert snapshot.adopt_base_caches(previous)
+            assert set(decoded) == {snapshot.journal_segments[-1]}, (
+                "an adopting snapshot must decode only the segments its "
+                "predecessor had not parsed"
+            )
+            assert self._overlay_state(snapshot) == \
+                self._overlay_state(StoredArgument(store))
+            assert snapshot.load() == argument
+            assert self._overlay_state(previous) == before, (
+                "adoption must leave the predecessor's overlay untouched"
+            )
+            assert previous.load() == previous_state
+            previous, previous_state = snapshot, argument.copy()
+
+    def test_a_coalesced_journal_parses_on_first_use(
+        self, tmp_path, monkeypatch
+    ):
+        store = tmp_path / "case.store"
+        argument = gsn_argument()
+        argument.save(store)
+        argument.add_node(Node("W0", NodeType.GOAL, "Early claim holds"))
+        argument.add_link("S0", "W0", LinkKind.SUPPORTED_BY)
+        argument.save(store, journal=True)
+        previous = StoredArgument(store)
+        previous.journal_ops()
+        TestWatermark._grow_past_coalesce(argument, store)
+        decoded = self._counting_decode(monkeypatch)
+        snapshot = StoredArgument(store)
+        assert snapshot.adopt_base_caches(previous)
+        assert not decoded, "a coalesced journal prefixes nothing: no copy"
+        assert snapshot.load() == argument
+
+    def test_a_torn_overlay_is_never_carried_over(self, tmp_path):
+        store = tmp_path / "case.store"
+        argument = gsn_argument()
+        argument.save(store)
+        argument.add_node(Node("X1", NodeType.GOAL, "First edit holds"))
+        argument.add_link("S0", "X1", LinkKind.SUPPORTED_BY)
+        manifest = argument.save(store, journal=True)
+        final = store / manifest["journal"][-1]
+        content = final.read_bytes()
+        final.write_bytes(content[:len(content) // 2])
+        recovered = StoredArgument(store, ignore_torn_tail=True)
+        recovered.journal_ops()
+        assert recovered.journal_overlay().torn_segment is not None
+        final.write_bytes(content)  # repaired in place: same manifest
+        snapshot = StoredArgument(store)
+        assert snapshot.adopt_base_caches(recovered)
+        assert snapshot.load() == argument
+
+    def test_a_damaged_new_segment_is_reported_on_first_use(self, tmp_path):
+        store = tmp_path / "case.store"
+        argument = gsn_argument()
+        argument.save(store)
+        argument.add_node(Node("X1", NodeType.GOAL, "First edit holds"))
+        argument.add_link("S0", "X1", LinkKind.SUPPORTED_BY)
+        argument.save(store, journal=True)
+        previous = StoredArgument(store)
+        previous.journal_ops()
+        argument.add_node(Node("X2", NodeType.GOAL, "Second edit holds"))
+        manifest = argument.save(store, journal=True)
+        final = store / manifest["journal"][-1]
+        final.write_bytes(final.read_bytes()[:10])
+        snapshot = StoredArgument(store)
+        assert snapshot.adopt_base_caches(previous)
+        with pytest.raises(StoreCorruptionError, match="ignore_torn_tail"):
+            snapshot.load()
+
+
 @pytest.mark.parametrize("record", [
     {"op": "add_node", "node": {"id": "G9", "type": "bogus", "text": "t"}},
     {"op": "add_node", "node": {"id": "G9", "type": "goal", "text": " "}},
