@@ -65,7 +65,8 @@ requested mode onto the engine that runs it; the checking facade
     buffering the lightweight link triples), one pass over its node
     shards (noting types and seq order, running node rules as records
     parse), then link rules over the buffer and the global rules.
-    Every shard parses exactly once; memory stays O(sidecar + links).
+    Every shard parses exactly once per handle, into the handle's
+    per-shard caches that later point reads on it reuse.
 
 ``parallel``
     Stored arguments only; a live argument resolves to ``serial``
@@ -782,8 +783,12 @@ def _run_stored_streaming(
 
     Shards stream *sequentially* (no heap merge — canonical output order
     makes per-record order irrelevant, and the sidecar orders nodes by
-    their ``seq``).  Each shard is parsed exactly once; memory is
-    O(sidecar + links), never the hydrated argument.
+    their ``seq``).  Each shard is parsed exactly once per handle: the
+    check reads through the handle's per-shard caches, so the decoded
+    base shards stay on the handle for its lifetime, as point reads'
+    shards always did, and the ``node``/``subtree``/``load`` calls that
+    follow decode nothing again.  No live argument is built; dropping
+    the handle frees the decoded shards.
     """
     node_rules, link_rules, global_rules = _split_rules(rules)
     ctx = _Sidecar(stored.name)
@@ -1246,7 +1251,9 @@ class IncrementalChecker:
         and building them in it keeps those walks local in memory.  No
         hydration: this is the streaming check's cost plus the link
         index, paid once at attach and again only if the base shards
-        are replaced underneath us.
+        are replaced underneath us.  The streams read through the
+        handle's per-shard caches, so the per-node lookups of later
+        checks decode no base shard again.
         """
         self._base_key: "tuple | None" = None  # set once the pass completes
         view = self._view = self._graph = _StoreView(stored)

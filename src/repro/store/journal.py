@@ -511,14 +511,16 @@ def compact(stored: "StoredArgument") -> dict:
     """Fold the journal back into fresh shards; returns the new manifest.
 
     Streams the journal-replayed node and link sequences straight into
-    new content-addressed shards — no hydration, memory O(shard handles
-    + overlay) — and swaps the manifest atomically; the old shards and
-    every journal segment are swept only after the commit point.  The
-    result is byte-identical to a clean ``save()`` of the same live
-    argument — after a :func:`gc` has swept the superseded generation's
-    files, which stay on disk for pinned snapshot readers (the commit
-    itself never deletes).  Runs under the writer lease.  Compacting a
-    journal-less store is a no-op returning the current manifest.
+    new content-addressed shards — no live argument is built; the
+    handle's decoded base shards are the working set, dropped by the
+    refresh that follows — and swaps the manifest atomically; the old
+    shards and every journal segment are swept only after the commit
+    point.  The result is byte-identical to a clean ``save()`` of the
+    same live argument — after a :func:`gc` has swept the superseded
+    generation's files, which stay on disk for pinned snapshot readers
+    (the commit itself never deletes).  Runs under the writer lease.
+    Compacting a journal-less store is a no-op returning the current
+    manifest.
     """
     with writer_lease(stored.path):
         return _compact_locked(stored)

@@ -5,9 +5,10 @@ three access patterns, cheapest first:
 
 * **streaming** — :meth:`StoredArgument.iter_nodes` /
   :meth:`~StoredArgument.iter_links` heap-merge the shards by ``seq`` and
-  yield records in exact insertion order without holding the case in
-  memory; this is what :func:`repro.core.query.select` uses to scan a
-  stored argument shard by shard;
+  yield records in exact insertion order without building an
+  :class:`~repro.core.argument.Argument`; this is what
+  :func:`repro.core.query.select` uses to scan a stored argument shard
+  by shard;
 * **lazy per-shard** — :meth:`StoredArgument.node` and
   :meth:`~StoredArgument.subtree` hydrate only the shards an access
   actually touches (a node lookup reads one shard; a subtree load reads
@@ -32,11 +33,17 @@ by dropping exactly that segment; :meth:`StoredArgument.append_delta`,
 :meth:`~StoredArgument.compact`, and :meth:`~StoredArgument.gc` are the
 journal's write-side entry points.
 
-Every shard is verified as it streams — CRC-32 and record count against
-the manifest, JSON decode per line — and any mismatch raises
+All three patterns read base shards through one per-shard cache on the
+handle, so each shard file is read, verified and decoded at most once
+per handle, whichever access comes first: a streaming check leaves the
+shards that later ``node``/``subtree`` reads (or a ``load``) need.
+
+Every shard is verified as it is decoded — CRC-32 and record count
+against the manifest, JSON decode per line — and any mismatch raises
 :class:`~repro.store.format.StoreCorruptionError` naming the shard.  A
 decodable record whose fields make no node or link (an unknown type or
-kind, text that fails node validation) raises it too, naming the line.
+kind, text that fails node validation), or a node id repeated within a
+shard, raises it too, naming the line.
 """
 
 from __future__ import annotations
@@ -114,11 +121,18 @@ _MISSING = object()
 class StoredArgument:
     """A lazily-loaded view of one store directory.
 
-    Opening the handle reads only the manifest.  Shards hydrate on
-    demand and stay cached on the handle; :attr:`shards_read` records
-    which shard files have been read (and verified) so far.  The append
-    journal, if any, parses lazily on the first access that needs it
-    and shadows base records everywhere; ``ignore_torn_tail=True``
+    Opening the handle reads only the manifest.  Each base shard is
+    read, verified and decoded at most once per handle, on the first
+    access that needs it — a point read, a streaming pass, a full
+    ``load`` — and stays cached for the handle's generation: every
+    access path is a view over the same per-shard caches (a node shard
+    as ``{id: (seq, node)}``, a link shard as its seq-ordered
+    ``(seq, link)`` list).  The caches live until the handle is dropped
+    or a ``"rewritten"`` :meth:`refresh`, and :meth:`adopt_base_caches`
+    shares them with handles on the same base.  :attr:`shards_read`
+    records which shard files have been read (and verified) so far.
+    The append journal, if any, parses lazily on the first access that
+    needs it and shadows base records everywhere; ``ignore_torn_tail=True``
     drops a torn final journal segment instead of raising (recovering
     the last consistent state after a crash mid-append).
 
@@ -148,10 +162,14 @@ class StoredArgument:
         #: the no-hydration assertions of the streaming well-formedness
         #: path key off this flag.
         self.hydrated = False
-        # Lazy caches: shard index -> {node id: (seq, Node)} and
-        # shard index -> {source id: [(seq, Link), ...]} in seq order.
+        # Base-shard caches, each shard decoded at most once per handle
+        # (and shared with adopting handles): shard index -> {node id:
+        # (seq, Node)} and shard index -> [(seq, Link), ...], both in
+        # seq order; plus, derived from a link list on first use, shard
+        # index -> {source id: [(seq, Link), ...]}.
         self._node_shards: dict[int, dict[str, tuple[int, Node]]] = {}
-        self._link_shards: dict[int, dict[str, list[tuple[int, Link]]]] = {}
+        self._link_shards: dict[int, list[tuple[int, Link]]] = {}
+        self._link_sources: dict[int, dict[str, list[tuple[int, Link]]]] = {}
         self._overlay: Any = None
         # Search postings (see repro.store.search.load_search_index):
         # the parsed sidecar, shared with adopting handles; this
@@ -160,6 +178,8 @@ class StoredArgument:
         self._search_base: Any = None
         self._search_generation: Any = None
         self._search_view: Any = None
+        # (sidecar name, base CRC) of a sidecar that failed to load.
+        self._search_failed: "tuple[str, int] | None" = None
         self._read_manifest()
         if generation is not None:
             self._pin_to(generation)
@@ -394,6 +414,9 @@ class StoredArgument:
         previous_journal = list(self.journal_segments)
         previous_overlay = self._overlay
         self._read_manifest()
+        # A sidecar that failed to load may since have been rebuilt
+        # under its own name (it is content-addressed): try it again.
+        self._search_failed = None
         if self.manifest == previous:
             if (
                 previous_overlay is not None
@@ -436,8 +459,11 @@ class StoredArgument:
             # so the base shard caches stay valid; only the overlay
             # re-parses (lazily) from the merged segment.
             return "coalesced"
-        self._node_shards.clear()
-        self._link_shards.clear()
+        # Fresh maps, not clear(): an adopting handle may share the old
+        # ones and still serve the old base.
+        self._node_shards = {}
+        self._link_shards = {}
+        self._link_sources = {}
         self.shards_read.clear()
         self._search_base = None
         self._search_generation = None
@@ -463,6 +489,7 @@ class StoredArgument:
             return False
         self._node_shards = other._node_shards
         self._link_shards = other._link_shards
+        self._link_sources = other._link_sources
         if self._search_base is None:
             self._search_base = other._search_base
         self.shards_read |= other.shards_read & set(
@@ -735,14 +762,15 @@ class StoredArgument:
 
         The per-shard work unit of the parallel well-formedness engine:
         shard ``index`` holds exactly the nodes whose identifiers hash
-        there, verified as they stream.  Journal entries replay in
-        place: shadowed records substitute, tombstoned ones vanish, and
-        appended nodes hashing to this shard follow with their
-        post-base seqs — the id-hash partition survives the journal.
+        there.  A view over the handle's cached shard (see
+        :meth:`_node_shard`), so the streaming check, :meth:`load`, the
+        search scan and the point reads share one verified decode per
+        shard.  Journal entries replay in place: shadowed records
+        substitute, tombstoned ones vanish, and appended nodes hashing
+        to this shard follow with their post-base seqs — the id-hash
+        partition survives the journal.
         """
-        base = self._decode_shard(
-            self._node_shard_names[index], NODE_KEYS, node_from_record
-        )
+        base = self._node_shard(index).values()
         overlay = self._overlay_or_none()
         if overlay is None:
             yield from base
@@ -764,12 +792,11 @@ class StoredArgument:
 
         Links shard by *source* id, so a node's outgoing links live in
         the shard its identifier hashes to — per-source order within a
-        shard equals global insertion order.  The journal replays in
+        shard equals global insertion order.  A view over the handle's
+        cached shard (see :meth:`_link_shard`); the journal replays in
         place exactly as in :meth:`iter_shard_nodes`.
         """
-        base = self._decode_shard(
-            self._link_shard_names[index], LINK_KEYS, link_from_record
-        )
+        base = self._link_shard(index)
         overlay = self._overlay_or_none()
         if overlay is None:
             yield from base
@@ -786,31 +813,56 @@ class StoredArgument:
             if shard_of(link.source, self.shard_count) == index:
                 yield base_total + position, link
 
-    # -- lazy per-shard access ---------------------------------------------
+    # -- the per-shard caches ----------------------------------------------
 
     def _node_shard(self, index: int) -> dict[str, tuple[int, Node]]:
+        """Base node shard ``index`` as ``{id: (seq, node)}`` in seq
+        order: decoded and verified on first use, then kept for the
+        handle's generation.  A node id that appears twice raises
+        :class:`StoreCorruptionError` at the second copy's line."""
         shard = self._node_shards.get(index)
         if shard is None:
-            shard = {
-                node.identifier: (seq, node)
-                for seq, node in self._decode_shard(
-                    self._node_shard_names[index], NODE_KEYS,
-                    node_from_record,
-                )
-            }
+            name = self._node_shard_names[index]
+            shard = {}
+            decoded = self._decode_shard(name, NODE_KEYS, node_from_record)
+            for line_number, (seq, node) in enumerate(decoded, start=1):
+                if node.identifier in shard:
+                    raise StoreCorruptionError(
+                        name,
+                        f"line {line_number} has a duplicate node id "
+                        f"{node.identifier!r}",
+                    )
+                shard[node.identifier] = (seq, node)
             self._node_shards[index] = shard
         return shard
 
-    def _link_shard(self, index: int) -> dict[str, list[tuple[int, Link]]]:
+    def _link_shard(self, index: int) -> list[tuple[int, Link]]:
+        """Base link shard ``index`` as its seq-ordered ``(seq, link)``
+        list: decoded and verified on first use, then kept for the
+        handle's generation."""
         shard = self._link_shards.get(index)
         if shard is None:
-            shard = {}
-            for seq, link in self._decode_shard(
+            shard = list(self._decode_shard(
                 self._link_shard_names[index], LINK_KEYS, link_from_record
-            ):
-                shard.setdefault(link.source, []).append((seq, link))
+            ))
             self._link_shards[index] = shard
         return shard
+
+    def _link_sources_of(
+        self, index: int
+    ) -> dict[str, list[tuple[int, Link]]]:
+        """Base link shard ``index`` grouped by source id, derived from
+        :meth:`_link_shard` on first use (per-source lists stay in seq
+        order)."""
+        by_source = self._link_sources.get(index)
+        if by_source is None:
+            by_source = {}
+            for entry in self._link_shard(index):
+                by_source.setdefault(entry[1].source, []).append(entry)
+            self._link_sources[index] = by_source
+        return by_source
+
+    # -- lazy per-shard access ---------------------------------------------
 
     def _node_entry(self, identifier: str) -> tuple[int, Node]:
         """One node's ``(seq, node)`` under the overlay (KeyError if
@@ -848,7 +900,7 @@ class StoredArgument:
         hydrating only the one link shard its identifier hashes to."""
         overlay = self._overlay_or_none()
         outgoing = list(
-            self._link_shard(
+            self._link_sources_of(
                 shard_of(identifier, self.shard_count)
             ).get(identifier, ())
         )

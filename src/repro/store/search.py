@@ -455,8 +455,13 @@ def _generation(stored: StoredArgument) -> "_Generation | None":
         return generation
     base: "StoreSearchIndex | None" = stored._search_base
     if base is None or base.sidecar != name or base.base_crc32 != base_crc32:
+        # A sidecar that failed to load is not re-read for the same
+        # (sidecar, base) pair until the handle refreshes.
+        if stored._search_failed == (name, base_crc32):
+            return None
         base = stored._search_base = _parse_sidecar(stored, name)
         if base is None:
+            stored._search_failed = (name, base_crc32)
             return None
     if base.ops_applied > len(ops):
         return None  # indexes journal state this generation never saw
@@ -478,8 +483,11 @@ def load_search_index(
 
     Returns ``None`` — meaning *scan instead* — when the store has no
     sidecar, or the sidecar is damaged or stale (see
-    :func:`_parse_sidecar`).  Otherwise it returns a
-    :class:`SearchIndexView` over two cached parts that hold no handle:
+    :func:`_parse_sidecar`).  The handle remembers a failed load for
+    the sidecar and base it was made against, so later calls scan
+    without re-reading the file until the handle refreshes.  Otherwise
+    it returns a :class:`SearchIndexView` over two cached parts that
+    hold no handle:
 
     * the parsed sidecar (:class:`StoreSearchIndex`), parsed once per
       base generation and shared, never mutated, by every handle that

@@ -243,6 +243,45 @@ class TestTornSidecar:
                 for n in select(stored, text_contains("relief valve"))} == \
             {"G2"}
 
+    def test_a_damaged_sidecar_is_read_once_per_handle(
+        self, indexed_dir, tmp_path, monkeypatch
+    ):
+        name = self._truncate_sidecar(indexed_dir)
+        plain = tmp_path / "plain.store"
+        _argument().save(plain)
+        query = "porosity relief valve"
+
+        def ranked(stored):
+            return [(hit.identifier, hit.score) for hit in search(
+                stored, query, neighbourhood=0
+            )]
+
+        expected = ranked(StoredArgument(plain))
+        assert expected
+        sidecar_reads = []
+        stream_shard = StoredArgument._stream_shard
+
+        def counting(stored, filename, *args, **kwargs):
+            if filename == name:
+                sidecar_reads.append(filename)
+            return stream_shard(stored, filename, *args, **kwargs)
+
+        monkeypatch.setattr(StoredArgument, "_stream_shard", counting)
+        stored = StoredArgument(indexed_dir)
+        for _ in range(5):
+            assert ranked(stored) == expected
+        assert len(sidecar_reads) == 1, (
+            "a failed sidecar verdict must hold for the handle"
+        )
+        # A refresh tries again: here the sidecar was rebuilt under its
+        # own content-addressed name, so the index now loads.
+        StoredArgument(indexed_dir).build_search_index()
+        assert StoredArgument(indexed_dir).manifest[SEARCH_INDEX_KEY] == name
+        stored.refresh()
+        assert ranked(stored) == expected
+        assert len(sidecar_reads) == 2
+        assert load_search_index(stored) is not None
+
     def test_rebuild_repairs_a_torn_sidecar(self, indexed_dir):
         old = self._truncate_sidecar(indexed_dir)
         stored = StoredArgument(indexed_dir)

@@ -8,7 +8,7 @@ Two contracts of the persistent store:
 * **corruption is loud and located** — any tampering a shard can suffer
   (bit flips, truncated JSONL lines, padded records, missing files,
   undecodable lines, CRC-valid records whose fields make no node or
-  link) raises a typed
+  link, a node id repeated within a shard) raises a typed
   :class:`~repro.store.StoreCorruptionError` that names the shard, so an
   operator of a 100k-node store knows which file to restore.
 """
@@ -251,6 +251,35 @@ def test_padded_shard_raises_record_count_mismatch(stored_dir) -> None:
     with pytest.raises(StoreCorruptionError, match=shard) as excinfo:
         StoredArgument(stored_dir).load()
     assert "record" in str(excinfo.value)
+
+
+def test_duplicate_node_id_in_a_shard_is_corruption(stored_dir) -> None:
+    """A second copy of a node in a CRC-valid shard is rejected by every
+    read path alike, naming the shard and the copy's line — never
+    collapsed to one copy, nor checked twice."""
+    shard = _nonempty_shard(stored_dir, "nodes-")
+    path = stored_dir / shard
+    lines = path.read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    record["text"] = "A hand-edited second copy"
+    lines.append(json.dumps(record, separators=(",", ":")).encode() + b"\n")
+    path.write_bytes(b"".join(lines))
+    manifest = _manifest(stored_dir)
+    manifest["shards"][shard]["records"] = len(lines)
+    (stored_dir / "manifest.json").write_text(json.dumps(manifest))
+    _patch_manifest_crc(stored_dir, shard)
+    reads = {
+        "node": lambda stored: stored.node(record["id"]),
+        "load": lambda stored: stored.load(),
+        "iter_nodes": lambda stored: list(stored.iter_nodes()),
+        "check": lambda stored: repro.check(stored, mode="streaming"),
+    }
+    for read in reads.values():
+        with pytest.raises(StoreCorruptionError, match=shard) as excinfo:
+            read(StoredArgument(stored_dir))
+        assert excinfo.value.detail == (
+            f"line {len(lines)} has a duplicate node id {record['id']!r}"
+        )
 
 
 def test_missing_shard_file_raises_corruption(stored_dir) -> None:
