@@ -23,7 +23,8 @@ What gets checked, file by file:
   types, non-empty node text — fsck passes only what loads), the
   **id-hash partition** (``crc32(id) % shard_count`` puts each record
   in the shard holding it), per-shard ascending ``seq``, global id
-  uniqueness, and the seq domain being exactly ``range(total)``;
+  uniqueness, per-shard link uniqueness, and the seq domain being
+  exactly ``range(total)``;
 * every **journal segment**: the same seal checks plus op decoding
   through the reader's ``decode_op``, with torn-tail classification —
   damage confined to the *final* segment is one interrupted append and
@@ -498,6 +499,7 @@ class _Fsck:
         self.report.shards_checked += 1
         self._base_links += len(records)
         previous_seq = -1
+        links: "set[Any]" = set()
         for lineno, record in enumerate(records, start=1):
             seq, source = record["seq"], record["source"]
             if not isinstance(seq, int) or seq <= previous_seq:
@@ -509,7 +511,15 @@ class _Fsck:
                 previous_seq = seq
             if isinstance(seq, int):
                 self._base_link_seqs.append(seq)
-            self._check_decodes(name, lineno, link_from_record, record)
+            link = self._check_decodes(
+                name, lineno, link_from_record, record
+            )
+            if link in links:
+                self.fatal(
+                    name, f"line {lineno} has a duplicate link {link}"
+                )
+            elif link is not None:
+                links.add(link)
             if not isinstance(source, str):
                 self.fatal(name, f"non-string link source {source!r}")
                 continue
@@ -528,15 +538,17 @@ class _Fsck:
         lineno: int,
         decode: "Callable[[dict[str, Any]], Any]",
         record: "dict[str, Any]",
-    ) -> None:
+    ) -> Any:
         """Fatal unless ``decode`` — the reader's own record-to-object
-        step — accepts the record, so fsck passes only what loads."""
+        step — accepts the record, so fsck passes only what loads.
+        Returns the decoded object, or ``None`` after a finding."""
         try:
-            decode(record)
+            return decode(record)
         except RECORD_ERRORS as error:
             self.fatal(
                 name, f"line {lineno} is not a valid record ({error})"
             )
+            return None
 
     def _check_seq_domain(
         self, kind: str, seqs: "list[int]", shard_names: "list[str]"

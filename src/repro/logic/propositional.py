@@ -28,6 +28,7 @@ Precedence (loosest to tightest): ``<->``, ``->``, ``|``, ``&``, ``~``.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
@@ -158,34 +159,24 @@ class PropositionalSyntaxError(ValueError):
     """Raised when :func:`parse` rejects its input."""
 
 
-_TOKEN_SYMBOLS = ("<->", "->", "(", ")", "&", "|", "~", "!")
+#: One token per match: a connective or parenthesis (``<->`` before
+#: ``->``), a run of word characters (``str.isalnum`` or ``_``, exactly
+#: ``\w``), or — group 2 — any other non-whitespace character, which is
+#: a syntax error.  Whitespace (``\s`` is ``str.isspace``) falls between
+#: matches.
+_TOKEN = re.compile(r"(<->|->|[()&|~!]|\w+)|(\S)")
 
 
 def _tokenise(text: str) -> list[str]:
     tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        char = text[pos]
-        if char.isspace():
-            pos += 1
-            continue
-        for symbol in _TOKEN_SYMBOLS:
-            if text.startswith(symbol, pos):
-                tokens.append(symbol)
-                pos += len(symbol)
-                break
-        else:
-            if char.isalnum() or char == "_":
-                start = pos
-                while pos < len(text) and (
-                    text[pos].isalnum() or text[pos] == "_"
-                ):
-                    pos += 1
-                tokens.append(text[start:pos])
-            else:
-                raise PropositionalSyntaxError(
-                    f"unexpected character {char!r} at position {pos}"
-                )
+    for match in _TOKEN.finditer(text):
+        token = match.group(1)
+        if token is None:
+            raise PropositionalSyntaxError(
+                f"unexpected character {match.group(2)!r} at position "
+                f"{match.start()}"
+            )
+        tokens.append(token)
     return tokens
 
 

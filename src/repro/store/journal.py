@@ -3,7 +3,7 @@
 A tool-generated case is not written once and frozen: an editing session
 applies hundreds of small mutations, and re-sharding the whole store per
 save would cost O(store) where the change is O(delta).  This module
-gives :class:`~repro.store.reader.StoredArgument` three operations that
+gives :class:`~repro.store.reader.StoredArgument` the operations that
 keep an on-disk case cheap to maintain:
 
 * :func:`append_delta` — serialise one
@@ -23,7 +23,9 @@ keep an on-disk case cheap to maintain:
   touching the shards: same op stream, bounded manifest, so a
   months-long editing session cannot grow the segment list without
   bound (``append_delta`` triggers it automatically at
-  :data:`COALESCE_AFTER` segments);
+  :data:`COALESCE_AFTER` segments).  Journal records are canonical, so
+  the merged segment is the verified segments' bytes copied end to
+  end — no op is re-encoded;
 * :func:`gc` — remove shard/segment files in the store directory that
   the live manifest no longer references (failed saves and appends,
   superseded generations left behind for pinned snapshot readers).
@@ -417,7 +419,10 @@ def append_delta(stored: "StoredArgument", delta: MutationDelta) -> dict:
     that makes concurrent editors lose loudly instead of silently.  Once
     the journal reaches :data:`COALESCE_AFTER` segments they are first
     coalesced into one, so the manifest stays bounded over arbitrarily
-    long editing sessions.
+    long editing sessions; that coalesce copies the sealed segments'
+    bytes rather than re-encoding the journal, and the handle keeps its
+    parsed overlay through it, so the coalescing append decodes nothing
+    again.
     """
     with writer_lease(stored.path):
         _check_not_torn(stored)
@@ -466,42 +471,56 @@ def coalesce(stored: "StoredArgument") -> dict:
 
     Pure manifest hygiene: the op sequence — and therefore every
     reader's replay — is unchanged; only the segment boundaries vanish.
-    O(journal) work, no shard rewriting (that is :func:`compact`), one
-    atomic manifest swap.  The handle resyncs to the coalesced manifest
-    and keeps its parsed overlay (it wrote the merged segment from
-    exactly those ops).  The superseded segments stay on disk for
-    pinned snapshot readers until :func:`gc`.  A no-op below two
-    segments.
+    The merged segment is the concatenation of the segments' verified
+    bytes (gunzipped, checked against the manifest's CRC-32 and record
+    count), so the O(journal) work is a byte copy, not a re-encode:
+    journal records are canonical, and their concatenation is exactly
+    what re-encoding the parsed ops would write.  No shard rewriting
+    (that is :func:`compact`), one atomic manifest swap.  The handle's
+    overlay is parsed first, so every record has been decode-verified
+    once, and it is kept across the resync: the copied bytes are the
+    bytes it was parsed from.  A segment whose bytes changed on disk
+    since then raises :class:`~repro.store.format.StoreCorruptionError`
+    naming it, before anything is written.  The superseded segments
+    stay on disk for pinned snapshot readers until :func:`gc`.  A no-op
+    below two segments.
     """
     with writer_lease(stored.path):
         _check_not_torn(stored)
         _check_handle_current(stored)
         if len(stored.journal_segments) < 2:
             return stored.manifest
-        ops = stored.journal_ops()
+        overlay = stored.journal_overlay()
+        # Parsing may itself have dropped a torn tail (ignore_torn_tail).
+        _check_not_torn(stored)
+        segments: list[tuple[bytes, int]] = []
+        for segment in stored.journal_segments:
+            data, lines = stored._verified_lines(segment)
+            if data and not data.endswith(b"\n"):
+                # The reader accepts a last record without its newline;
+                # the copy must not glue it to the next segment's first.
+                data += b"\n"
+            segments.append((data, len(lines)))
         writer = _ShardWriter(
             stored.path, journal_base(0), stored.compression
         )
         try:
-            for op, payload in ops:
-                writer.write(encode_op(op, payload))
+            for data, records in segments:
+                writer.write_lines(data, records)
         finally:
             writer.close()
         name = writer.finish()
         manifest = dict(stored.manifest)
+        replaced = set(stored.journal_segments)
         carried = {
             shard: entry
             for shard, entry in manifest["shards"].items()
-            if shard not in set(stored.journal_segments)
+            if shard not in replaced
         }
         manifest["journal"] = [name]
         manifest["journal_schema"] = JOURNAL_SCHEMA_VERSION
         manifest["shards"] = {**carried, name: writer.entry}
         _commit(stored.path, manifest, sweep=False)
-        # This handle just wrote the merged segment from its own parsed
-        # ops, so that overlay stays exact: resync to the new manifest
-        # but keep it, rather than decode the whole journal again.
-        overlay = stored._overlay
         stored.refresh()
         stored._overlay = overlay
     return manifest

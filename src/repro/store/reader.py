@@ -42,8 +42,8 @@ Every shard is verified as it is decoded — CRC-32 and record count
 against the manifest, JSON decode per line — and any mismatch raises
 :class:`~repro.store.format.StoreCorruptionError` naming the shard.  A
 decodable record whose fields make no node or link (an unknown type or
-kind, text that fails node validation), or a node id repeated within a
-shard, raises it too, naming the line.
+kind, text that fails node validation), or a node id or link repeated
+within a shard, raises it too, naming the line.
 """
 
 from __future__ import annotations
@@ -639,28 +639,17 @@ class StoredArgument:
 
     # -- verified shard streaming -----------------------------------------
 
-    def _stream_shard(
-        self, filename: str, required: tuple[str, ...] = ("seq",)
-    ) -> Iterator[dict[str, Any]]:
-        """Yield a shard's records, verifying integrity as they stream.
+    def _verified_lines(self, filename: str) -> tuple[bytes, list[str]]:
+        """A shard's decompressed bytes and their lines, once verified.
 
         The shard is read in one buffer (bounded by shard size, which the
         id-hash distribution keeps at roughly 1/shard_count of the store)
-        so the CRC-32 and the UTF-8 decode each run once at C speed —
-        this is the hot path of streaming well-formedness and of every
-        load.  Count and checksum are verified up front against the
-        manifest, so a consumed stream implies an intact shard.  Counts,
-        checksums, and line numbers always refer to the *decompressed*
-        content of a gzip shard.
-
-        Each line decodes with one call to the C scanner behind
-        ``json.loads`` at offset 0, accepted only when it consumed the
-        whole line.  Anything else — leading or trailing whitespace,
-        trailing garbage, a BOM, a syntax error — falls back to
-        ``json.loads(line)`` itself, so the records accepted and the
-        ``line N is not valid JSON (...)`` errors are exactly
-        ``json.loads``'s.  A line that decodes to something other than
-        a record carrying the ``required`` keys raises at that line.
+        so the CRC-32 and the UTF-8 decode each run once at C speed.
+        Count and checksum are verified against the manifest before
+        anything is returned; counts, checksums, and line numbers always
+        refer to the *decompressed* content of a gzip shard.  Shared by
+        :meth:`_stream_shard` and journal coalescing, which copies the
+        verified bytes of each segment instead of re-encoding its ops.
         """
         meta = self.manifest["shards"].get(filename)
         if meta is None:
@@ -698,6 +687,28 @@ class StoredArgument:
                 f"expected {meta['records']} record(s), found "
                 f"{len(lines)} (truncated or padded shard)",
             )
+        return data, lines
+
+    def _stream_shard(
+        self, filename: str, required: tuple[str, ...] = ("seq",)
+    ) -> Iterator[dict[str, Any]]:
+        """Yield a shard's records, verifying integrity as they stream.
+
+        The whole shard is verified up front by :meth:`_verified_lines`
+        (read, gunzip, CRC-32, UTF-8, record count), so a consumed
+        stream implies an intact shard — this is the hot path of
+        streaming well-formedness and of every load.
+
+        Each line decodes with one call to the C scanner behind
+        ``json.loads`` at offset 0, accepted only when it consumed the
+        whole line.  Anything else — leading or trailing whitespace,
+        trailing garbage, a BOM, a syntax error — falls back to
+        ``json.loads(line)`` itself, so the records accepted and the
+        ``line N is not valid JSON (...)`` errors are exactly
+        ``json.loads``'s.  A line that decodes to something other than
+        a record carrying the ``required`` keys raises at that line.
+        """
+        _, lines = self._verified_lines(filename)
         required_keys = frozenset(required)
         scan = _SCAN_RECORD
         for line_number, line in enumerate(lines, start=1):
@@ -839,12 +850,24 @@ class StoredArgument:
     def _link_shard(self, index: int) -> list[tuple[int, Link]]:
         """Base link shard ``index`` as its seq-ordered ``(seq, link)``
         list: decoded and verified on first use, then kept for the
-        handle's generation."""
+        handle's generation.  A link that appears twice raises
+        :class:`StoreCorruptionError` at the second copy's line."""
         shard = self._link_shards.get(index)
         if shard is None:
+            name = self._link_shard_names[index]
             shard = list(self._decode_shard(
-                self._link_shard_names[index], LINK_KEYS, link_from_record
+                name, LINK_KEYS, link_from_record
             ))
+            if len(set(map(itemgetter(1), shard))) != len(shard):
+                seen: set[Link] = set()
+                for line_number, (_, link) in enumerate(shard, start=1):
+                    if link in seen:
+                        raise StoreCorruptionError(
+                            name,
+                            f"line {line_number} has a duplicate link "
+                            f"{link}",
+                        )
+                    seen.add(link)
             self._link_shards[index] = shard
         return shard
 

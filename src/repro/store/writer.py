@@ -107,6 +107,17 @@ class _ShardWriter:
         self.crc = crc32(line, self.crc)
         self.records += 1
 
+    def write_lines(self, data: bytes, records: int) -> None:
+        """Append ``records`` already-encoded record lines in one write.
+
+        ``data`` is the verified, decompressed content of a sealed shard
+        or segment; the count and CRC-32 advance exactly as ``records``
+        calls of :meth:`write` over the same lines would advance them.
+        """
+        self._handle.write(data)
+        self.crc = crc32(data, self.crc)
+        self.records += records
+
     def close(self) -> None:
         if self._handle is not self._raw:
             self._handle.close()

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.logic.propositional import (
     FALSE,
@@ -27,6 +30,7 @@ from repro.logic.propositional import (
     is_satisfiable_bruteforce,
     is_tautology,
     models_of,
+    _tokenise,
     parse,
     substitute,
     to_cnf,
@@ -112,6 +116,79 @@ class TestParse:
     def test_roundtrip_via_str(self):
         formula = parse("(a -> b) & ~(c | d) <-> e")
         assert equivalent(parse(str(formula)), formula)
+
+
+_OLD_SYMBOLS = ("<->", "->", "(", ")", "&", "|", "~", "!")
+
+
+def _old_tokenise(text: str) -> list[str]:
+    """The per-character tokeniser the compiled regex replaced, kept as
+    the reference the differential test below compares against."""
+    tokens: list[str] = []
+    pos = 0
+    while pos < len(text):
+        char = text[pos]
+        if char.isspace():
+            pos += 1
+            continue
+        for symbol in _OLD_SYMBOLS:
+            if text.startswith(symbol, pos):
+                tokens.append(symbol)
+                pos += len(symbol)
+                break
+        else:
+            if char.isalnum() or char == "_":
+                start = pos
+                while pos < len(text) and (
+                    text[pos].isalnum() or text[pos] == "_"
+                ):
+                    pos += 1
+                tokens.append(text[start:pos])
+            else:
+                raise PropositionalSyntaxError(
+                    f"unexpected character {char!r} at position {pos}"
+                )
+    return tokens
+
+
+def _outcome(tokenise, text: str):
+    try:
+        return tokenise(text)
+    except PropositionalSyntaxError as error:
+        return str(error)
+
+
+#: Every symbol and near-miss of one, so ``<->`` lands next to ``->``,
+#: ``<-``, a lone ``<`` or ``-`` and ``>``.
+_FRAGMENTS = st.sampled_from(
+    ["<->", "->", "<-", "<", "-", ">", "(", ")", "&", "|", "~", "!", "_"]
+)
+_WHITESPACE = st.sampled_from(
+    [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+)
+_WORD = st.characters(categories=("L", "N"))
+
+
+@pytest.mark.claims
+@settings(max_examples=400, deadline=None)
+@given(st.lists(
+    st.one_of(_FRAGMENTS, _WHITESPACE, _WORD, st.characters()),
+    max_size=40,
+).map("".join))
+def test_tokenise_matches_the_per_character_loop(text: str) -> None:
+    assert _outcome(_tokenise, text) == _outcome(_old_tokenise, text)
+
+
+@pytest.mark.claims
+def test_tokenise_every_word_and_space_code_point() -> None:
+    """All of Unicode the old loop accepts, in one text: every word
+    character and every whitespace character, between symbols."""
+    accepted = [
+        chr(code) for code in range(sys.maxunicode + 1)
+        if chr(code).isspace() or chr(code).isalnum()
+    ]
+    text = "->".join(accepted) + "<->_"
+    assert _tokenise(text) == _old_tokenise(text)
 
 
 class TestEvaluate:

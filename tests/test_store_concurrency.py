@@ -18,6 +18,10 @@ The bugs this suite pins down (and their fixes):
 * **torn-overlay refresh** — a reader that recovered a torn journal
   tail must rebuild, not extend, its overlay when the journal grows or
   the segment is repaired in place;
+* **coalesce crash and fault windows** — a crash sealing the merged
+  segment or at its manifest swap leaves the old generation (and only
+  gc-able litter), and a segment rewritten on disk after the handle
+  parsed it fails the byte-copying coalesce before anything commits;
 * and the **multi-process torture test**: concurrent writer processes
   and snapshot readers over one directory — every committed update
   survives, no reader ever observes a torn generation, and the final
@@ -30,6 +34,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from typing import Any
 
@@ -40,11 +45,13 @@ from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
 from repro.store import (
     StoreConflictError,
+    StoreCorruptionError,
     StoredArgument,
     set_durability,
 )
 from repro.store import writer as writer_module
-from repro.store.format import MANIFEST_NAME, tmp_name
+from repro.store.format import LEASE_NAME, MANIFEST_NAME, tmp_name
+from repro.store.lease import writer_lease
 
 pytestmark = pytest.mark.service
 
@@ -269,6 +276,91 @@ class TestCrashWindows:
         assert StoredArgument(store).load() == argument
         StoredArgument(store).gc()
         assert store_files(store) == before
+
+
+    @staticmethod
+    def _journaled_store(tmp_path, segments: int = 4):
+        store = tmp_path / "case.store"
+        argument = small_argument()
+        argument.save(store)
+        for index in range(segments):
+            argument.add_node(Node(
+                f"J{index}", NodeType.GOAL, f"Journaled claim {index}",
+            ))
+            argument.save(store, journal=True)
+        return store, argument
+
+    @pytest.mark.journal
+    def test_crash_sealing_the_merged_segment_leaves_only_tmp_litter(
+        self, tmp_path, monkeypatch
+    ):
+        store, argument = self._journaled_store(tmp_path)
+        before = store_files(store)
+        ops = list(StoredArgument(store).journal_ops())
+
+        def crashing_finish(self):
+            raise OSError(28, "simulated crash sealing a segment")
+
+        monkeypatch.setattr(
+            writer_module._ShardWriter, "finish", crashing_finish
+        )
+        with pytest.raises(OSError, match="sealing a segment"):
+            StoredArgument(store).coalesce()
+        monkeypatch.undo()
+        litter = set(store_files(store)) - set(before)
+        assert litter and all(name.endswith(".tmp") for name in litter)
+        reopened = StoredArgument(store)
+        assert reopened.journal_ops() == ops
+        assert reopened.load() == argument
+        assert sorted(StoredArgument(store).gc()) == sorted(litter)
+        assert store_files(store) == before
+
+    @pytest.mark.journal
+    def test_crash_at_the_coalesce_manifest_swap_keeps_the_old_generation(
+        self, tmp_path, monkeypatch
+    ):
+        store, argument = self._journaled_store(tmp_path)
+        before = store_files(store)
+        handle = StoredArgument(store)
+        generation = handle.pin()
+        ops = list(handle.journal_ops())
+        self._crash_on_rename_to(monkeypatch, MANIFEST_NAME)
+        with pytest.raises(OSError, match="simulated crash"):
+            handle.coalesce()
+        monkeypatch.undo()
+        reopened = StoredArgument(store)
+        assert reopened.pin() == generation
+        assert reopened.journal_ops() == ops
+        assert reopened.load() == argument
+        orphans = StoredArgument(store).gc()
+        assert any(name.startswith("journal-0000-") for name in orphans)
+        assert store_files(store) == before
+
+    @pytest.mark.journal
+    def test_segment_rewritten_after_the_parse_fails_the_coalesce(
+        self, tmp_path
+    ):
+        store, argument = self._journaled_store(tmp_path)
+        handle = StoredArgument(store)
+        handle.journal_ops()  # parsed and verified against the manifest
+        first, second = handle.journal_segments[:2]
+        (store / second).write_bytes((store / first).read_bytes())
+        manifest = (store / MANIFEST_NAME).read_bytes()
+        names = set(store_files(store))
+        with pytest.raises(StoreCorruptionError, match=second):
+            handle.coalesce()
+        assert (store / MANIFEST_NAME).read_bytes() == manifest
+        assert set(store_files(store)) == names, "nothing was written"
+        assert not (store / LEASE_NAME).exists(), "the lease was released"
+        # The lease really is free: another thread takes it at once.
+        taken = []
+        thread = threading.Thread(
+            target=lambda: taken.append(writer_lease(store, timeout=1.0))
+        )
+        thread.start()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive() and taken
+        taken[0].release()
 
 
 class TestLostUpdateProtocol:

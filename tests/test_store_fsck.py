@@ -26,7 +26,7 @@ from repro.analysis_static.fsck import (
 from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
 from repro.store import StoredArgument, shard_of
-from repro.store.format import StoreCorruptionError
+from repro.store.format import StoreCorruptionError, link_from_record
 from repro.store.fsck import main
 
 pytestmark = [pytest.mark.static, pytest.mark.store]
@@ -307,6 +307,31 @@ def test_journal_record_the_reader_rejects_is_fatal(journaled_dir) -> None:
     assert fresh in _fatal_artifacts(report)
     assert any("line 1: malformed 'add_node'" in f.detail
                for f in report.fatal)
+
+
+def test_duplicate_link_in_a_shard_is_fatal(store_dir) -> None:
+    """A link repeated within a shard, under a fresh seq and matching
+    counts, is fatal at the copy's line with the reader's own detail."""
+    manifest = _manifest(store_dir)
+    shard = _nonempty_shard(store_dir, "links-")
+    path = store_dir / shard
+    lines = path.read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    record["seq"] = manifest["link_count"]
+    lines.append(json.dumps(record, separators=(",", ":")).encode() + b"\n")
+    path.write_bytes(b"".join(lines))
+    manifest["link_count"] += 1
+    (store_dir / "manifest.json").write_text(json.dumps(manifest))
+    fresh = _reseal(store_dir, shard)
+    with pytest.raises(StoreCorruptionError) as excinfo:
+        StoredArgument(store_dir).load()
+    report = fsck_store(store_dir)
+    assert [(f.artifact, f.detail) for f in report.fatal] == [
+        (fresh, excinfo.value.detail)
+    ]
+    assert excinfo.value.detail == (
+        f"line {len(lines)} has a duplicate link {link_from_record(record)}"
+    )
 
 
 def test_seq_domain_gap_is_fatal(store_dir) -> None:

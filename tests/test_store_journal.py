@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import gzip
 import json
+from zlib import crc32
 
 import pytest
 
@@ -29,8 +30,9 @@ from repro.store import (
     StoredArgument,
     StoreError,
 )
-from repro.store.format import MANIFEST_NAME
-from repro.store.journal import COALESCE_AFTER, decode_op
+from repro.store.format import MANIFEST_NAME, journal_base
+from repro.store.journal import COALESCE_AFTER, decode_op, encode_op
+from repro.store.writer import _ShardWriter
 
 pytestmark = pytest.mark.journal
 
@@ -1049,3 +1051,76 @@ class TestSnapshotChain:
 def test_bad_journal_record_is_corruption_naming_the_segment(record):
     with pytest.raises(StoreCorruptionError, match="journal-0000"):
         decode_op(record, "journal-0000-00000000.jsonl")
+
+
+class TestCoalesceBytes:
+    """A coalesce copies the sealed segments' bytes; the merged segment
+    must be exactly what re-encoding the parsed ops writes."""
+
+    @pytest.mark.parametrize("compression", [None, "gzip"])
+    def test_merged_segment_is_the_re_encoded_journal(
+        self, tmp_path, compression
+    ):
+        store = tmp_path / "case.store"
+        argument = gsn_argument()
+        argument.save(store, compression=compression)
+        edit_session(argument)
+        argument.save(store, journal=True)
+        for index in range(4):
+            argument.add_node(Node(
+                f"M{index}", NodeType.GOAL, f"Claim {index} — ünïcode",
+                metadata=(("zeta", (index,)), ("alpha", ("a", "b"))),
+            ))
+            argument.add_link("S0", f"M{index}", LinkKind.SUPPORTED_BY)
+            argument.replace_node(
+                argument.node("G1").with_text(f"Hazard 1, revision {index}")
+            )
+            argument.save(store, journal=True)
+        stored = StoredArgument(store)
+        assert len(stored.journal_segments) == 5
+        reference = tmp_path / "reference"
+        reference.mkdir()
+        writer = _ShardWriter(reference, journal_base(0), compression)
+        try:
+            for op, payload in stored.journal_ops():
+                writer.write(encode_op(op, payload))
+        finally:
+            writer.close()
+        expected = writer.finish()
+        stored.coalesce()
+        (merged,) = stored.journal_segments
+        assert merged == expected
+        assert (store / merged).read_bytes() == (
+            reference / expected
+        ).read_bytes()
+        assert stored.manifest["shards"][merged] == writer.entry
+        assert canonical_argument(
+            StoredArgument(store).load()
+        ) == canonical_argument(argument)
+
+    def test_a_segment_without_its_final_newline_still_merges(
+        self, tmp_path
+    ):
+        """The reader accepts a last record with no newline; the merged
+        copy must not glue it to the next segment's first record."""
+        store = tmp_path / "case.store"
+        argument = gsn_argument()
+        argument.save(store)
+        for index in range(3):
+            argument.add_node(Node(
+                f"X{index}", NodeType.GOAL, f"Late claim {index} holds",
+            ))
+            argument.save(store, journal=True)
+        manifest = json.loads((store / MANIFEST_NAME).read_text())
+        first = manifest["journal"][0]
+        data = (store / first).read_bytes()
+        (store / first).write_bytes(data.rstrip(b"\n"))
+        manifest["shards"][first]["crc32"] = crc32(data.rstrip(b"\n"))
+        (store / MANIFEST_NAME).write_text(json.dumps(manifest))
+        stored = StoredArgument(store)
+        ops = list(stored.journal_ops())
+        stored.coalesce()
+        reopened = StoredArgument(store)
+        assert len(reopened.journal_segments) == 1
+        assert reopened.journal_ops() == ops
+        assert reopened.load() == argument

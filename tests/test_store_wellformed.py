@@ -8,7 +8,7 @@ Two contracts of the persistent store:
 * **corruption is loud and located** — any tampering a shard can suffer
   (bit flips, truncated JSONL lines, padded records, missing files,
   undecodable lines, CRC-valid records whose fields make no node or
-  link, a node id repeated within a shard) raises a typed
+  link, a node id or link repeated within a shard) raises a typed
   :class:`~repro.store.StoreCorruptionError` that names the shard, so an
   operator of a 100k-node store knows which file to restore.
 """
@@ -26,6 +26,7 @@ from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
 from repro.core.wellformed import DENNEY_PAI_RULES
 from repro.store import StoredArgument, StoreCorruptionError, StoreError
+from repro.store.format import link_from_record
 
 pytestmark = pytest.mark.store
 
@@ -279,6 +280,35 @@ def test_duplicate_node_id_in_a_shard_is_corruption(stored_dir) -> None:
             read(StoredArgument(stored_dir))
         assert excinfo.value.detail == (
             f"line {len(lines)} has a duplicate node id {record['id']!r}"
+        )
+
+
+def test_duplicate_link_in_a_shard_is_corruption(stored_dir) -> None:
+    """A second copy of a link in a CRC-valid shard is rejected by every
+    read path alike, naming the shard and the copy's line — never an
+    untyped argument error, a doubled link, or a check judging both."""
+    shard = _nonempty_shard(stored_dir, "links-")
+    path = stored_dir / shard
+    lines = path.read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    lines.append(lines[0])
+    path.write_bytes(b"".join(lines))
+    manifest = _manifest(stored_dir)
+    manifest["shards"][shard]["records"] = len(lines)
+    (stored_dir / "manifest.json").write_text(json.dumps(manifest))
+    _patch_manifest_crc(stored_dir, shard)
+    link = link_from_record(record)
+    reads = {
+        "subtree": lambda stored: stored.subtree(record["source"]),
+        "load": lambda stored: stored.load(),
+        "iter_links": lambda stored: list(stored.iter_links()),
+        "check": lambda stored: repro.check(stored, mode="streaming"),
+    }
+    for read in reads.values():
+        with pytest.raises(StoreCorruptionError, match=shard) as excinfo:
+            read(StoredArgument(stored_dir))
+        assert excinfo.value.detail == (
+            f"line {len(lines)} has a duplicate link {link}"
         )
 
 
