@@ -274,7 +274,10 @@ class ScopedRule:
     since the last check and the rule's previous violations, and returns
     the new violations — or ``None`` to decline, in which case the
     checker falls back to the full ``fn``.  It must return exactly what
-    ``fn`` would.
+    ``fn`` would.  ``ctx`` already reflects the whole batch, so a node a
+    record names may be gone, removed by a later record; the hook must
+    not raise for it.  Both shipped global rules, ``single-root`` and
+    ``acyclic``, have hooks.
     """
 
     name: str
@@ -1157,8 +1160,11 @@ class IncrementalChecker:
     * any link mutation re-evaluates the node rules of both endpoints
       (support-dependent rules like ``undeveloped-unmarked`` read them).
 
-    Global rules re-run on every :meth:`check` (through their
-    incremental hooks when they offer one).  A rotated delta log, or a
+    Global rules refresh on every :meth:`check` through their
+    incremental hooks; a rule without one, or whose hook declines,
+    re-runs in full.  Both shipped global rules have hooks, so an edit
+    that can neither move the root list nor close a support cycle is
+    checked without walking every node.  A rotated delta log, or a
     compacted or rewritten store, forces a full rebuild, so the result
     always equals a fresh full check.  A stored subject is never
     hydrated: ``stored.hydrated`` stays ``False``.

@@ -156,21 +156,37 @@ class Node:
 
 _PROPOSITION_SUBJECT = re.compile(r"^[A-Za-z0-9_'\"].*")
 # Verbs whose presence suggests the text asserts something of a subject.
+# The alternatives are grouped by first letter: under IGNORECASE a flat
+# alternation is tried one branch at a time at every word start, while
+# the grouped form rejects a word on its first letter.  Grouping can
+# change which alternative matches first, so read only whether it
+# matches.
 _COPULA_OR_VERB = re.compile(
-    r"\b(is|are|was|were|has|have|holds?|meets?|satisf\w+|compl\w+|"
-    r"operates?|ensures?|prevents?|mitigat\w+|maintain\w+|achiev\w+|"
-    r"will|shall|does|do|can(?:not)?|inhibit\w*|remain\w*|exceed\w*|"
-    r"tolerat\w+|detect\w+|manag\w+|support\w+|provid\w+|block\w*|"
-    r"annunciat\w+|recover\w*|respond\w*|protect\w*|isolat\w+|"
-    r"disabl\w+|enabl\w+|warn\w*|notif\w+|cover\w*|guarantee\w*|"
-    r"avoid\w*|reduc\w+|control\w*|handl\w+|record\w*|establish\w+|"
-    r"terminat\w+|trip\w*|trigger\w*|keep\w*|stop\w*|limit\w*|"
-    r"bound\w*|lead\w*|deliver\w*|perform\w*|execut\w+|conform\w*|"
-    r"fail\w*|switch\w+|raise\w*|alert\w*|arriv\w+|occur\w*|"
-    r"includ\w+|contain\w*|appl\w+|receiv\w+|transmit\w*|grant\w*|"
-    r"clos\w+|open\w*|shut\w*|engag\w+|disengag\w+|activat\w+|"
-    r"deactivat\w+|start\w*|respond\w*|return\w*|enter\w*|reach\w*|"
-    r"operat\w+|function\w*|behav\w+|act\w*|work\w*|run\w*)\b",
+    r"\b(?:"
+    r"a(?:re|chiev\w+|nnunciat\w+|void\w*|lert\w*|rriv\w+|ppl\w+|"
+    r"ctivat\w+|ct\w*)|"
+    r"b(?:lock\w*|ound\w*|ehav\w+)|"
+    r"c(?:ompl\w+|an(?:not)?|over\w*|ontrol\w*|onform\w*|ontain\w*|"
+    r"los\w+)|"
+    r"d(?:oes|o|etect\w+|isabl\w+|eliver\w*|isengag\w+|eactivat\w+)|"
+    r"e(?:nsures?|xceed\w*|nabl\w+|stablish\w+|xecut\w+|ngag\w+|"
+    r"nter\w*)|"
+    r"f(?:ail\w*|unction\w*)|"
+    r"g(?:uarantee\w*|rant\w*)|"
+    r"h(?:as|ave|olds?|andl\w+)|"
+    r"i(?:s|nhibit\w*|solat\w+|nclud\w+)|"
+    r"k(?:eep\w*)|"
+    r"l(?:imit\w*|ead\w*)|"
+    r"m(?:eets?|itigat\w+|aintain\w+|anag\w+)|"
+    r"n(?:otif\w+)|"
+    r"o(?:perates?|ccur\w*|pen\w*|perat\w+)|"
+    r"p(?:revents?|rovid\w+|rotect\w*|erform\w*)|"
+    r"r(?:emain\w*|ecover\w*|espond\w*|educ\w+|ecord\w*|aise\w*|"
+    r"eceiv\w+|eturn\w*|each\w*|un\w*)|"
+    r"s(?:atisf\w+|hall|upport\w+|top\w*|witch\w+|hut\w*|tart\w*)|"
+    r"t(?:olerat\w+|erminat\w+|rip\w*|rigger\w*|ransmit\w*)|"
+    r"w(?:as|ere|ill|arn\w*|ork\w*)"
+    r")\b",
     re.IGNORECASE,
 )
 # Leading noun-phrase shapes that are labels, not claims: 'Formal proof

@@ -208,6 +208,47 @@ def _rule_single_root(ctx: RuleContext) -> list[Violation]:
     )]
 
 
+def _rule_single_root_delta(
+    ctx: RuleContext,
+    records: tuple,
+    previous: tuple[Violation, ...],
+) -> "list[Violation] | None":
+    """Incremental single-root: keep the verdict unless roots can move.
+
+    The root list is the claim-like nodes with no SupportedBy in-edge,
+    in insertion order, and the verdict is a function of that list.  A
+    node joins or leaves it only when its claim-likeness or its
+    SupportedBy in-edges change, and the order changes only when a
+    node is added.  So the previous verdict stands unless a record
+    retypes a node across claim-likeness, adds or removes a claim-like
+    node, or adds or removes a SupportedBy link into a claim-like node
+    — then the hook declines to the full rule.  InContextOf links never
+    matter.  A link's target is judged by its type after the batch;
+    one added or removed within the batch is left to its node record,
+    which by then has declined unless the node is not claim-like.
+    """
+    changed_nodes: set[str] = set()
+    targets: list[str] = []
+    for op, payload in records:
+        if op == "replace_node":
+            old, new = payload
+            if old.node_type.is_claim_like != new.node_type.is_claim_like:
+                return None
+        elif op == "add_node" or op == "remove_node":
+            if payload.node_type.is_claim_like:
+                return None
+            changed_nodes.add(payload.identifier)
+        elif payload.kind is LinkKind.SUPPORTED_BY:  # add_ or remove_link
+            targets.append(payload.target)
+    for target in targets:
+        if (
+            target not in changed_nodes
+            and ctx.node_type(target).is_claim_like
+        ):
+            return None
+    return list(previous)
+
+
 def _rule_acyclic(ctx: RuleContext) -> list[Violation]:
     """The support relation must be acyclic."""
     cycle = ctx.find_cycle()
@@ -355,7 +396,8 @@ _STANDARD_RULES: tuple[ScopedRule, ...] = (
              _rule_solutions_are_leaves),
     global_rule("single-root",
                 "exactly one root goal",
-                _rule_single_root),
+                _rule_single_root,
+                delta_fn=_rule_single_root_delta),
     global_rule("acyclic",
                 "no circular support",
                 _rule_acyclic,

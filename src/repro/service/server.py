@@ -460,9 +460,20 @@ class ArgumentService:
 
     @staticmethod
     async def _in_thread(func: Any, *args: Any) -> Any:
-        return await asyncio.get_running_loop().run_in_executor(
-            None, func, *args
-        )
+        # The executor's worker keeps its work item (callable, arguments
+        # and future) for a moment after the result is delivered.  Hand
+        # it only an emptied box, so a superseded snapshot that a request
+        # closed over is not kept alive by a worker that has not yet
+        # dropped it.
+        box: "list[Any]" = [func, args]
+
+        def run() -> None:
+            call, call_args = box
+            box.clear()
+            box.append(call(*call_args))
+
+        await asyncio.get_running_loop().run_in_executor(None, run)
+        return box.pop()
 
     async def _get_node(
         self, state: _StoreState, identifier: str

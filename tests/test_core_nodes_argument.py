@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.argument import Argument, ArgumentError, LinkKind
-from repro.core.nodes import Node, NodeType, looks_propositional
+from repro.core.nodes import (
+    _COPULA_OR_VERB,
+    Node,
+    NodeType,
+    looks_propositional,
+)
 
 
 class TestNode:
@@ -195,3 +203,91 @@ class TestArgumentStructure:
         argument = Argument()
         argument.add_node(Node("G1", NodeType.GOAL, "The system is safe"))
         assert [n.identifier for n in argument.leaves()] == ["G1"]
+
+
+# The verb pattern as one flat alternation, as it was before its
+# alternatives were grouped by first letter: the differential oracle.
+_FLAT_COPULA_OR_VERB = re.compile(
+    r"\b(is|are|was|were|has|have|holds?|meets?|satisf\w+|compl\w+|"
+    r"operates?|ensures?|prevents?|mitigat\w+|maintain\w+|achiev\w+|"
+    r"will|shall|does|do|can(?:not)?|inhibit\w*|remain\w*|exceed\w*|"
+    r"tolerat\w+|detect\w+|manag\w+|support\w+|provid\w+|block\w*|"
+    r"annunciat\w+|recover\w*|respond\w*|protect\w*|isolat\w+|"
+    r"disabl\w+|enabl\w+|warn\w*|notif\w+|cover\w*|guarantee\w*|"
+    r"avoid\w*|reduc\w+|control\w*|handl\w+|record\w*|establish\w+|"
+    r"terminat\w+|trip\w*|trigger\w*|keep\w*|stop\w*|limit\w*|"
+    r"bound\w*|lead\w*|deliver\w*|perform\w*|execut\w+|conform\w*|"
+    r"fail\w*|switch\w+|raise\w*|alert\w*|arriv\w+|occur\w*|"
+    r"includ\w+|contain\w*|appl\w+|receiv\w+|transmit\w*|grant\w*|"
+    r"clos\w+|open\w*|shut\w*|engag\w+|disengag\w+|activat\w+|"
+    r"deactivat\w+|start\w*|respond\w*|return\w*|enter\w*|reach\w*|"
+    r"operat\w+|function\w*|behav\w+|act\w*|work\w*|run\w*)\b",
+    re.IGNORECASE,
+)
+
+# Every stem of the pattern, bare; suffixes and case are drawn apart.
+_STEMS = (
+    "is are was were has have hold meet satisf compl operate ensure "
+    "prevent mitigat maintain achiev will shall does do can cannot "
+    "inhibit remain exceed tolerat detect manag support provid block "
+    "annunciat recover respond protect isolat disabl enabl warn notif "
+    "cover guarantee avoid reduc control handl record establish terminat "
+    "trip trigger keep stop limit bound lead deliver perform execut "
+    "conform fail switch raise alert arriv occur includ contain appl "
+    "receiv transmit grant clos open shut engag disengag activat "
+    "deactivat start return enter reach operat function behav act work "
+    "run"
+).split()
+# Letters that IGNORECASE folds onto an ASCII letter of the pattern:
+# long s, the Kelvin sign and dotless i (dotted capital I is drawn as
+# a suffix and in the free text).
+_FOLDS = {"s": "\u017f", "k": "\u212a", "i": "\u0131"}
+
+
+@st.composite
+def _word(draw) -> str:
+    stem = "".join(
+        draw(st.sampled_from([ch, ch.upper(), _FOLDS.get(ch, ch)]))
+        for ch in draw(st.sampled_from(_STEMS))
+    )
+    prefix = draw(st.sampled_from(["", "", "un", "x", "_", "9"]))
+    suffix = draw(st.sampled_from(
+        ["", "", "s", "es", "ed", "ing", "d", "_", "1", "\u0130", "\u0131"]
+    ))
+    return prefix + stem + suffix
+
+
+_FREE_TEXT = st.text(
+    alphabet="abcdeiklnorstwyz\u017f\u212a\u0131\u0130", max_size=8
+)
+_SEPARATORS = st.sampled_from([" ", "  ", "-", ".", ",", "'", "(", ""])
+_TEXTS = st.lists(
+    st.tuples(st.one_of(_word(), _FREE_TEXT), _SEPARATORS), max_size=6
+).map(lambda parts: "".join(word + sep for word, sep in parts))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TEXTS)
+@example("The system \u017fhall stop")
+@example("\u212aeeps the brake closed")
+@example("it \u0131s \u0130S")
+@example("operates operate operating operat")
+@example("can cannot cant")
+def test_grouped_verb_pattern_matches_the_flat_one(text) -> None:
+    assert bool(_COPULA_OR_VERB.search(text)) == \
+        bool(_FLAT_COPULA_OR_VERB.search(text)), text
+
+
+def test_grouped_verb_pattern_matches_the_flat_one_on_every_stem() -> None:
+    # Each stem bare and suffixed, in each case variant, alone and
+    # glued to a prefix: the cases a random draw reaches too rarely.
+    for stem in _STEMS:
+        for variant in (
+            stem, stem.upper(), "".join(_FOLDS.get(ch, ch) for ch in stem),
+        ):
+            for suffix in ("", "s", "e", "es", "ing", "_", "\u0130"):
+                for prefix in ("", "x", "The plant "):
+                    text = prefix + variant + suffix
+                    assert bool(_COPULA_OR_VERB.search(text)) == \
+                        bool(_FLAT_COPULA_OR_VERB.search(text)), text
+

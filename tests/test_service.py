@@ -628,6 +628,44 @@ class TestIncrementalCheck:
         assert _verdict(one_shot["violations"]) == \
             _streaming(StoredArgument(path))
 
+    def test_appends_that_move_the_roots_match_streaming(
+        self, served, tmp_path
+    ):
+        # Each append can change the root list, so the single-root hook
+        # declines and the served check runs the full rule.
+        path = tmp_path / STORE
+        client = served.client()
+        argument = StoredArgument(path).load()
+        client.check(STORE)
+        edits = (
+            lambda: argument.add_node(Node(
+                "R1", NodeType.GOAL, "A second claim holds",
+                undeveloped=True,
+            )),
+            lambda: argument.add_link("S1", "R1", LinkKind.SUPPORTED_BY),
+            lambda: argument.remove_node("R1"),
+        )
+        root_details = []
+        for edit in edits:
+            seq = argument.mutation_seq
+            edit()
+            client.append(STORE, argument.delta_since(seq))
+            reply = client.check(STORE)
+            assert reply["mode"] == "incremental"
+            handle = StoredArgument(path)
+            assert reply["generation"] == str(handle.generation)
+            expected = _streaming(handle)
+            assert _verdict(reply["violations"]) == expected, (
+                f"generation {reply['generation']}"
+            )
+            root_details.append([
+                detail for rule, _, detail in expected
+                if rule == "single-root"
+            ])
+        assert root_details == [
+            ["argument has 2 root goals (G1, R1)"], [], [],
+        ]
+
     def test_checks_racing_appends_match_the_generation_they_name(
         self, served, tmp_path
     ):
@@ -711,6 +749,33 @@ class TestIncrementalCheck:
             )
         finally:
             gc.enable()
+
+    def test_no_worker_thread_pins_a_superseded_snapshot(self, served):
+        # A worker thread drops its work item only after the result is
+        # delivered; what it still holds then must not be the snapshot.
+        # One round shows the race rarely, so run many.
+        import gc
+        import weakref
+
+        client = served.client()
+        survivors = 0
+        for round_index in range(30):
+            client.check(STORE)
+            client.search(STORE, "hazard")
+            outgoing = weakref.ref(served.service._stores[STORE].snapshot)
+            gc.collect()
+            gc.disable()
+            try:
+                client.append(STORE, [{"op": "add_node", "node": {
+                    "id": f"Sn-R{round_index}", "type": "solution",
+                    "text": f"Hazard review record {round_index}",
+                }}])
+                client.search(STORE, "hazard")
+                client.check(STORE)
+                survivors += outgoing() is not None
+            finally:
+                gc.enable()
+        assert survivors == 0
 
     def test_a_check_that_fails_part_way_is_not_trusted_after(
         self, served, tmp_path, monkeypatch

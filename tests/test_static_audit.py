@@ -38,7 +38,12 @@ from repro.core.analysis import (
     per_link,
     per_node,
 )
-from repro.core.wellformed import DENNEY_PAI_RULES, GSN_STANDARD_RULES, RuleSet
+from repro.core.wellformed import (
+    DENNEY_PAI_RULES,
+    GSN_STANDARD_RULES,
+    RuleSet,
+    _rule_single_root,
+)
 from repro.fallacies.informal import PER_NODE_HEURISTICS
 
 pytestmark = pytest.mark.static
@@ -157,6 +162,11 @@ def test_gallery_rule_flagged_with_kind_and_location(
     )
     finding = matching[0]
     assert finding.rule.startswith(rule.name)
+    _assert_error_inside(finding, defective_fn)
+
+
+def _assert_error_inside(finding, defective_fn) -> None:
+    """The finding is an error located in *defective_fn*'s lines."""
     assert finding.severity == SEVERITY_ERROR
     assert finding.path == __file__
     first = defective_fn.__code__.co_firstlineno
@@ -206,6 +216,56 @@ def test_global_rule_calling_ctx_argument_is_undeclared_error() -> None:
     assert undeclared, [str(f) for f in findings]
     assert errors_only(undeclared) == undeclared
     assert "ctx.argument" in undeclared[0].message
+
+
+# -- delta hooks: audited under the GLOBAL contract as ``rule#delta`` -------
+
+
+def _gallery_delta_sidecar(ctx, records, previous) -> "list[Violation] | None":
+    # ``types`` is a store sidecar internal, on no scope's surface: a
+    # live context has no such attribute.
+    if any(op == "add_node" for op, _ in records) and ctx.types:
+        return None
+    return list(previous)
+
+
+def _gallery_delta_hydrating(
+    ctx, records, previous
+) -> "list[Violation] | None":
+    argument = ensure_argument(ctx)  # the hydration escape hatch
+    return None if argument else list(previous)
+
+
+DELTA_GALLERY = [
+    (_gallery_delta_sidecar, KIND_UNDECLARED),
+    (_gallery_delta_hydrating, KIND_HYDRATION),
+]
+
+
+@pytest.mark.parametrize(
+    "hook, kind", DELTA_GALLERY,
+    ids=[hook.__name__ for hook, _ in DELTA_GALLERY],
+)
+def test_delta_hook_defect_reported_under_rule_delta(hook, kind) -> None:
+    # The full rule is sound; only the hook carries the defect.
+    rule = global_rule(
+        "g-delta", "sound rule, unsound hook", _rule_single_root,
+        delta_fn=hook,
+    )
+    findings = audit_rule(rule)
+    assert {f.rule for f in findings} == {"g-delta#delta"}, (
+        [str(f) for f in findings]
+    )
+    matching = [f for f in findings if f.kind == kind]
+    assert matching, [str(f) for f in findings]
+    _assert_error_inside(matching[0], hook)
+
+
+@pytest.mark.parametrize("name", ["single-root", "acyclic"])
+def test_shipped_delta_hooks_audit_clean(name) -> None:
+    (rule,) = [r for r in GSN_STANDARD_RULES.rules if r.name == name]
+    assert rule.delta_fn is not None  # so the audit covers a hook
+    assert audit_rule(rule) == []
 
 
 def test_streaming_scan_flagging_ensure_argument() -> None:
