@@ -41,12 +41,13 @@ Two classes answer the :class:`RuleContext` questions.  A live argument
 is asked through :class:`_LiveContext`, a thin adapter over the
 argument's own maintained indices.  Everything built from store records
 uses the one :class:`_Sidecar`: node types, seq order, SupportedBy
-counts and SupportedBy adjacency.  The streaming scan fills it with
-:meth:`_Sidecar.note_link` / :meth:`_Sidecar.note_node`, the parallel
-path merges worker columns into it through the same two calls, and the
-store-backed incremental checker patches it with
-:meth:`_Sidecar.apply_op`.  One structure means every stored mode
-answers every question from the same aggregates.
+counts and SupportedBy adjacency.  The one shard scan
+(:func:`_scan_shard`) fills it with :meth:`_Sidecar.note_link` /
+:meth:`_Sidecar.note_node`, the parallel path merges worker columns
+into it through the same two calls, and the store-backed incremental
+checker patches it with :meth:`_Sidecar.apply_op`.  One structure
+means every stored mode answers every question from the same
+aggregates.
 
 Execution modes
 ===============
@@ -60,13 +61,14 @@ requested mode onto the engine that runs it; the checking facade
 
 ``serial`` / ``streaming``
     Synonyms: one process, no hydration.  A live argument is evaluated
-    against its own indices.  A stored argument streams one pass over
-    its link shards (filling the sidecar's support aggregates and
-    buffering the lightweight link triples), one pass over its node
-    shards (noting types and seq order, running node rules as records
-    parse), then link rules over the buffer and the global rules.
-    Every shard parses exactly once per handle, into the handle's
-    per-shard caches that later point reads on it reuse.
+    against its own indices.  A stored argument builds a store-backed
+    :class:`IncrementalChecker` and assembles its report once, at the
+    generation the handle holds: one pass over the shards in shard
+    order, each link shard (support aggregates, links buffered) before
+    its node shard (types, seq order, node rules as records parse),
+    then link rules over the buffer and the global rules.  Every shard
+    parses exactly once per handle, into the handle's per-shard caches
+    that later point reads on it reuse.
 
 ``parallel``
     Stored arguments only; a live argument resolves to ``serial``
@@ -485,8 +487,9 @@ class _Sidecar(RuleContext):
     texts, metadata and the non-support links are never retained.
 
     Nodes register with their global sequence number, so :meth:`roots`
-    and :meth:`find_cycle` see exact insertion order even when shards
-    arrive out of order; :meth:`finalise` sorts them once the scan is
+    and :meth:`find_cycle` see exact insertion order though the shard
+    scan meets nodes in shard order (and the parallel merge in
+    completion order); :meth:`finalise` sorts them once the scan is
     done.  After that, :meth:`apply_op` patches the sidecar one journal
     record at a time.
     """
@@ -726,7 +729,7 @@ def run_rules(
             subject, rules, _effective_workers(workers)
         )
     if used == "streaming":
-        return _run_stored_streaming(subject, rules)
+        return IncrementalChecker(subject, rules)._report()
     if used == "serial":
         return _run_live(subject, rules)
     raise ValueError(
@@ -758,54 +761,28 @@ def _scan_shard(
     index: int,
     ctx: _Sidecar,
     dispatch: "dict[NodeType, _IndexedRules]",
-    buckets: list[list[Violation]],
+    hits: "list[dict[str, tuple[Violation, ...]]]",
     links: list[Link],
 ) -> None:
     """Parse shard ``index`` into the sidecar, running node rules.
 
-    The link shard goes first: links shard by *source* id with the same
-    hash as nodes, so it carries every support bit this shard's node
-    rules may ask about.  Links are also buffered for the link rules,
-    which need the endpoint types of other shards.
+    The one shard pass, shared by the checker's build and the parallel
+    worker: a node's non-empty verdict lands in ``hits[slot]`` under
+    its identifier.  The link shard goes first: links shard by *source*
+    id with the same hash as nodes, so it carries every support bit
+    this shard's node rules may ask about.  Links are also buffered for
+    the link rules, which need the endpoint types of other shards.
     """
     for _, link in stored.iter_shard_links(index):
         ctx.note_link(link)
         links.append(link)
     for seq, node in stored.iter_shard_nodes(index):
-        ctx.note_node(seq, node.identifier, node.node_type)
-        for rule_index, rule in dispatch[node.node_type]:
+        identifier = node.identifier
+        ctx.note_node(seq, identifier, node.node_type)
+        for slot, rule in dispatch[node.node_type]:
             found = rule.fn(node, ctx)
             if found:
-                buckets[rule_index].extend(found)
-
-
-def _run_stored_streaming(
-    stored: Any, rules: tuple[ScopedRule, ...]
-) -> list[Violation]:
-    """Check a stored argument without hydration, shard by shard.
-
-    Shards stream *sequentially* (no heap merge — canonical output order
-    makes per-record order irrelevant, and the sidecar orders nodes by
-    their ``seq``).  Each shard is parsed exactly once per handle: the
-    check reads through the handle's per-shard caches, so the decoded
-    base shards stay on the handle for its lifetime, as point reads'
-    shards always did, and the ``node``/``subtree``/``load`` calls that
-    follow decode nothing again.  No live argument is built; dropping
-    the handle frees the decoded shards.
-    """
-    node_rules, link_rules, global_rules = _split_rules(rules)
-    ctx = _Sidecar(stored.name)
-    links: list[Link] = []
-    buckets: list[list[Violation]] = [[] for _ in rules]
-    dispatch = _node_dispatch(node_rules)
-    for index in range(stored.shard_count):
-        _scan_shard(stored, index, ctx, dispatch, buckets, links)
-    ctx.finalise()
-    if link_rules:  # types now complete; no re-parse
-        _judge_links(_link_dispatch(link_rules), links, ctx, buckets)
-    for rule_index, rule in global_rules:
-        buckets[rule_index].extend(rule.fn(ctx))
-    return _assemble(buckets)
+                hits[slot][identifier] = tuple(found)
 
 
 # -- parallel execution (stored arguments) ----------------------------------
@@ -966,23 +943,26 @@ def _stored_scan_task(
     The worker opens the store **at the parent's pinned generation**
     (opening verifies the token and rewinds any journal segments
     appended mid-check; a rotated base raises ``StoreConflictError``),
-    scans shard ``index`` exactly as the streaming path does
-    (:func:`_scan_shard`) into a sidecar of its own, and ships the
-    fragment back as flat columns; the parent owns every cross-shard
-    judgement.
+    scans shard ``index`` exactly as the checker's build does
+    (:func:`_scan_shard`) into a sidecar and hit maps of its own, and
+    ships the fragment back as flat columns and per-rule buckets; the
+    parent owns every cross-shard judgement.
     """
     stored = _scan_handle(directory, generation, ignore_torn_tail)
     ctx = _Sidecar(stored.name)
     links: list[Link] = []
-    buckets: list[list[Violation]] = [[] for _ in node_rules]
+    hits: list[dict[str, tuple[Violation, ...]]] = [{} for _ in node_rules]
     _scan_shard(
         stored, index, ctx, _node_dispatch(list(enumerate(node_rules))),
-        buckets, links,
+        hits, links,
     )
     noted = ctx._pending
     identifiers = [identifier for _, identifier in noted]
     return (
-        buckets,
+        [
+            [violation for found in slot_hits.values() for violation in found]
+            for slot_hits in hits
+        ],
         (
             [seq for seq, _ in noted],
             identifiers,
@@ -1004,7 +984,7 @@ def _run_parallel_stored(
     One scan task per shard, pulled from the pool's queue on demand, so
     a skewed shard occupies one worker while the rest keep draining the
     queue.  The parent merges each fragment into its sidecar through
-    the same ``note_node``/``note_link`` calls the streaming scan makes,
+    the same ``note_node``/``note_link`` calls the shard scan makes,
     groups links by (source shard, target shard), and judges a group
     the moment both endpoint shards have landed.  The first worker
     failure cancels every not-yet-started task and re-raises with the
@@ -1106,7 +1086,11 @@ class _StoreView:
     :class:`~repro.core.argument.Argument` answers them by (``in``,
     ``node``, ``has_link``, ``links_of``): membership from the sidecar,
     single nodes from the store's lazy per-shard lookup, and links from
-    a link index that only the incremental path pays for.
+    a link index that ``has_link``/``links_of`` build on first use from
+    the handle the view then serves.  The checker asks those only while
+    applying a batch, after ``_sync_store`` has rebound the handle, so
+    the index is built holding the batch; until then :meth:`apply_op`
+    patches only the sidecar.
     """
 
     __slots__ = ("stored", "sidecar", "incident")
@@ -1114,7 +1098,17 @@ class _StoreView:
     def __init__(self, stored: Any) -> None:
         self.stored = stored
         self.sidecar = _Sidecar(stored.name)
-        self.incident: dict[str, dict[Link, None]] = {}
+        self.incident: "dict[str, dict[Link, None]] | None" = None
+
+    def _links(self) -> "dict[str, dict[Link, None]]":
+        """Every link of the served handle under both endpoints."""
+        if self.incident is None:
+            incident: dict[str, dict[Link, None]] = {}
+            for link in self.stored.iter_links():
+                incident.setdefault(link.source, {})[link] = None
+                incident.setdefault(link.target, {})[link] = None
+            self.incident = incident
+        return self.incident
 
     def __contains__(self, identifier: str) -> bool:
         return identifier in self.sidecar.types
@@ -1124,14 +1118,16 @@ class _StoreView:
         return node
 
     def has_link(self, link: Link) -> bool:
-        return link in self.incident.get(link.source, ())
+        return link in self._links().get(link.source, ())
 
     def links_of(self, identifier: str) -> list[Link]:
-        return list(self.incident.get(identifier, ()))
+        return list(self._links().get(identifier, ()))
 
     def apply_op(self, op: str, payload: Any) -> None:
-        """Patch sidecar and link index with one journal record."""
+        """Patch the sidecar (and the link index, once built)."""
         self.sidecar.apply_op(op, payload)
+        if self.incident is None:
+            return
         if op == "add_link":
             self.incident.setdefault(payload.source, {})[payload] = None
             self.incident.setdefault(payload.target, {})[payload] = None
@@ -1246,38 +1242,32 @@ class IncrementalChecker:
         self._seq = argument.mutation_seq
 
     def _rebuild_store(self, stored: Any) -> None:
-        """One pass over the store: sidecar, link index, violation maps.
+        """One pass over the store: sidecar and violation maps.
 
-        Links stream first (the support aggregates node rules read),
-        then nodes (evaluating node rules as records parse — node
-        payloads are not retained), then link rules over the buffered
-        links and the global rules over the completed sidecar.  Both
-        streams run in insertion order, unlike the streaming check's
-        shard order: every later check walks these maps in that order,
-        and building them in it keeps those walks local in memory.  No
-        hydration: this is the streaming check's cost plus the link
-        index, paid once at attach and again only if the base shards
-        are replaced underneath us.  The streams read through the
-        handle's per-shard caches, so the per-node lookups of later
-        checks decode no base shard again.
+        :func:`_scan_shard` reads the shards in shard order into the
+        sidecar and the node-rule hit maps, buffering the links; then
+        link rules run over the buffer and global rules over the
+        completed sidecar.  This is the streaming check, with no
+        hydration and no link index, paid at attach and again only if
+        the base shards are replaced underneath us.  The scan reads
+        through the handle's per-shard caches, so later per-node
+        lookups decode no base shard again.  Shard order leaves the hit
+        maps out of insertion order, which slowed later checks (by 11%)
+        only while each walked the node list: since ``single-root`` got
+        its hook none does, and edit-recheck ``check_p50_ms`` went
+        0.294 -> 0.278 ms when the build moved to shard order.
         """
         self._base_key: "tuple | None" = None  # set once the pass completes
         view = self._view = self._graph = _StoreView(stored)
         sidecar = view.sidecar
         self._ctx = sidecar
         self._clear_hits()
-        # The hit maps start empty, so these loops only ever add.
-        links = list(stored.iter_links())
-        for link in links:
-            view.apply_op("add_link", link)
-        node_hits, node_dispatch = self._node_hits, self._node_dispatch
-        for seq, node in enumerate(stored.iter_nodes()):
-            identifier = node.identifier
-            sidecar.note_node(seq, identifier, node.node_type)
-            for slot, rule in node_dispatch[node.node_type]:
-                found = rule.fn(node, sidecar)
-                if found:
-                    node_hits[slot][identifier] = tuple(found)
+        links: list[Link] = []
+        for index in range(stored.shard_count):
+            _scan_shard(
+                stored, index, sidecar, self._node_dispatch,
+                self._node_hits, links,
+            )
         sidecar.finalise()
         link_hits, link_dispatch = self._link_hits, self._link_dispatch
         for link in links:
@@ -1462,6 +1452,10 @@ class IncrementalChecker:
             elif delta:
                 self._apply(delta.records)
                 self._seq = self._argument.mutation_seq
+        return self._report()
+
+    def _report(self) -> list[Violation]:
+        """The cached violations in report order (no catch-up)."""
         buckets: list[list[Violation]] = [[] for _ in self._rules]
         for slot, (index, _) in enumerate(self._node_rules):
             for found in self._node_hits[slot].values():

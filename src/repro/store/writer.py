@@ -276,7 +276,9 @@ def _commit(
     )
     tmp = directory / tmp_name(MANIFEST_NAME)
     with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        handle.write(
+            json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
+        )
         fsync_fileobj(handle)
     tmp.replace(directory / MANIFEST_NAME)
     fsync_directory(directory)

@@ -324,3 +324,52 @@ class TestIncrementalChecker:
             ))
         assert argument.delta_since(0) is None
         assert checker.check() == check(argument)
+
+
+# -- one full-store pass -----------------------------------------------------
+
+
+@pytest.mark.journal
+def test_stored_checks_scan_shards_and_index_links_on_demand(
+    ill_formed, stored, monkeypatch
+):
+    """A checker's build and a one-shot stored check read the shards
+    once, through the shard scan: neither merges the whole store with
+    ``iter_nodes``/``iter_links``.  The checker's link index is built
+    once, by the first edit that asks about links."""
+    calls: "list[str]" = []
+    for name in ("iter_nodes", "iter_links"):
+        def counting(self, _original=getattr(StoredArgument, name),
+                     _name=name):
+            calls.append(_name)
+            return _original(self)
+
+        monkeypatch.setattr(StoredArgument, name, counting)
+    rules = GSN_STANDARD_RULES.rules
+    writer = StoredArgument(stored.path)
+    checker = IncrementalChecker(stored, rules)
+    assert run_rules(stored, rules, mode="streaming") == check(ill_formed)
+    assert checker.check() == check(ill_formed)
+    assert calls == []
+
+    def edit(change) -> "dict | None":
+        seq = ill_formed.mutation_seq
+        change()
+        writer.append_delta(ill_formed.delta_since(seq))
+        assert checker.check() == check(ill_formed)
+        return checker._view.incident
+
+    assert edit(lambda: ill_formed.replace_node(
+        ill_formed.node("G3").with_text("A second root claim, reworded")
+    )) is None
+    assert calls == []
+    index = edit(lambda: ill_formed.add_link(
+        "G3", "Sn2", LinkKind.SUPPORTED_BY
+    ))
+    assert index is not None and calls == ["iter_links"]
+    assert edit(lambda: ill_formed.add_link(
+        "G3", "C1", LinkKind.IN_CONTEXT_OF
+    )) is index
+    fresh = StoredArgument(stored.path)
+    assert run_rules(fresh, rules, mode="streaming") == check(ill_formed)
+    assert calls == ["iter_links"]

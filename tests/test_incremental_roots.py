@@ -6,9 +6,10 @@ across claim-likeness, a SupportedBy link into a claim-like node).
 Two promises are pinned here:
 
 * whenever the hook answers, its answer equals the full rule over the
-  same context, and a live and a store-backed
-  :class:`~repro.core.analysis.IncrementalChecker` both equal a fresh
-  one-shot check after every batch (randomised over a universe of four
+  same context, and a live and two store-backed
+  :class:`~repro.core.analysis.IncrementalChecker` (one following its
+  handle, one following pinned snapshots) all equal a fresh one-shot
+  check after every batch (randomised over a universe of four
   identifiers, every node type and both link kinds, plus the named
   scenarios as explicit examples);
 * a check after an edit that cannot move the roots walks no node list:
@@ -109,8 +110,12 @@ SEEDS = {
 
 
 def drive(seed: str, batches: "list[list[tuple]]") -> "list[bool]":
-    """Run the batches through a live and a store-backed checker.
+    """Run the batches through a live and two store-backed checkers.
 
+    One store-backed checker follows its own handle (``check()``); the
+    other follows pinned snapshots the way the service does
+    (``check(snapshot)``), so its link index, built on the first batch
+    that asks about links, must come from the snapshot of that batch.
     Returns whether the hook answered, call by call, so callers can
     assert it was exercised.
     """
@@ -125,6 +130,7 @@ def drive(seed: str, batches: "list[list[tuple]]") -> "list[bool]":
         writer = StoredArgument(store)
         live = IncrementalChecker(argument, rules)
         stored = IncrementalChecker(StoredArgument(store), rules)
+        pinned = IncrementalChecker(StoredArgument(store), rules)
         assert live.check() == stored.check() == run_rules(argument, RULES)
         for version, batch in enumerate(batches, start=1):
             seq = argument.mutation_seq
@@ -135,9 +141,10 @@ def drive(seed: str, batches: "list[list[tuple]]") -> "list[bool]":
             expected = run_rules(argument, RULES)
             assert live.check() == expected, batch
             assert stored.check() == expected, batch
-            assert run_rules(
-                StoredArgument(store), RULES, mode="streaming"
-            ) == expected
+            snapshot = StoredArgument(store)
+            assert pinned.check(snapshot) == expected, batch
+            assert run_rules(snapshot, RULES, mode="streaming") == expected
+            assert run_rules(snapshot.load(), RULES) == expected
     return answers
 
 
@@ -191,6 +198,10 @@ _ops = st.one_of(
     [("add_node", "D", SOLUTION), ("add_link", "A", "D", SB)],
     [("remove_node", "B")],
 ])
+# The first batch to ask about links adds one to a node and retypes it.
+@example(seed="two-roots", batches=[
+    [("add_link", "A", "B", SB), ("replace_node", "B", NodeType.CONTEXT)],
+])
 def test_hook_equals_the_full_rule(seed, batches) -> None:
     drive(seed, batches)
 
@@ -204,8 +215,9 @@ def test_named_scenarios_reach_both_verdicts() -> None:
          ("remove_node", "C")],
         [("add_link", "A", "B", IC)],
     ])
-    # One answer per batch from the live checker, then the stored one.
-    assert answers == [False, False, True, True, True, True]
+    # One answer per batch from the live checker, then the store-backed
+    # one that follows its handle, then the one that follows snapshots.
+    assert answers == [False] * 3 + [True] * 6
 
 
 def _hook_after(
