@@ -526,7 +526,8 @@ def _render_claims(runs: "list[dict[str, Any]]") -> str:
     if len(runs) > 1:
         lines += [
             "",
-            "## Trajectory (full/incremental by min, across runs)",
+            "## Trajectory (full min, and full/incremental by min, "
+            "across runs)",
             "",
             "| run | " + " | ".join(
                 f"n={cell['claims']}" for cell in latest["cells"]
@@ -539,6 +540,7 @@ def _render_claims(runs: "list[dict[str, Any]]") -> str:
             for cell in latest["cells"]:
                 match = by_n.get(cell["claims"])
                 row.append(
+                    f"{match['full_s']['min_s'] * 1e3:.1f} ms, "
                     f"{match['ratio_full_vs_incremental_min']:.1f}x"
                     if match is not None else "—"
                 )

@@ -26,6 +26,13 @@ An obligation is a one-line spec, ``<kind>: <body>``:
     it (``;``-separated states, whitespace-separated atoms, ``.`` for
     an empty state).
 
+The propositional kinds, and ``fol`` once grounded, are decided by
+:func:`repro.logic.entailment.is_satisfiable` (``valid`` and
+``entails`` by refuting the negation): a formula over at most
+:data:`~repro.logic.entailment.TABLE_MAX_ATOMS` atoms by one
+bit-parallel truth-table evaluation, a larger one by DPLL on
+definitional clauses that grow linearly with the formula.
+
 Obligations ride on :attr:`repro.core.nodes.Node.metadata` under
 :data:`OBLIGATION_KEY`, so they persist through every store format,
 journal deltas, and the parallel executor's flat columns for free.

@@ -1101,12 +1101,18 @@ class _StoreView:
         self.incident: "dict[str, dict[Link, None]] | None" = None
 
     def _links(self) -> "dict[str, dict[Link, None]]":
-        """Every link of the served handle under both endpoints."""
+        """Every link of the served handle under both endpoints.
+
+        Read shard by shard: the checker only asks whether a link exists
+        and which links touch a node, so no global order is restored.
+        """
         if self.incident is None:
             incident: dict[str, dict[Link, None]] = {}
-            for link in self.stored.iter_links():
-                incident.setdefault(link.source, {})[link] = None
-                incident.setdefault(link.target, {})[link] = None
+            stored = self.stored
+            for index in range(stored.shard_count):
+                for _, link in stored.iter_shard_links(index):
+                    incident.setdefault(link.source, {})[link] = None
+                    incident.setdefault(link.target, {})[link] = None
             self.incident = incident
         return self.incident
 

@@ -10,6 +10,13 @@ context.
 
 Clause representation matches :func:`repro.logic.propositional.cnf_clauses`:
 a clause is a frozenset of ``(atom_name, polarity)`` literals.
+
+:func:`solve_formula` converts by distribution, whose clause set can grow
+exponentially with the formula.  The queries of
+:mod:`repro.logic.entailment` do not: they decide formulas over at most
+:data:`~repro.logic.entailment.TABLE_MAX_ATOMS` atoms by truth table and
+hand only larger ones to this solver, as definitional (Tseitin) clauses
+that grow linearly with the formula.
 """
 
 from __future__ import annotations

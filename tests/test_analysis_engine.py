@@ -333,24 +333,45 @@ class TestIncrementalChecker:
 def test_stored_checks_scan_shards_and_index_links_on_demand(
     ill_formed, stored, monkeypatch
 ):
-    """A checker's build and a one-shot stored check read the shards
-    once, through the shard scan: neither merges the whole store with
-    ``iter_nodes``/``iter_links``.  The checker's link index is built
-    once, by the first edit that asks about links."""
-    calls: "list[str]" = []
+    """A checker's build and a one-shot stored check each read the link
+    shards once, through the shard scan: neither merges the whole store
+    with ``iter_nodes``/``iter_links``, and neither builds a link index.
+    The checker's link index is built once, by one more pass over the
+    link shards, when the first edit asks about links."""
+    merges: "list[str]" = []
     for name in ("iter_nodes", "iter_links"):
         def counting(self, _original=getattr(StoredArgument, name),
                      _name=name):
-            calls.append(_name)
+            merges.append(_name)
             return _original(self)
 
         monkeypatch.setattr(StoredArgument, name, counting)
+    shard_reads: "list[int]" = []
+    original_shard_links = StoredArgument.iter_shard_links
+
+    def counting_shard_links(self, index):
+        shard_reads.append(index)
+        return original_shard_links(self, index)
+
+    monkeypatch.setattr(
+        StoredArgument, "iter_shard_links", counting_shard_links
+    )
+    shards = list(range(stored.shard_count))
+
+    def passes() -> int:
+        """Whole passes over the link shards so far, each in shard order."""
+        count, rest = divmod(len(shard_reads), len(shards))
+        assert rest == 0 and shard_reads == shards * count, shard_reads
+        return count
+
     rules = GSN_STANDARD_RULES.rules
     writer = StoredArgument(stored.path)
     checker = IncrementalChecker(stored, rules)
+    assert passes() == 1, "the build is one shard scan"
     assert run_rules(stored, rules, mode="streaming") == check(ill_formed)
+    assert passes() == 2, "a streaming check is one shard scan"
     assert checker.check() == check(ill_formed)
-    assert calls == []
+    assert passes() == 2 and merges == []
 
     def edit(change) -> "dict | None":
         seq = ill_formed.mutation_seq
@@ -362,14 +383,15 @@ def test_stored_checks_scan_shards_and_index_links_on_demand(
     assert edit(lambda: ill_formed.replace_node(
         ill_formed.node("G3").with_text("A second root claim, reworded")
     )) is None
-    assert calls == []
+    assert passes() == 2
     index = edit(lambda: ill_formed.add_link(
         "G3", "Sn2", LinkKind.SUPPORTED_BY
     ))
-    assert index is not None and calls == ["iter_links"]
+    assert index is not None and passes() == 3, "one index pass"
     assert edit(lambda: ill_formed.add_link(
         "G3", "C1", LinkKind.IN_CONTEXT_OF
     )) is index
+    assert passes() == 3, "the index is patched, not rebuilt"
     fresh = StoredArgument(stored.path)
     assert run_rules(fresh, rules, mode="streaming") == check(ill_formed)
-    assert calls == ["iter_links"]
+    assert passes() == 4 and merges == []

@@ -13,7 +13,12 @@ claim's evidence re-runs exactly one proof, counters asserted); and the
 
 from __future__ import annotations
 
+import json
+import subprocess
+import sys
+import time
 import uuid
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +56,7 @@ from repro.claims.lang import ForbidLink, RequireMention
 from repro.core.analysis import IncrementalChecker
 from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
+from repro.service import ServiceClient
 from repro.store import StoredArgument
 
 pytestmark = [pytest.mark.claims]
@@ -495,3 +501,102 @@ class TestCheckFacade:
     def test_top_level_all_is_importable(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None, name
+
+
+# -- large obligations decide in linear space ---------------------------------
+
+
+def dnf(pairs: int, left: str = "a", right: str = "b") -> str:
+    """``(a0 & b0) | ... | (aN & bN)``: its distributed CNF has 2**pairs
+    clauses."""
+    return " | ".join(f"({left}{i} & {right}{i})" for i in range(pairs))
+
+
+#: Discharges each spec read from stdin and prints its detail and time.
+#: A child process, so that a prover that blows up is killed at the
+#: timeout instead of stalling, and filling, the test process.
+_TIMED_DISCHARGE = """
+import json, sys, time
+from repro.claims.obligations import discharge, parse_obligation
+for spec in json.load(sys.stdin):
+    start = time.perf_counter()
+    detail = discharge(parse_obligation(spec))
+    print(json.dumps([detail, time.perf_counter() - start]), flush=True)
+"""
+
+
+def child_env() -> "dict[str, str]":
+    import os
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    return env
+
+
+@pytest.mark.service
+class TestLargeObligations:
+    """A 40-atom DNF spec distributes into 2**20 clauses; deciding it
+    that way took more than 30 s, and stalled any check that met it."""
+
+    PAIRS = 20
+    SPECS = {
+        f"sat: {dnf(PAIRS)}": None,
+        f"valid: {dnf(PAIRS)}": "formula is not valid",
+        f"entails: {dnf(PAIRS)} |- {dnf(PAIRS, 'b', 'a')}": None,
+        f"sat: ({dnf(PAIRS)}) & ~({dnf(PAIRS, 'b', 'a')})":
+            "formula is unsatisfiable",
+    }
+
+    def test_each_discharges_within_a_second(self):
+        specs = list(self.SPECS)
+        done = subprocess.run(
+            [sys.executable, "-c", _TIMED_DISCHARGE],
+            input=json.dumps(specs), capture_output=True, text=True,
+            env=child_env(), timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        results = [json.loads(line) for line in done.stdout.splitlines()]
+        assert len(results) == len(specs)
+        for spec, (detail, seconds) in zip(specs, results):
+            assert detail == self.SPECS[spec], spec
+            assert seconds < 1.0, (spec, seconds)
+
+    def test_served_check_reports_the_verdict_promptly(self, tmp_path):
+        argument = Argument("large-obligation")
+        argument.add_node(Node("G1", NodeType.GOAL, "The system is safe"))
+        argument.add_node(Node("Sn1", NodeType.SOLUTION, "Hazard log"))
+        argument.add_link("G1", "Sn1", LinkKind.SUPPORTED_BY)
+        argument.save(tmp_path / "large.store")
+        spec = f"sat: ({dnf(self.PAIRS)}) & ~({dnf(self.PAIRS, 'b', 'a')})"
+        seq = argument.mutation_seq
+        argument.add_node(Node(
+            "Sn2", NodeType.SOLUTION, "Interlock analysis",
+            metadata=((OBLIGATION_KEY, (spec,)),),
+        ))
+        argument.add_link("G1", "Sn2", LinkKind.SUPPORTED_BY)
+        server = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.service", str(tmp_path),
+             "--port", "0"],
+            stdout=subprocess.PIPE, text=True, env=child_env(),
+        )
+        try:
+            banner = server.stdout.readline()
+            host, port = banner.rsplit("http://", 1)[1].strip().split(":")
+            client = ServiceClient(host, int(port), timeout=10.0)
+            try:
+                client.append("large.store", argument.delta_since(seq))
+                start = time.perf_counter()
+                reply = client.check("large.store")
+                seconds = time.perf_counter() - start
+            finally:
+                client.close()
+        finally:
+            server.kill()
+            server.wait()
+        assert [
+            (v["rule"], v["subject"], v["detail"])
+            for v in reply["violations"]
+        ] == [(OBLIGATION_RULE_NAME, "Sn2",
+               f"{spec}: formula is unsatisfiable")]
+        assert reply["obligations"]["failed"] == 1
+        assert seconds < 5.0

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
+import sys
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.claims.obligations import discharge, parse_obligation
+from repro.logic import entailment
 from repro.logic.entailment import (
+    TABLE_MAX_ATOMS,
     consistent,
     entails,
     equivalent_sat,
@@ -14,7 +20,21 @@ from repro.logic.entailment import (
     minimal_inconsistent_subsets,
     premises_used,
 )
-from repro.logic.propositional import cnf_clauses, evaluate, parse
+from repro.logic.propositional import (
+    FALSE,
+    TRUE,
+    And,
+    Atom,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    atoms_of,
+    cnf_clauses,
+    evaluate,
+    is_satisfiable_bruteforce,
+    parse,
+)
 from repro.logic.sat import DpllSolver, solve, solve_formula
 
 
@@ -154,3 +174,87 @@ class TestPremisesUsed:
         ]
         used = premises_used(premises, parse("goal"))
         assert len(used) == 2
+
+
+# -- the two deciders against the truth-table oracle --------------------------
+
+
+@st.composite
+def formulas_over(draw, max_atoms: int = TABLE_MAX_ATOMS + 3):
+    """A random formula using each of 0 to ``max_atoms`` atoms at least
+    once, with constants, every connective and nested negations."""
+    count = draw(st.integers(0, max_atoms))
+    pool = [Atom(f"p{i}") for i in range(count)]
+    extra = draw(st.lists(
+        st.sampled_from(pool + [TRUE, FALSE]), min_size=0 if pool else 1,
+        max_size=4,
+    ))
+    nodes = draw(st.permutations(pool + extra))
+    while len(nodes) > 1:
+        at = draw(st.integers(0, len(nodes) - 2))
+        connective = draw(st.sampled_from([And, Or, Implies, Iff]))
+        node = connective(nodes[at], nodes[at + 1])
+        for _ in range(draw(st.integers(0, 2))):
+            node = Not(node)
+        nodes[at:at + 2] = [node]
+    return nodes[0]
+
+
+@given(formulas_over(), formulas_over(max_atoms=3))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_deciders_agree_with_bruteforce(formula, conclusion):
+    satisfiable = is_satisfiable_bruteforce(formula)
+    assert is_satisfiable(formula) == satisfiable
+    assert entailment._satisfiable_by_dpll(formula) == satisfiable
+    assert is_valid(formula) == (not is_satisfiable_bruteforce(Not(formula)))
+    assert entails([formula], conclusion) == (
+        not is_satisfiable_bruteforce(And(formula, Not(conclusion)))
+    )
+
+
+def test_generated_formulas_reach_both_deciders():
+    # The oracle test above is only as good as its reach: above
+    # TABLE_MAX_ATOMS atoms is_satisfiable takes the DPLL path.
+    counts = set()
+
+    @given(formulas_over())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def collect(formula):
+        counts.add(len(atoms_of(formula)))
+
+    collect()
+    assert min(counts) == 0 and max(counts) > TABLE_MAX_ATOMS
+
+
+@pytest.mark.parametrize("text", [
+    "true", "false", "~true", "a <-> a", "a <-> ~a", "(a -> b) <-> (~b -> ~a)",
+    "false -> a", "a & true", "a | false", "~(a | true)", "(a <-> true) & ~a",
+])
+def test_definitional_path_handles_constants(text):
+    formula = parse(text)
+    assert entailment._satisfiable_by_dpll(formula) == \
+        is_satisfiable_bruteforce(formula), text
+
+
+# -- nesting depth ------------------------------------------------------------
+
+
+def _depth_left() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return sys.getrecursionlimit() - depth
+
+
+@pytest.mark.parametrize("shape, expected", [
+    # Each is parsed by recursive descent at one frame per level, and the
+    # verdicts are the ones the distributive CNF path gave.
+    (lambda n: "sat: " + "~" * n + "p", None),
+    (lambda n: "valid: " + "~" * (2 * (n // 2)) + "(p | ~p)", None),
+    (lambda n: "valid: " + " -> ".join(["p"] * n), None),
+    (lambda n: "sat: " + " & ".join(["p", "~p"] * (n // 2)),
+     "formula is unsatisfiable"),
+])
+def test_deep_nesting_discharges_as_before(shape, expected):
+    spec = shape(_depth_left() - 30)
+    assert discharge(parse_obligation(spec)) == expected
