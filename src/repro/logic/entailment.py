@@ -33,6 +33,7 @@ are both clients of this module.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 from .propositional import (
@@ -70,7 +71,10 @@ __all__ = [
 #: between 18 and 20 atoms.  The bound sits below that crossover: the
 #: table's time, and the columns kept for it, double with every atom
 #: however easy the formula, while no formula the claim language ships
-#: comes near 12 atoms.  At 12, every table fits in 4096 bits.
+#: comes near 12 atoms.  At 12, every table fits in 4096 bits.  The
+#: formaliser's queries (:mod:`repro.formalise.translator`, one atom per
+#: node) mostly exceed the bound; they are Horn clauses, so DPLL gets the
+#: same clause set as from ``cnf_clauses``, without the distribution.
 TABLE_MAX_ATOMS = 12
 
 
@@ -148,21 +152,34 @@ def _truth_table(order: list[Formula], atoms: dict[str, int]) -> int:
     return values[0]
 
 
-def _definitional_clauses(formula: Formula) -> list[Clause]:
+def _definitional_clauses(formula: Formula) -> set[Clause]:
     """Tseitin clauses for the formula, satisfiable iff it is.
 
     The formula is read as the conjunction of the clauses it asserts at
     its top (see :func:`_spread`); each operand inside such a clause is
-    encoded by :func:`_encode` into one literal.  A formula already in
-    CNF therefore needs no gate at all.
+    encoded by :func:`_encode` into one literal.  As in
+    :func:`~repro.logic.propositional.cnf_clauses`, a clause holding a
+    true operand or a literal and its negation is dropped, and a false
+    operand is left out of its clause, so a formula already in CNF gives
+    the same clause set as there (atom ``p`` named ``xp``), with no gate.
     """
-    clauses: list[Clause] = [frozenset((("t", True),))]
+    clauses: set[Clause] = set()
+    gates = count()
     for conjunct, positive in _spread(formula, True, conjunction=True):
-        clause = []
+        clause: set[Literal] = set()
         for node, polarity in _spread(conjunct, positive, conjunction=False):
-            name, root_polarity = _encode(_flatten(node)[0], clauses)
-            clause.append((name, root_polarity == polarity))
-        clauses.append(frozenset(clause))
+            kind = type(node)
+            if kind is Verum or kind is Falsum:
+                if (kind is Verum) == polarity:
+                    break  # a true operand: the clause always holds
+                continue
+            name, root_polarity = _encode(_flatten(node)[0], clauses, gates)
+            value = root_polarity == polarity
+            if (name, not value) in clause:
+                break  # a literal and its negation: always holds
+            clause.add((name, value))
+        else:
+            clauses.add(frozenset(clause))
     return clauses
 
 
@@ -188,14 +205,17 @@ def _spread(
             yield node, positive
 
 
-def _encode(order: list[Formula], clauses: list[Clause]) -> Literal:
+def _encode(
+    order: list[Formula], clauses: set[Clause], gates: Iterator[int]
+) -> Literal:
     """Add the definitional clauses of a flattened formula to ``clauses``
     and return the literal equal to its root.
 
     Atom ``p`` becomes variable ``xp`` and each binary connective a
-    fresh ``g<j>`` whose clauses make it equal to the connective;
-    negation flips a literal's polarity, and the constants are the two
-    literals of ``t``, which the first clause makes true.
+    fresh ``g<j>``, ``j`` drawn from ``gates``, whose clauses make it
+    equal to the connective; negation flips a literal's polarity, and
+    the constants are the two literals of ``t``, which a unit clause
+    makes true once a gate uses it.
     """
     values: list[Literal] = []
     push, pop = values.append, values.pop
@@ -204,6 +224,7 @@ def _encode(order: list[Formula], clauses: list[Clause]) -> Literal:
         if kind is Atom:
             push(("x" + node.name, True))
         elif kind is Verum or kind is Falsum:
+            clauses.add(frozenset((("t", True),)))
             push(("t", kind is Verum))
         elif kind is Not:
             name, polarity = pop()
@@ -212,27 +233,27 @@ def _encode(order: list[Formula], clauses: list[Clause]) -> Literal:
             left, right = pop(), pop()
             if kind is Implies:
                 left, kind = (left[0], not left[1]), Or
-            gate = f"g{len(clauses)}"  # every gate adds clauses: unique
+            gate = f"g{next(gates)}"
             on, off = (gate, True), (gate, False)
             not_left = (left[0], not left[1])
             not_right = (right[0], not right[1])
             if kind is And:
-                clauses += (
+                clauses.update((
                     frozenset((off, left)), frozenset((off, right)),
                     frozenset((on, not_left, not_right)),
-                )
+                ))
             elif kind is Or:
-                clauses += (
+                clauses.update((
                     frozenset((on, not_left)), frozenset((on, not_right)),
                     frozenset((off, left, right)),
-                )
+                ))
             else:
-                clauses += (
+                clauses.update((
                     frozenset((off, not_left, right)),
                     frozenset((off, left, not_right)),
                     frozenset((on, left, right)),
                     frozenset((on, not_left, not_right)),
-                )
+                ))
             push(on)
     (root,) = values
     return root

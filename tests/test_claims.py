@@ -14,8 +14,10 @@ claim's evidence re-runs exactly one proof, counters asserted); and the
 from __future__ import annotations
 
 import json
+import queue
 import subprocess
 import sys
+import threading
 import time
 import uuid
 from pathlib import Path
@@ -533,6 +535,26 @@ def child_env() -> "dict[str, str]":
     return env
 
 
+def read_banner(server: subprocess.Popen, timeout: float) -> str:
+    """The child's first stdout line, failing after ``timeout`` seconds.
+
+    A daemon thread reads it and then drains the rest of the pipe, so
+    the child never blocks on a full pipe.
+    """
+    lines: "queue.Queue[str]" = queue.Queue()
+
+    def read() -> None:
+        lines.put(server.stdout.readline())
+        for _ in server.stdout:
+            pass
+
+    threading.Thread(target=read, daemon=True).start()
+    try:
+        return lines.get(timeout=timeout)
+    except queue.Empty:
+        pytest.fail(f"service printed no banner within {timeout} s")
+
+
 @pytest.mark.service
 class TestLargeObligations:
     """A 40-atom DNF spec distributes into 2**20 clauses; deciding it
@@ -580,7 +602,7 @@ class TestLargeObligations:
             stdout=subprocess.PIPE, text=True, env=child_env(),
         )
         try:
-            banner = server.stdout.readline()
+            banner = read_banner(server, timeout=10.0)
             host, port = banner.rsplit("http://", 1)[1].strip().split(":")
             client = ServiceClient(host, int(port), timeout=10.0)
             try:

@@ -236,6 +236,23 @@ def test_definitional_path_handles_constants(text):
         is_satisfiable_bruteforce(formula), text
 
 
+@pytest.mark.parametrize("text", [
+    "(a | b) & (~a | ~b) & (a | b) & (b | ~b | c)",
+    "a & (a -> b) & ((b & c) -> d) & ~d & (false | e) & (true | f)",
+    "~(a | ~b) & (c -> (d | ~a))",
+    "p & ~p", "false", "true",
+])
+def test_cnf_input_gives_the_distributive_clause_set(text):
+    # A CNF-shaped formula needs no gate: DPLL gets the clause set
+    # cnf_clauses gives, de-duplicated and without always-true clauses.
+    formula = parse(text)
+    renamed = {
+        frozenset(("x" + name, polarity) for name, polarity in clause)
+        for clause in cnf_clauses(formula)
+    }
+    assert entailment._definitional_clauses(formula) == renamed
+
+
 # -- nesting depth ------------------------------------------------------------
 
 
