@@ -55,14 +55,14 @@ import hashlib
 import re
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from ..core.analysis import RuleContext, ScopedRule, Violation, per_node
 from ..core.nodes import Node
 from ..logic import fol
 from ..logic.entailment import entails, is_satisfiable, is_valid
 from ..logic.ltl import LtlFormula, Trace, holds, parse_ltl
-from ..logic.propositional import Formula, parse as parse_prop
+from ..logic.propositional import Formula, _Climber, parse as parse_prop
 from ..logic.terms import Atom, Const, Var
 
 __all__ = [
@@ -85,9 +85,6 @@ OBLIGATION_KEY = "obligation"
 
 #: Name of the shipped per-node discharge rule (stable in violations).
 OBLIGATION_RULE_NAME = "evidence-obligation"
-
-#: Recognised obligation kinds, in documentation order.
-OBLIGATION_KINDS = ("sat", "valid", "entails", "fol", "ltl")
 
 
 class ObligationSyntaxError(ValueError):
@@ -148,16 +145,18 @@ def parse_obligation(spec: str) -> Obligation:
 #   decl    := 'sort' NAME '=' NAME (',' NAME)*
 #            | 'pred' NAME ['(' NAME (',' NAME)* ')']
 #            | 'axiom' formula
-#   formula := quant | or_ ('->' formula)?
+#   formula := unary (BINOP formula)*
+#   unary   := ('~'|'!')* (quant | '(' formula ')' | atom)
 #   quant   := ('forall'|'exists') NAME ':' NAME '.' formula
-#   or_     := and_ ('|' and_)*
-#   and_    := unary ('&' unary)*
-#   unary   := ('~'|'!') unary | '(' formula ')' | atom
 #   atom    := NAME ['(' NAME (',' NAME)* ')']
 #
-# Quantified variables are the only Vars; every other NAME in term
-# position is a constant.  Sort checking (including "every sort has a
-# non-empty domain") happens after parsing, so errors carry the
+# BINOP and its precedence come from _FolParser.binary, read by the
+# shared climber (repro.logic.propositional): '->' loosest and
+# right-associative, then '|', then '&', both left-associative.  A
+# quantifier's body is a whole formula, so it extends as far right as
+# it can.  Quantified variables are the only Vars; every other NAME in
+# term position is a constant.  Sort checking (including "every sort
+# has a non-empty domain") happens after parsing, so errors carry the
 # signature's own diagnostics.
 
 _FOL_TOKEN_RE = re.compile(r"\s*(\|-|->|[A-Za-z_][A-Za-z0-9_]*|[(),;:=.&|~!])")
@@ -182,37 +181,38 @@ def _tokenize_fol(text: str) -> "list[str]":
     return tokens
 
 
-class _FolParser:
-    """Recursive-descent parser for the FOL obligation surface syntax."""
+class _FolParser(_Climber):
+    """Declarations by hand; formulas by the shared precedence climber."""
+
+    binary = {
+        "->": (1, True, fol.FolImplies),
+        "|": (2, False, fol.FolOr),
+        "&": (3, False, fol.FolAnd),
+    }
+    prefix = {"~": fol.FolNot, "!": fol.FolNot}
+    error = ObligationSyntaxError
+    end = "unexpected end of FOL spec"
+    unclosed = "expected ')' in FOL spec, got {!r}"
+    trailing = "trailing input in FOL spec at {!r}"
 
     def __init__(self, text: str) -> None:
-        self.tokens = _tokenize_fol(text)
-        self.pos = 0
+        super().__init__(_tokenize_fol(text))
         self.signature = fol.Signature()
         self.sorts: "dict[str, fol.Sort]" = {}
         self.axioms: "list[fol.FolFormula]" = []
-
-    def peek(self) -> Optional[str]:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
-    def pop(self) -> str:
-        token = self.peek()
-        if token is None:
-            raise ObligationSyntaxError("unexpected end of FOL spec")
-        self.pos += 1
-        return token
+        #: The quantified variables in scope where the climber is.
+        self.bound: "dict[str, fol.Sort]" = {}
 
     def expect(self, token: str) -> None:
-        got = self.pop()
+        got = self.take()
         if got != token:
             raise ObligationSyntaxError(
                 f"expected {token!r} in FOL spec, got {got!r}"
             )
 
-    def name(self) -> str:
-        token = self.pop()
+    def name(self, token: Optional[str] = None) -> str:
+        if token is None:
+            token = self.take()
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", token):
             raise ObligationSyntaxError(
                 f"expected a name in FOL spec, got {token!r}"
@@ -234,7 +234,7 @@ class _FolParser:
     ) -> "tuple[fol.Signature, list[fol.FolFormula], fol.FolFormula]":
         while True:
             self.parse_decl()
-            token = self.pop()
+            token = self.take()
             if token == ";":
                 continue
             if token == "|-":
@@ -242,15 +242,10 @@ class _FolParser:
             raise ObligationSyntaxError(
                 f"expected ';' or '|-' after declaration, got {token!r}"
             )
-        conclusion = self.parse_formula({})
-        if self.peek() is not None:
-            raise ObligationSyntaxError(
-                f"trailing input in FOL spec at {self.peek()!r}"
-            )
-        return self.signature, self.axioms, conclusion
+        return self.signature, self.axioms, self.whole()
 
     def parse_decl(self) -> None:
-        keyword = self.pop()
+        keyword = self.take()
         if keyword == "sort":
             name = self.name()
             self.expect("=")
@@ -258,91 +253,58 @@ class _FolParser:
             self.sorts[name] = sort
             self.signature.declare_constant(self.name(), sort)
             while self.peek() == ",":
-                self.pop()
+                self.take()
                 self.signature.declare_constant(self.name(), sort)
         elif keyword == "pred":
             name = self.name()
             arg_sorts: "list[fol.Sort]" = []
             if self.peek() == "(":
-                self.pop()
+                self.take()
                 arg_sorts.append(self.sort_named(self.name()))
                 while self.peek() == ",":
-                    self.pop()
+                    self.take()
                     arg_sorts.append(self.sort_named(self.name()))
                 self.expect(")")
             self.signature.declare_predicate(name, *arg_sorts)
         elif keyword == "axiom":
-            self.axioms.append(self.parse_formula({}))
+            self.axioms.append(self.formula())
         else:
             raise ObligationSyntaxError(
                 f"expected 'sort', 'pred', or 'axiom', got {keyword!r}"
             )
 
-    # -- formulas ------------------------------------------------------
+    # -- formula primaries ---------------------------------------------
 
-    def parse_formula(
-        self, bound: "dict[str, fol.Sort]"
-    ) -> fol.FolFormula:
-        left = self.parse_or(bound)
-        if self.peek() == "->":
-            self.pop()
-            return fol.FolImplies(left, self.parse_formula(bound))
-        return left
-
-    def parse_or(self, bound: "dict[str, fol.Sort]") -> fol.FolFormula:
-        left = self.parse_and(bound)
-        while self.peek() == "|":
-            self.pop()
-            left = fol.FolOr(left, self.parse_and(bound))
-        return left
-
-    def parse_and(self, bound: "dict[str, fol.Sort]") -> fol.FolFormula:
-        left = self.parse_unary(bound)
-        while self.peek() == "&":
-            self.pop()
-            left = fol.FolAnd(left, self.parse_unary(bound))
-        return left
-
-    def parse_unary(self, bound: "dict[str, fol.Sort]") -> fol.FolFormula:
-        token = self.peek()
-        if token in ("~", "!"):
-            self.pop()
-            return fol.FolNot(self.parse_unary(bound))
-        if token == "(":
-            self.pop()
-            inner = self.parse_formula(bound)
-            self.expect(")")
-            return inner
+    def primary(self, token: str) -> fol.FolFormula:
         if token in ("forall", "exists"):
-            self.pop()
             var_name = self.name()
             self.expect(":")
             sort = self.sort_named(self.name())
             self.expect(".")
-            body = self.parse_formula({**bound, var_name: sort})
+            outer = self.bound
+            self.bound = {**outer, var_name: sort}
+            body = self.formula()
+            self.bound = outer
             ctor = fol.ForAll if token == "forall" else fol.Exists
             return ctor(Var(var_name), sort, body)
-        return self.parse_atom(bound)
-
-    def parse_atom(self, bound: "dict[str, fol.Sort]") -> fol.FolFormula:
-        name = self.name()
+        name = self.name(token)
         if name in _FOL_RESERVED:
             raise ObligationSyntaxError(
                 f"reserved word {name!r} cannot start a formula here"
             )
         args: "list[fol.Term]" = []
         if self.peek() == "(":
-            self.pop()
-            args.append(self.term(bound))
+            self.take()
+            args.append(self.term())
             while self.peek() == ",":
-                self.pop()
-                args.append(self.term(bound))
+                self.take()
+                args.append(self.term())
             self.expect(")")
         return fol.FolAtom(Atom(name, tuple(args)))
 
-    def term(self, bound: "dict[str, fol.Sort]") -> "fol.Term":
+    def term(self) -> "fol.Term":
         name = self.name()
-        if name in bound:
+        if name in self.bound:
             return Var(name)
         return Const(name)
 
@@ -388,6 +350,30 @@ def _parse_ltl_body(body: str) -> "tuple[LtlFormula, Trace]":
     return formula, states
 
 
+#: Each kind's (parse the body, decide the parsed body, failure detail).
+_KINDS: dict[
+    str, tuple[Callable[[str], Any], Callable[[Any], bool], str]
+] = {
+    "sat": (parse_prop, is_satisfiable, "formula is unsatisfiable"),
+    "valid": (parse_prop, is_valid, "formula is not valid"),
+    "entails": (
+        _parse_entails_body, lambda parsed: entails(*parsed),
+        "premises do not entail the conclusion",
+    ),
+    "fol": (
+        _parse_fol_body, lambda parsed: fol.fol_entails(*parsed),
+        "axioms do not entail the conclusion",
+    ),
+    "ltl": (
+        _parse_ltl_body, lambda parsed: holds(*parsed),
+        "trace does not satisfy the formula",
+    ),
+}
+
+#: Recognised obligation kinds, in documentation order.
+OBLIGATION_KINDS = tuple(_KINDS)
+
+
 def validate_obligation(obligation: Obligation) -> None:
     """Raise :class:`ObligationSyntaxError` if the body does not parse.
 
@@ -396,18 +382,13 @@ def validate_obligation(obligation: Obligation) -> None:
     deterministic discharge failures instead (a rule must never
     raise).
     """
+    if obligation.kind not in _KINDS:
+        return
     try:
-        if obligation.kind in ("sat", "valid"):
-            parse_prop(obligation.body)
-        elif obligation.kind == "entails":
-            _parse_entails_body(obligation.body)
-        elif obligation.kind == "fol":
-            _parse_fol_body(obligation.body)
-        elif obligation.kind == "ltl":
-            _parse_ltl_body(obligation.body)
+        _KINDS[obligation.kind][0](obligation.body)
     except ObligationSyntaxError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise ObligationSyntaxError(str(exc)) from exc
 
 
@@ -425,31 +406,10 @@ def discharge(obligation: Obligation) -> Optional[str]:
 
 
 def _prove(obligation: Obligation) -> Optional[str]:
-    kind, body = obligation.kind, obligation.body
-    if kind == "sat":
-        if is_satisfiable(parse_prop(body)):
-            return None
-        return "formula is unsatisfiable"
-    if kind == "valid":
-        if is_valid(parse_prop(body)):
-            return None
-        return "formula is not valid"
-    if kind == "entails":
-        premises, conclusion = _parse_entails_body(body)
-        if entails(premises, conclusion):
-            return None
-        return "premises do not entail the conclusion"
-    if kind == "fol":
-        signature, axioms, conclusion = _parse_fol_body(body)
-        if fol.fol_entails(signature, axioms, conclusion):
-            return None
-        return "axioms do not entail the conclusion"
-    if kind == "ltl":
-        formula, trace = _parse_ltl_body(body)
-        if holds(formula, trace):
-            return None
-        return "trace does not satisfy the formula"
-    return f"unknown obligation kind {kind!r}"
+    if obligation.kind not in _KINDS:
+        return f"unknown obligation kind {obligation.kind!r}"
+    parse, decide, failure = _KINDS[obligation.kind]
+    return None if decide(parse(obligation.body)) else failure
 
 
 # -- the result cache ---------------------------------------------------------

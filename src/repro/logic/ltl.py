@@ -6,7 +6,12 @@ example formalises 'the Detect and Avoid function is correct' as a temporal
 property over obstacle distance.  This module supplies:
 
 * an LTL AST and parser (``G``, ``F``, ``X``, ``U``, ``R`` plus the
-  propositional connectives),
+  propositional connectives but ``<->``).  The tables of ``_LtlClimber``
+  are the grammar's single source; precedence, loosest to tightest:
+  ``->`` (right-associative), ``|``, ``&``, ``U``/``R``, then the
+  prefixes ``!``/``~``, ``G``, ``F``, ``X``.  The parser is the
+  propositional one (:mod:`repro.logic.propositional`) run on these
+  tables,
 * finite-trace semantics (LTLf-style: ``X`` is the strong next; at the end
   of the trace ``X p`` is false and ``G p`` holds iff ``p`` held to the
   end) — evaluated both by a direct recursive evaluator and an equivalent
@@ -19,8 +24,11 @@ States are just sets of true atom names; a trace is a sequence of states.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
+
+from .propositional import _Climber, _tokenise
 
 __all__ = [
     "LtlFormula",
@@ -148,104 +156,25 @@ class LtlSyntaxError(ValueError):
     """Raised when :func:`parse_ltl` rejects its input."""
 
 
-_SYMBOLS = ("->", "(", ")", "&", "|", "!", "~")
+#: The propositional tokens less ``<->``, which LTL does not have.
+_LTL_TOKEN = re.compile(r"(->|[()&|~!]|\w+)|(\S)")
 
 
-def _tokenise(text: str) -> list[str]:
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        char = text[pos]
-        if char.isspace():
-            pos += 1
-            continue
-        for symbol in _SYMBOLS:
-            if text.startswith(symbol, pos):
-                tokens.append(symbol)
-                pos += len(symbol)
-                break
-        else:
-            if char.isalnum() or char == "_":
-                start = pos
-                while pos < len(text) and (
-                    text[pos].isalnum() or text[pos] == "_"
-                ):
-                    pos += 1
-                tokens.append(text[start:pos])
-            else:
-                raise LtlSyntaxError(
-                    f"unexpected character {char!r} at position {pos}"
-                )
-    return tokens
+class _LtlClimber(_Climber):
+    binary = {
+        "->": (1, True, LImplies),
+        "|": (2, False, LOr),
+        "&": (3, False, LAnd),
+        "U": (4, False, Until),
+        "R": (4, False, Release),
+    }
+    prefix = {
+        "!": LNot, "~": LNot, "G": Always, "F": Eventually, "X": Next,
+    }
+    error = LtlSyntaxError
+    trailing = "trailing input at token {!r}"
 
-
-class _LtlParser:
-    """Precedence: ``->`` < ``|`` < ``&`` < ``U``/``R`` < unary."""
-
-    def __init__(self, tokens: list[str]) -> None:
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        token = self.peek()
-        if token is None:
-            raise LtlSyntaxError("unexpected end of input")
-        self.pos += 1
-        return token
-
-    def parse_implies(self) -> LtlFormula:
-        left = self.parse_or()
-        if self.peek() == "->":
-            self.take()
-            return LImplies(left, self.parse_implies())
-        return left
-
-    def parse_or(self) -> LtlFormula:
-        left = self.parse_and()
-        while self.peek() == "|":
-            self.take()
-            left = LOr(left, self.parse_and())
-        return left
-
-    def parse_and(self) -> LtlFormula:
-        left = self.parse_until()
-        while self.peek() == "&":
-            self.take()
-            left = LAnd(left, self.parse_until())
-        return left
-
-    def parse_until(self) -> LtlFormula:
-        left = self.parse_unary()
-        while self.peek() in ("U", "R"):
-            operator = self.take()
-            right = self.parse_unary()
-            left = Until(left, right) if operator == "U" else Release(
-                left, right
-            )
-        return left
-
-    def parse_unary(self) -> LtlFormula:
-        token = self.peek()
-        if token in ("!", "~"):
-            self.take()
-            return LNot(self.parse_unary())
-        if token in ("G", "F", "X"):
-            self.take()
-            operand = self.parse_unary()
-            wrapper = {"G": Always, "F": Eventually, "X": Next}[token]
-            return wrapper(operand)
-        if token == "(":
-            self.take()
-            inner = self.parse_implies()
-            if self.take() != ")":
-                raise LtlSyntaxError("expected ')'")
-            return inner
-        if token is None:
-            raise LtlSyntaxError("unexpected end of input")
-        self.take()
+    def primary(self, token: str) -> LtlFormula:
         if not (token[0].isalpha() or token[0] == "_"):
             raise LtlSyntaxError(f"bad proposition {token!r}")
         return Prop(token)
@@ -253,11 +182,7 @@ class _LtlParser:
 
 def parse_ltl(text: str) -> LtlFormula:
     """Parse an LTL formula, e.g. ``G (clear -> F safe)``."""
-    parser = _LtlParser(_tokenise(text))
-    formula = parser.parse_implies()
-    if parser.peek() is not None:
-        raise LtlSyntaxError(f"trailing input at token {parser.peek()!r}")
-    return formula
+    return _LtlClimber(_tokenise(text, LtlSyntaxError, _LTL_TOKEN)).whole()
 
 
 def atoms_of_ltl(formula: LtlFormula) -> frozenset[str]:

@@ -18,11 +18,15 @@ Formula syntax accepted by :func:`parse`:
 * conjunction: ``p & q``
 * disjunction: ``p | q``
 * implication: ``p -> q`` (right-associative)
-* biconditional: ``p <-> q``
+* biconditional: ``p <-> q`` (right-associative)
 * constants ``true`` and ``false``
 * parentheses group as usual.
 
 Precedence (loosest to tightest): ``<->``, ``->``, ``|``, ``&``, ``~``.
+The tables of ``_PropClimber`` are the grammar's single source: one
+precedence-climbing routine, ``_Climber``, parses this syntax, the LTL
+syntax of :mod:`repro.logic.ltl` and the formulas of FOL obligations
+(:mod:`repro.claims.obligations`), each from its own tables.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Union
 
 __all__ = [
     "Formula",
@@ -167,12 +171,16 @@ class PropositionalSyntaxError(ValueError):
 _TOKEN = re.compile(r"(<->|->|[()&|~!]|\w+)|(\S)")
 
 
-def _tokenise(text: str) -> list[str]:
+def _tokenise(
+    text: str,
+    error: type[ValueError] = PropositionalSyntaxError,
+    pattern: re.Pattern[str] = _TOKEN,
+) -> list[str]:
     tokens: list[str] = []
-    for match in _TOKEN.finditer(text):
+    for match in pattern.finditer(text):
         token = match.group(1)
         if token is None:
-            raise PropositionalSyntaxError(
+            raise error(
                 f"unexpected character {match.group(2)!r} at position "
                 f"{match.start()}"
             )
@@ -180,7 +188,26 @@ def _tokenise(text: str) -> list[str]:
     return tokens
 
 
-class _Parser:
+class _Climber:
+    """Precedence climbing over a token list, driven by a language's tables.
+
+    ``binary`` maps each infix token to ``(precedence, right-associative,
+    constructor)``; a higher precedence binds tighter.  ``prefix`` maps
+    each prefix token to its constructor; prefixes bind tighter than any
+    infix token.  :meth:`primary` turns the token it is given into an
+    atom; parentheses are handled here.  A run of prefixes is a loop and
+    a left-associative chain is a loop, so only a parenthesis level or a
+    right-associative level costs a frame.  ``error`` and the message
+    attributes give each language its own syntax errors.
+    """
+
+    binary: Mapping[str, tuple[int, bool, Callable[..., object]]] = {}
+    prefix: Mapping[str, Callable[..., object]] = {}
+    error: type[ValueError] = PropositionalSyntaxError
+    end = "unexpected end of input"
+    unclosed = "expected ')'"
+    trailing = "trailing input from token {!r}"
+
     def __init__(self, tokens: list[str]) -> None:
         self.tokens = tokens
         self.pos = 0
@@ -189,56 +216,60 @@ class _Parser:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def take(self) -> str:
-        token = self.peek()
-        if token is None:
-            raise PropositionalSyntaxError("unexpected end of input")
+        if self.pos == len(self.tokens):
+            raise self.error(self.end)
         self.pos += 1
-        return token
+        return self.tokens[self.pos - 1]
 
-    def parse_iff(self) -> Formula:
-        left = self.parse_implies()
-        if self.peek() == "<->":
-            self.take()
-            right = self.parse_iff()
-            return Iff(left, right)
-        return left
+    def primary(self, token: str) -> object:
+        raise NotImplementedError
 
-    def parse_implies(self) -> Formula:
-        left = self.parse_or()
-        if self.peek() == "->":
-            self.take()
-            right = self.parse_implies()
-            return Implies(left, right)
-        return left
-
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
-        while self.peek() == "|":
-            self.take()
-            left = Or(left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Formula:
-        left = self.parse_unary()
-        while self.peek() == "&":
-            self.take()
-            left = And(left, self.parse_unary())
-        return left
-
-    def parse_unary(self) -> Formula:
-        token = self.peek()
-        if token in ("~", "!"):
-            self.take()
-            return Not(self.parse_unary())
+    def formula(self, floor: int = 0) -> Any:
+        """The longest formula here whose infix tokens bind at ``floor``
+        or tighter."""
+        prefix, binary, tokens = self.prefix, self.binary, self.tokens
+        prefixes = []
+        token = self.take()
+        while token in prefix:
+            prefixes.append(prefix[token])
+            token = self.take()
         if token == "(":
-            self.take()
-            inner = self.parse_iff()
-            if self.take() != ")":
-                raise PropositionalSyntaxError("expected ')'")
-            return inner
-        if token is None:
-            raise PropositionalSyntaxError("unexpected end of input")
-        self.take()
+            left = self.formula()
+            if (token := self.take()) != ")":
+                raise self.error(self.unclosed.format(token))
+        else:
+            left = self.primary(token)
+        for build in reversed(prefixes):
+            left = build(left)
+        while self.pos < len(tokens):
+            infix = binary.get(tokens[self.pos])
+            if infix is None or infix[0] < floor:
+                break
+            self.pos += 1
+            precedence, right, build = infix
+            left = build(
+                left, self.formula(precedence if right else precedence + 1)
+            )
+        return left
+
+    def whole(self) -> Any:
+        """One formula spanning every remaining token."""
+        formula = self.formula()
+        if self.pos < len(self.tokens):
+            raise self.error(self.trailing.format(self.tokens[self.pos]))
+        return formula
+
+
+class _PropClimber(_Climber):
+    binary = {
+        "<->": (1, True, Iff),
+        "->": (2, True, Implies),
+        "|": (3, False, Or),
+        "&": (4, False, And),
+    }
+    prefix = {"~": Not, "!": Not}
+
+    def primary(self, token: str) -> Formula:
         if token == "true":
             return TRUE
         if token == "false":
@@ -250,13 +281,7 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     """Parse a propositional formula from text."""
-    parser = _Parser(_tokenise(text))
-    formula = parser.parse_iff()
-    if parser.peek() is not None:
-        raise PropositionalSyntaxError(
-            f"trailing input from token {parser.peek()!r}"
-        )
-    return formula
+    return _PropClimber(_tokenise(text)).whole()
 
 
 def atoms_of(formula: Formula) -> frozenset[Atom]:

@@ -71,24 +71,29 @@ class DpllSolver:
     def _search(
         self, clauses: list[Clause], assignment: dict[str, bool]
     ) -> dict[str, bool] | None:
-        clauses, assignment, conflict = self._propagate(clauses, assignment)
-        if conflict:
-            return None
-        clauses, assignment = self._pure_literals(clauses, assignment)
-        if not clauses:
-            return assignment
-        if any(not clause for clause in clauses):
-            return None
-        variable = self._choose_variable(clauses)
-        self.decisions += 1
-        for value in (True, False):
-            trial = dict(assignment)
-            trial[variable] = value
-            reduced = _apply_assignment(clauses, variable, value)
-            result = self._search(reduced, trial)
-            if result is not None:
-                return result
-        return None
+        # Depth first on an explicit stack, so a long chain of decisions
+        # needs no frames.  A decision pushes its False branch under its
+        # True branch, and a branch's clauses are reduced when it is
+        # popped, so the order and the work are those of recursion.
+        stack: list[tuple[list[Clause], dict[str, bool], str, bool]] = []
+        while True:
+            clauses, assignment, conflict = self._propagate(
+                clauses, assignment
+            )
+            if not conflict:
+                clauses, assignment = self._pure_literals(clauses, assignment)
+                if not clauses:
+                    return assignment
+                if all(clauses):
+                    variable = self._choose_variable(clauses)
+                    self.decisions += 1
+                    stack.append((clauses, assignment, variable, False))
+                    stack.append((clauses, assignment, variable, True))
+            if not stack:
+                return None
+            clauses, assignment, variable, value = stack.pop()
+            assignment = {**assignment, variable: value}
+            clauses = _apply_assignment(clauses, variable, value)
 
     def _propagate(
         self, clauses: list[Clause], assignment: dict[str, bool]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.argument import Argument, LinkKind
@@ -157,10 +158,13 @@ def test_diverse_checkers_never_disagree(formula):
     assert verdict == prop.is_tautology(formula)
 
 
+@pytest.mark.claims
 @given(formulas())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 def test_parser_round_trips_rendered_formulas(formula):
-    assert prop.equivalent(prop.parse(str(formula)), formula)
+    # Structural, not just equivalent: str() brackets every binary
+    # connective, so this pins the parser's reading of each token.
+    assert prop.parse(str(formula)) == formula
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +480,15 @@ def test_ltl_evaluators_agree(formula, trace):
     from repro.logic.ltl import holds, holds_dp
 
     assert holds(formula, trace) == holds_dp(formula, trace)
+
+
+@pytest.mark.claims
+@given(ltl_formulas())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_ltl_parser_round_trips_rendered_formulas(formula):
+    from repro.logic.ltl import parse_ltl
+
+    assert parse_ltl(str(formula)) == formula
 
 
 # ---------------------------------------------------------------------------
