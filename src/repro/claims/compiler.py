@@ -5,11 +5,13 @@
 :class:`~repro.core.wellformed.RuleSet` (claims + declared rules +
 the obligation discharge rule) plus the evidence bindings.  Every
 emitted rule is a ``functools.partial`` of a module-level template
-(:mod:`repro.claims.templates`), which keeps compiled sets picklable
-for the parallel executor and auditable by the PR 6 static gate —
-the gate registers the shipped claim rule sets and
-``assert_shipped_clean()`` fails the import if a template ever drifts
-off its declared scope surface.
+(:mod:`repro.claims.templates`; ``require acyclic`` and ``require
+single_root`` bind the bodies the GSN rules of
+:mod:`repro.core.wellformed` use, and take their incremental hooks),
+which keeps compiled sets picklable for the parallel executor and
+auditable by the PR 6 static gate — the gate registers the shipped
+claim rule sets and ``assert_shipped_clean()`` fails the import if a
+template ever drifts off its declared scope surface.
 
 Obligation bodies are validated at compile time
 (:func:`~repro.claims.obligations.validate_obligation`), so authoring
@@ -25,7 +27,13 @@ from typing import Mapping
 
 from ..core.analysis import ScopedRule, global_rule, per_link, per_node
 from ..core.argument import Argument
-from ..core.wellformed import RuleSet
+from ..core.wellformed import (
+    RuleSet,
+    _acyclic,
+    _rule_acyclic_delta,
+    _rule_single_root_delta,
+    _single_root,
+)
 from . import templates as tpl
 from .lang import (
     ClaimModule,
@@ -138,13 +146,15 @@ def _compile_rule(decl: RuleDecl) -> ScopedRule:
         return global_rule(
             decl.name,
             "require acyclic support",
-            partial(tpl._tpl_acyclic, decl.name),
+            partial(_acyclic, decl.name, "support chain forms a cycle"),
+            delta_fn=_rule_acyclic_delta,
         )
     if isinstance(decl, RequireSingleRoot):
         return global_rule(
             decl.name,
             "require a single root claim",
-            partial(tpl._tpl_single_root, decl.name),
+            partial(_single_root, decl.name, "claim"),
+            delta_fn=_rule_single_root_delta,
         )
     raise ClaimCompileError(f"unknown rule declaration {decl!r}")
 

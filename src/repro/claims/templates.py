@@ -32,8 +32,6 @@ __all__ = [
     "_tpl_require_supported",
     "_tpl_forbid_link",
     "_tpl_require_mention",
-    "_tpl_acyclic",
-    "_tpl_single_root",
 ]
 
 
@@ -176,29 +174,4 @@ def _tpl_require_mention(
     return [Violation(
         rule_name, node.identifier,
         f"text must mention {needle!r}",
-    )]
-
-
-def _tpl_acyclic(rule_name: str, ctx: RuleContext) -> "list[Violation]":
-    """``require acyclic`` — the support relation has no cycles."""
-    cycle = ctx.find_cycle()
-    if cycle is None:
-        return []
-    return [Violation(
-        rule_name, " -> ".join(cycle),
-        "support chain forms a cycle",
-    )]
-
-
-def _tpl_single_root(rule_name: str, ctx: RuleContext) -> "list[Violation]":
-    """``require single_root`` — exactly one root claim."""
-    roots = ctx.roots()
-    if len(roots) == 1:
-        return []
-    if not roots:
-        return [Violation(rule_name, ctx.name, "argument has no root claim")]
-    names = ", ".join(roots)
-    return [Violation(
-        rule_name, ctx.name,
-        f"argument has {len(roots)} root claims ({names})",
     )]

@@ -192,20 +192,27 @@ def _rule_solutions_are_leaves(
     )]
 
 
-def _rule_single_root(ctx: RuleContext) -> list[Violation]:
-    """A complete argument has exactly one root goal."""
+def _single_root(
+    rule_name: str, noun: str, ctx: RuleContext
+) -> list[Violation]:
+    """Exactly one root ``noun``: the body of ``single-root`` and of a
+    claim module's ``require single_root``, which differ only in name
+    and wording.  Either takes :func:`_rule_single_root_delta`."""
     roots = ctx.roots()
     if len(roots) == 1:
         return []
     if not roots:
-        return [Violation(
-            "single-root", ctx.name, "argument has no root goal"
-        )]
+        return [Violation(rule_name, ctx.name, f"argument has no root {noun}")]
     names = ", ".join(roots)
     return [Violation(
-        "single-root", ctx.name,
-        f"argument has {len(roots)} root goals ({names})",
+        rule_name, ctx.name,
+        f"argument has {len(roots)} root {noun}s ({names})",
     )]
+
+
+def _rule_single_root(ctx: RuleContext) -> list[Violation]:
+    """A complete argument has exactly one root goal."""
+    return _single_root("single-root", "goal", ctx)
 
 
 def _rule_single_root_delta(
@@ -249,15 +256,21 @@ def _rule_single_root_delta(
     return list(previous)
 
 
-def _rule_acyclic(ctx: RuleContext) -> list[Violation]:
-    """The support relation must be acyclic."""
+def _acyclic(rule_name: str, detail: str, ctx: RuleContext) -> list[Violation]:
+    """No support cycle: the body of ``acyclic`` and of a claim module's
+    ``require acyclic``, which differ only in name and wording.  Either
+    takes :func:`_rule_acyclic_delta`."""
     cycle = ctx.find_cycle()
     if cycle is None:
         return []
-    return [Violation(
-        "acyclic", " -> ".join(cycle),
-        "support chain forms a cycle (circular reasoning)",
-    )]
+    return [Violation(rule_name, " -> ".join(cycle), detail)]
+
+
+def _rule_acyclic(ctx: RuleContext) -> list[Violation]:
+    """The support relation must be acyclic."""
+    return _acyclic(
+        "acyclic", "support chain forms a cycle (circular reasoning)", ctx
+    )
 
 
 def _rule_acyclic_delta(

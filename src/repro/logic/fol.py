@@ -223,7 +223,10 @@ class ForAll:
     body: "FolFormula"
 
     def __str__(self) -> str:
-        return f"forall {self.variable}:{self.sort}. {self.body}"
+        # Bracketed like the connectives: the body extends as far right
+        # as it can, so an unbracketed quantifier would swallow whatever
+        # follows it in an enclosing connective.
+        return f"(forall {self.variable}:{self.sort}. {self.body})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,7 +238,7 @@ class Exists:
     body: "FolFormula"
 
     def __str__(self) -> str:
-        return f"exists {self.variable}:{self.sort}. {self.body}"
+        return f"(exists {self.variable}:{self.sort}. {self.body})"
 
 
 FolFormula = Union[FolAtom, FolNot, FolAnd, FolOr, FolImplies, ForAll, Exists]

@@ -439,6 +439,44 @@ class TestSelectiveReproof:
         assert hits_after == hits_before
         assert not handle.hydrated
 
+    def test_text_edit_walks_no_roots_or_cycles(self, tmp_path, monkeypatch):
+        # ``require acyclic`` and ``require single_root`` take the GSN
+        # rules' incremental hooks: an edit that can move neither the
+        # root list nor a support cycle walks no node list.
+        from repro.core.analysis import _Sidecar
+
+        argument = exemplar_argument()
+        rules = exemplar_claims().rule_set.rules
+        assert {"no-cycles", "one-root"} <= {rule.name for rule in rules}
+        store_dir = tmp_path / "walks.store"
+        argument.save(store_dir)
+        checker = IncrementalChecker(StoredArgument(store_dir), rules)
+        assert checker.check() == []
+        calls: "list[str]" = []
+        for name in ("roots", "find_cycle"):
+            def counting(self, _real=getattr(_Sidecar, name), _name=name):
+                calls.append(_name)
+                return _real(self)
+
+            monkeypatch.setattr(_Sidecar, name, counting)
+        context = argument.node("C1")
+        argument.replace_node(context.with_text("Operating on wet roads"))
+        argument.save(store_dir, journal=True)
+        assert checker.check() == []
+        assert calls == []
+        # A second root claim moves the root list: the hook declines,
+        # and the compiled wording is the full rule's.
+        argument.add_node(Node("G9", NodeType.GOAL, "A braking claim alone"))
+        argument.save(store_dir, journal=True)
+        found = checker.check()
+        assert "roots" in calls
+        assert [v.detail for v in found if v.rule == "one-root"] == [
+            "argument has 2 root claims (G1, G9)"
+        ]
+        assert found == list(repro.check(
+            StoredArgument(store_dir), rules, mode="streaming"
+        ))
+
 
 # -- the facade and the shims -------------------------------------------------
 

@@ -69,15 +69,9 @@ _BINARY_FOL = (fol.FolAnd, fol.FolOr, fol.FolImplies)
 @st.composite
 def _fol_formulas(
     draw, scope: "tuple[tuple[str, str], ...]" = (), depth: int = 3,
-    printable: bool = False, quantifier: bool = True,
 ) -> fol.FolFormula:
-    """A well-sorted closed formula over the fixed signature.
-
-    ``printable`` keeps quantifiers out of the left operand of a
-    connective, which the ``str()`` round trip needs: ``ForAll.__str__``
-    does not bracket itself, and a body extends as far right as it can.
-    """
-    choice = draw(st.integers(0, (5 if quantifier else 4) if depth else 0))
+    """A well-sorted closed formula over the fixed signature."""
+    choice = draw(st.integers(0, 5 if depth else 0))
     if choice == 0:
         predicate = draw(st.sampled_from(sorted(_PREDICATES)))
         visible = dict(reversed(scope))
@@ -88,20 +82,16 @@ def _fol_formulas(
             args.append(draw(st.sampled_from(names)))
         return fol.FolAtom(Atom(predicate, tuple(args)))
     if choice == 1:
-        return fol.FolNot(draw(_fol_formulas(scope, depth - 1, printable)))
+        return fol.FolNot(draw(_fol_formulas(scope, depth - 1)))
     if choice <= 4:
         return draw(st.sampled_from(_BINARY_FOL))(
-            draw(_fol_formulas(
-                scope, depth - 1, printable, quantifier=not printable,
-            )),
-            draw(_fol_formulas(scope, depth - 1, printable)),
+            draw(_fol_formulas(scope, depth - 1)),
+            draw(_fol_formulas(scope, depth - 1)),
         )
     # "a" is also a constant: bound, it shadows the constant.
     variable = draw(st.sampled_from(["x", "a"]))
     sort = draw(st.sampled_from(sorted(_SORTS)))
-    body = draw(_fol_formulas(
-        ((variable, sort), *scope), depth - 1, printable,
-    ))
+    body = draw(_fol_formulas(((variable, sort), *scope), depth - 1))
     ctor = draw(st.sampled_from([fol.ForAll, fol.Exists]))
     return ctor(Var(variable), fol.Sort(sort), body)
 
@@ -197,7 +187,7 @@ def test_fol_minimal_rendering_round_trips(formula):
 
 
 @_SETTINGS
-@given(_fol_formulas(printable=True))
+@given(_fol_formulas())
 def test_fol_parser_round_trips_rendered_formulas(formula):
     assert _parse_fol_conclusion(str(formula)) == formula
 

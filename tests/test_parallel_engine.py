@@ -21,13 +21,17 @@ whatever ``os.cpu_count()`` says about the host.  Covered contracts:
   ``fork`` only for a single-threaded parent, switches to
   ``forkserver``/``spawn`` when helper threads are alive, and honours
   the ``REPRO_MP_START`` override (the CI ``parallel`` job pins it to
-  ``fork`` and ``spawn`` in turn; tests that do not set it themselves
-  run under whichever method the job selected);
+  ``fork`` and ``spawn`` in turn, and leaves it unset in its ``auto``
+  leg; tests that do not set it themselves run under whichever method
+  the job selected);
 * **failure cleanup** — the first worker exception cancels the queued
   tasks and re-raises with the failing shard noted on the exception
   (``add_note``, Python 3.11+);
 * **bounded idle pools** — varying ``workers`` leaves one idle pool
-  parked, never one per worker count.
+  parked, never one per worker count, and consecutive checks reuse it;
+* **one build** — ``parallel`` fills the checker ``streaming`` builds,
+  so the two agree where the store holds a journalled re-add of a base
+  link.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from repro.core.analysis import (
     run_rules,
     shutdown_parallel_pools,
 )
-from repro.core.argument import Argument, Link, LinkKind
+from repro.core.argument import Argument, Link, LinkKind, MutationDelta
 from repro.core.nodes import Node, NodeType
 from repro.core.wellformed import GSN_STANDARD_RULES
 from repro.store import StoreConflictError, StoredArgument
@@ -192,6 +196,36 @@ class TestForcedTwoWorkerEquivalence:
         ) == check(argument)
 
 
+def test_journalled_readd_of_a_base_link_reports_once_in_every_mode(
+    tmp_path,
+):
+    # append_delta does not yet refuse an add_link of a present link, so
+    # the overlay streams Sn1 -> G1 twice.  Each link rule must still
+    # report the link once, in every mode.
+    argument = Argument("readd")
+    argument.add_nodes([
+        Node("G1", NodeType.GOAL, "The system is acceptably safe"),
+        Node("Sn1", NodeType.SOLUTION, "Test report TR-1"),
+        Node("G2", NodeType.GOAL, "The controller is acceptably safe"),
+    ])
+    argument.add_links([
+        ("G1", "G2", LinkKind.SUPPORTED_BY),
+        ("Sn1", "G1", LinkKind.SUPPORTED_BY),
+    ])
+    store_dir = tmp_path / "readd.store"
+    argument.save(store_dir)
+    StoredArgument(store_dir).append_delta(MutationDelta((
+        ("add_link", Link("Sn1", "G1", LinkKind.SUPPORTED_BY)),
+    )))
+    serial = check(argument)
+    assert [v.rule for v in serial if v.subject == "Sn1 -> G1"] == [
+        "supported-by-source", "solution-leaf",
+    ]
+    streaming = check(StoredArgument(store_dir), mode="streaming")
+    parallel = check(StoredArgument(store_dir), mode="parallel", workers=2)
+    assert parallel == streaming == serial
+
+
 class TestSnapshotIsolation:
     def test_pinned_open_serves_older_generation_after_append(
         self, skewed_store, tmp_path
@@ -308,7 +342,7 @@ class TestStartMethodSelection:
         if _foreign_thread_count() > 1:
             pytest.skip("test runner already has foreign helper threads")
         # A cached idle pool's manager threads must NOT disqualify fork
-        # (the stdlib forks new workers while they run).
+        # (the pool is reused, or joined before a new pool forks).
         assert _mp_context().get_start_method() == "fork"
 
     def test_threaded_parent_never_forks(self, monkeypatch):
@@ -491,3 +525,26 @@ def test_varying_worker_counts_park_at_most_one_pool(tmp_path):
     (_, size), _ = parked
     assert size == 11
     assert _children_settle_to(size) <= size
+
+
+def test_consecutive_checks_reuse_the_parked_pool(tmp_path, monkeypatch):
+    # The start method is chosen afresh per check; the parked pool's own
+    # manager thread must not make the second check pick another method
+    # (and so another pool key) than the first.
+    monkeypatch.delenv("REPRO_MP_START", raising=False)
+    argument = skewed_case(hazards=8)
+    store_dir = tmp_path / "reuse.store"
+    argument.save(store_dir, shard_count=2)
+    shutdown_parallel_pools()
+    # Let retired pools' threads exit, so the first check may fork.
+    deadline = time.monotonic() + 10.0
+    while threading.active_count() > 1 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    expected = check(argument)
+    handle = StoredArgument(store_dir)
+    assert check(handle, mode="parallel", workers=2) == expected
+    first = analysis._IDLE_POOL
+    assert first is not None
+    assert check(handle, mode="parallel", workers=2) == expected
+    second = analysis._IDLE_POOL
+    assert second is not None and second[1] is first[1], (first, second)
