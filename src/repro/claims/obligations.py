@@ -397,10 +397,14 @@ def discharge(obligation: Obligation) -> Optional[str]:
 
     Total and deterministic: malformed bodies come back as a
     ``malformed obligation`` detail rather than an exception, so a
-    broken spec is a violation, not a crashed check.
+    broken spec is a violation, not a crashed check.  A ``fol`` spec
+    that grounds past :data:`repro.logic.fol.GROUND_BUDGET` fails with
+    a detail naming its size and the budget.
     """
     try:
         return _prove(obligation)
+    except fol.GroundBudgetError as exc:
+        return str(exc)
     except (ValueError, TypeError, KeyError, RecursionError) as exc:
         return f"malformed obligation: {exc}"
 

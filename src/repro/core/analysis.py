@@ -877,12 +877,16 @@ def _release_pool(key: "tuple[str, int]", pool: ProcessPoolExecutor) -> None:
 
 
 def shutdown_parallel_pools() -> None:
-    """Shut down the cached idle worker pool (tests, service exit)."""
+    """Shut down the cached idle worker pool and join its workers.
+
+    Joining keeps the interpreter's exit hook from waking a pool whose
+    pipes are already closed (tests, service exit).
+    """
     global _IDLE_POOL
     with _IDLE_POOL_LOCK:
         spare, _IDLE_POOL = _IDLE_POOL, None
     if spare is not None:
-        spare[1].shutdown(wait=False)
+        spare[1].shutdown(wait=True)
 
 
 def _note_failure(error: BaseException, detail: str) -> None:

@@ -14,8 +14,10 @@ property over obstacle distance.  This module supplies:
   tables,
 * finite-trace semantics (LTLf-style: ``X`` is the strong next; at the end
   of the trace ``X p`` is false and ``G p`` holds iff ``p`` held to the
-  end) — evaluated both by a direct recursive evaluator and an equivalent
-  dynamic-programming evaluator used to cross-check it,
+  end), decided by :func:`holds` in one bottom-up pass that keeps each
+  subformula's truth over the whole trace as the bits of one int, so
+  each subformula is evaluated once and no nesting depth exhausts the
+  stack,
 * trace generators for the UAV detect-and-avoid scenario used by the
   examples and benchmarks.
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .propositional import _Climber, _tokenise
 
@@ -46,7 +48,6 @@ __all__ = [
     "LtlSyntaxError",
     "Trace",
     "holds",
-    "holds_dp",
     "atoms_of_ltl",
     "detect_and_avoid_property",
 ]
@@ -185,142 +186,99 @@ def parse_ltl(text: str) -> LtlFormula:
     return _LtlClimber(_tokenise(text, LtlSyntaxError, _LTL_TOKEN)).whole()
 
 
+def _postorder(formula: LtlFormula) -> list[LtlFormula]:
+    """Every node once, children before parents, without recursion.
+
+    Nodes are told apart by ``id()``: the dataclasses' generated
+    ``__hash__`` and ``__eq__`` recurse once per nesting level, so
+    hashing a deep formula would overflow the stack.
+    """
+    order: list[LtlFormula] = []
+    seen: set[int] = set()
+    stack: list[tuple[LtlFormula, bool]] = [(formula, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        if isinstance(node, (LNot, Next, Always, Eventually)):
+            stack.append((node.operand, False))
+        elif isinstance(node, LImplies):
+            stack += ((node.consequent, False), (node.antecedent, False))
+        elif isinstance(node, (LAnd, LOr, Until, Release)):
+            stack += ((node.right, False), (node.left, False))
+        elif not isinstance(node, Prop):
+            raise TypeError(f"not an LTL formula: {node!r}")
+    return order
+
+
 def atoms_of_ltl(formula: LtlFormula) -> frozenset[str]:
     """All proposition names in the formula."""
-    if isinstance(formula, Prop):
-        return frozenset((formula.name,))
-    if isinstance(formula, (LNot, Next, Always, Eventually)):
-        return atoms_of_ltl(formula.operand)
-    if isinstance(formula, LImplies):
-        return atoms_of_ltl(formula.antecedent) | atoms_of_ltl(
-            formula.consequent
-        )
-    return atoms_of_ltl(formula.left) | atoms_of_ltl(formula.right)
+    return frozenset(
+        node.name for node in _postorder(formula) if isinstance(node, Prop)
+    )
+
+
+def _until(left: int, right: int, length: int) -> int:
+    """The column of ``left U right``, by one backward pass."""
+    column = 0
+    for i in range(length - 1, -1, -1):
+        if right >> i & 1 or (left >> i & 1 and column >> (i + 1) & 1):
+            column |= 1 << i
+    return column
 
 
 def holds(formula: LtlFormula, trace: Trace, position: int = 0) -> bool:
     """Finite-trace satisfaction: does ``trace, position |= formula``?
 
+    Each subformula is evaluated once, bottom-up, into its truth column:
+    one int whose bit i says whether it holds at state i.
+
     Raises :class:`ValueError` for positions outside the trace; an empty
     trace satisfies nothing (there is no state 0).
     """
-    if position >= len(trace) or position < 0:
-        raise ValueError(
-            f"position {position} outside trace of length {len(trace)}"
-        )
-    if isinstance(formula, Prop):
-        return formula.name in trace[position]
-    if isinstance(formula, LNot):
-        return not holds(formula.operand, trace, position)
-    if isinstance(formula, LAnd):
-        return holds(formula.left, trace, position) and holds(
-            formula.right, trace, position
-        )
-    if isinstance(formula, LOr):
-        return holds(formula.left, trace, position) or holds(
-            formula.right, trace, position
-        )
-    if isinstance(formula, LImplies):
-        return (not holds(formula.antecedent, trace, position)) or holds(
-            formula.consequent, trace, position
-        )
-    if isinstance(formula, Next):
-        if position + 1 >= len(trace):
-            return False  # strong next fails at the last state
-        return holds(formula.operand, trace, position + 1)
-    if isinstance(formula, Always):
-        return all(
-            holds(formula.operand, trace, i)
-            for i in range(position, len(trace))
-        )
-    if isinstance(formula, Eventually):
-        return any(
-            holds(formula.operand, trace, i)
-            for i in range(position, len(trace))
-        )
-    if isinstance(formula, Until):
-        for i in range(position, len(trace)):
-            if holds(formula.right, trace, i):
-                return True
-            if not holds(formula.left, trace, i):
-                return False
-        return False
-    if isinstance(formula, Release):
-        # left R right == !(!left U !right)
-        return not holds(
-            Until(LNot(formula.left), LNot(formula.right)), trace, position
-        )
-    raise TypeError(f"not an LTL formula: {formula!r}")
-
-
-def holds_dp(formula: LtlFormula, trace: Trace) -> bool:
-    """Dynamic-programming evaluator (backwards over the trace).
-
-    Semantically identical to :func:`holds` at position 0; kept as an
-    independent implementation so property tests can cross-check the two.
-    """
-    if not trace:
-        raise ValueError("empty trace")
-    subformulas = _subformulas_postorder(formula)
-    table: dict[LtlFormula, list[bool]] = {}
     length = len(trace)
-    for sub in subformulas:
-        row = [False] * length
-        for i in range(length - 1, -1, -1):
-            if isinstance(sub, Prop):
-                row[i] = sub.name in trace[i]
-            elif isinstance(sub, LNot):
-                row[i] = not table[sub.operand][i]
-            elif isinstance(sub, LAnd):
-                row[i] = table[sub.left][i] and table[sub.right][i]
-            elif isinstance(sub, LOr):
-                row[i] = table[sub.left][i] or table[sub.right][i]
-            elif isinstance(sub, LImplies):
-                row[i] = (not table[sub.antecedent][i]) or table[
-                    sub.consequent
-                ][i]
-            elif isinstance(sub, Next):
-                row[i] = i + 1 < length and table[sub.operand][i + 1]
-            elif isinstance(sub, Always):
-                row[i] = table[sub.operand][i] and (
-                    i + 1 >= length or row[i + 1]
-                )
-            elif isinstance(sub, Eventually):
-                row[i] = table[sub.operand][i] or (
-                    i + 1 < length and row[i + 1]
-                )
-            elif isinstance(sub, Until):
-                row[i] = table[sub.right][i] or (
-                    table[sub.left][i] and i + 1 < length and row[i + 1]
-                )
-            elif isinstance(sub, Release):
-                row[i] = table[sub.right][i] and (
-                    table[sub.left][i] or i + 1 >= length or row[i + 1]
-                )
-            else:
-                raise TypeError(f"not an LTL formula: {sub!r}")
-        table[sub] = row
-    return table[formula][0]
-
-
-def _subformulas_postorder(formula: LtlFormula) -> list[LtlFormula]:
-    seen: list[LtlFormula] = []
-
-    def visit(node: LtlFormula) -> None:
-        if node in seen:
-            return
-        if isinstance(node, (LNot, Next, Always, Eventually)):
-            visit(node.operand)
+    if position >= length or position < 0:
+        raise ValueError(
+            f"position {position} outside trace of length {length}"
+        )
+    full = (1 << length) - 1
+    column: dict[int, int] = {}
+    for node in _postorder(formula):
+        if isinstance(node, Prop):
+            bits = sum(
+                1 << i for i, state in enumerate(trace) if node.name in state
+            )
         elif isinstance(node, LImplies):
-            visit(node.antecedent)
-            visit(node.consequent)
-        elif not isinstance(node, Prop):
-            visit(node.left)
-            visit(node.right)
-        seen.append(node)
-
-    visit(formula)
-    return seen
+            antecedent = column[id(node.antecedent)]
+            bits = (full ^ antecedent) | column[id(node.consequent)]
+        elif isinstance(node, (LAnd, LOr, Until, Release)):
+            left, right = column[id(node.left)], column[id(node.right)]
+            if isinstance(node, LAnd):
+                bits = left & right
+            elif isinstance(node, LOr):
+                bits = left | right
+            elif isinstance(node, Until):
+                bits = _until(left, right, length)
+            else:  # left R right == !(!left U !right)
+                bits = full ^ _until(full ^ left, full ^ right, length)
+        else:
+            operand = column[id(node.operand)]
+            if isinstance(node, LNot):
+                bits = full ^ operand
+            elif isinstance(node, Next):
+                bits = operand >> 1  # strong: false at the last state
+            elif isinstance(node, Eventually):
+                bits = (1 << operand.bit_length()) - 1
+            else:  # Always: the states after the operand's last failure
+                failed = (full ^ operand).bit_length()
+                bits = operand >> failed << failed
+        column[id(node)] = bits
+    return bool(column[id(formula)] >> position & 1)
 
 
 def detect_and_avoid_property() -> LtlFormula:

@@ -122,6 +122,70 @@ def store_files(directory) -> dict[str, bytes]:
     }
 
 
+# -- the LTL reference evaluator ---------------------------------------------
+
+
+def recursive_holds(formula, trace, position: int = 0) -> bool:
+    """The recursive finite-trace evaluator :func:`repro.logic.ltl.holds`
+    replaced, kept as the reference the bit-column evaluator must match.
+
+    It re-evaluates each temporal operand at every later position, so it
+    is only fit for small formulas and traces.
+    """
+    from repro.logic.ltl import (
+        Always, Eventually, LAnd, LImplies, LNot, LOr, Next, Prop, Release,
+        Until,
+    )
+
+    if position >= len(trace) or position < 0:
+        raise ValueError(
+            f"position {position} outside trace of length {len(trace)}"
+        )
+    if isinstance(formula, Prop):
+        return formula.name in trace[position]
+    if isinstance(formula, LNot):
+        return not recursive_holds(formula.operand, trace, position)
+    if isinstance(formula, LAnd):
+        return recursive_holds(
+            formula.left, trace, position
+        ) and recursive_holds(formula.right, trace, position)
+    if isinstance(formula, LOr):
+        return recursive_holds(
+            formula.left, trace, position
+        ) or recursive_holds(formula.right, trace, position)
+    if isinstance(formula, LImplies):
+        return (
+            not recursive_holds(formula.antecedent, trace, position)
+        ) or recursive_holds(formula.consequent, trace, position)
+    if isinstance(formula, Next):
+        if position + 1 >= len(trace):
+            return False  # strong next fails at the last state
+        return recursive_holds(formula.operand, trace, position + 1)
+    if isinstance(formula, Always):
+        return all(
+            recursive_holds(formula.operand, trace, i)
+            for i in range(position, len(trace))
+        )
+    if isinstance(formula, Eventually):
+        return any(
+            recursive_holds(formula.operand, trace, i)
+            for i in range(position, len(trace))
+        )
+    if isinstance(formula, Until):
+        for i in range(position, len(trace)):
+            if recursive_holds(formula.right, trace, i):
+                return True
+            if not recursive_holds(formula.left, trace, i):
+                return False
+        return False
+    if isinstance(formula, Release):
+        # left R right == !(!left U !right)
+        return not recursive_holds(
+            Until(LNot(formula.left), LNot(formula.right)), trace, position
+        )
+    raise TypeError(f"not an LTL formula: {formula!r}")
+
+
 def load_benchmark_module(name: str):
     """Import a benchmark script by file path (benchmarks/ is no package)."""
     spec = importlib.util.spec_from_file_location(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import recursive_holds
 from repro.logic.bbn import BayesNet, BbnError, Cpt, noisy_or_cpt
 from repro.logic.event_calculus import (
     EffectAxiom,
@@ -23,7 +24,6 @@ from repro.logic.ltl import (
     atoms_of_ltl,
     detect_and_avoid_property,
     holds,
-    holds_dp,
     parse_ltl,
 )
 
@@ -114,7 +114,7 @@ class TestLtlSemantics:
         )
         assert not holds(detect_and_avoid_property(), trace)
 
-    def test_dp_agrees_with_recursive(self):
+    def test_agrees_with_the_recursive_reference(self):
         formulas = [
             "G p", "F p", "X p", "p U q", "p R q",
             "G (p -> F q)", "G (p -> (q U r))", "F (p & X q)",
@@ -130,9 +130,10 @@ class TestLtlSemantics:
         for text in formulas:
             formula = parse_ltl(text)
             for trace in traces:
-                assert holds(formula, trace) == holds_dp(formula, trace), (
-                    text, trace
-                )
+                for position in range(len(trace)):
+                    assert holds(formula, trace, position) == recursive_holds(
+                        formula, trace, position
+                    ), (text, trace, position)
 
 
 class TestEventCalculus:

@@ -548,3 +548,20 @@ def test_consecutive_checks_reuse_the_parked_pool(tmp_path, monkeypatch):
     assert check(handle, mode="parallel", workers=2) == expected
     second = analysis._IDLE_POOL
     assert second is not None and second[1] is first[1], (first, second)
+
+
+def test_shutdown_joins_every_worker_of_the_parked_pool(tmp_path):
+    # An unjoined pool's workers outlive the call, and on Python 3.10
+    # the exit hook could then write to the pool's closed wakeup pipe.
+    argument = skewed_case(hazards=8)
+    store_dir = tmp_path / "join.store"
+    argument.save(store_dir, shard_count=2)
+    expected = check(argument)
+    handle = StoredArgument(store_dir)
+    assert check(handle, mode="parallel", workers=2) == expected
+    parked = analysis._IDLE_POOL
+    assert parked is not None
+    workers = list(parked[1]._processes.values())
+    assert workers
+    shutdown_parallel_pools()
+    assert [worker.pid for worker in workers if worker.is_alive()] == []

@@ -474,12 +474,17 @@ def ltl_traces(draw):
     ]
 
 
+@pytest.mark.claims
 @given(ltl_formulas(), ltl_traces())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 def test_ltl_evaluators_agree(formula, trace):
-    from repro.logic.ltl import holds, holds_dp
+    from conftest import recursive_holds
+    from repro.logic.ltl import holds
 
-    assert holds(formula, trace) == holds_dp(formula, trace)
+    for position in range(len(trace)):
+        assert holds(formula, trace, position) == recursive_holds(
+            formula, trace, position
+        )
 
 
 @pytest.mark.claims
