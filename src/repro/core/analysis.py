@@ -47,7 +47,10 @@ counts and SupportedBy adjacency.  The one shard scan
 into it through the same two calls, and the store-backed incremental
 checker patches it with :meth:`_Sidecar.apply_op`.  One structure
 means every stored mode answers every question from the same
-aggregates.
+aggregates.  Beyond the sidecar, that checker asks the store handle
+itself: single nodes, and the links touching a node a batch retypes
+(:meth:`~repro.store.StoredArgument.links_of`).  It keeps no link
+index.
 
 Execution modes
 ===============
@@ -99,9 +102,12 @@ requested mode onto the engine that runs it; the checking facade
     argument's delta log for a live subject, the store's append journal
     for a stored one (no hydration — single nodes come from lazy
     per-shard lookups).  Only touched subjects re-evaluate, plus the
-    global rules.  A rotated delta log, or a compacted or rewritten
-    store, forces one full rebuild; a coalesced journal (same ops) does
-    not.  A store-backed checker can also be advanced to a given pinned
+    global rules.  A rotated delta log forces one full rebuild.  For a
+    stored subject the handle's
+    :meth:`~repro.store.StoredArgument.ops_since` decides, the rule the
+    search postings follow too: a compacted or rewritten store forces
+    one rebuild, and a coalesced journal (same ops) does not.  A
+    store-backed checker can also be advanced to a given pinned
     snapshot, which is how the HTTP service keeps one per store.
 
 All modes produce the same violation list: rules in rule-set order, and
@@ -1047,71 +1053,6 @@ def _scan_in_pool(
 # -- incremental checking ---------------------------------------------------
 
 
-class _StoreView:
-    """A stored subject as the incremental checker sees it.
-
-    Answers the checker's four graph questions with the calls a live
-    :class:`~repro.core.argument.Argument` answers them by (``in``,
-    ``node``, ``has_link``, ``links_of``): membership from the sidecar,
-    single nodes from the store's lazy per-shard lookup, and links from
-    a link index that ``has_link``/``links_of`` build on first use from
-    the handle the view then serves.  The checker asks those only while
-    applying a batch, after ``_sync_store`` has rebound the handle, so
-    the index is built holding the batch; until then :meth:`apply_op`
-    patches only the sidecar.
-    """
-
-    __slots__ = ("stored", "sidecar", "incident")
-
-    def __init__(self, stored: Any) -> None:
-        self.stored = stored
-        self.sidecar = _Sidecar(stored.name)
-        self.incident: "dict[str, dict[Link, None]] | None" = None
-
-    def _links(self) -> "dict[str, dict[Link, None]]":
-        """Every link of the served handle under both endpoints.
-
-        Read shard by shard: the checker only asks whether a link exists
-        and which links touch a node, so no global order is restored.
-        """
-        if self.incident is None:
-            incident: dict[str, dict[Link, None]] = {}
-            stored = self.stored
-            for index in range(stored.shard_count):
-                for _, link in stored.iter_shard_links(index):
-                    incident.setdefault(link.source, {})[link] = None
-                    incident.setdefault(link.target, {})[link] = None
-            self.incident = incident
-        return self.incident
-
-    def __contains__(self, identifier: str) -> bool:
-        return identifier in self.sidecar.types
-
-    def node(self, identifier: str) -> Node:
-        node: Node = self.stored.node(identifier)
-        return node
-
-    def has_link(self, link: Link) -> bool:
-        return link in self._links().get(link.source, ())
-
-    def links_of(self, identifier: str) -> list[Link]:
-        return list(self._links().get(identifier, ()))
-
-    def apply_op(self, op: str, payload: Any) -> None:
-        """Patch the sidecar (and the link index, once built)."""
-        self.sidecar.apply_op(op, payload)
-        if self.incident is None:
-            return
-        if op == "add_link":
-            self.incident.setdefault(payload.source, {})[payload] = None
-            self.incident.setdefault(payload.target, {})[payload] = None
-        elif op == "remove_link":
-            for end in (payload.source, payload.target):
-                incident = self.incident.get(end)
-                if incident is not None:
-                    incident.pop(payload, None)
-
-
 class IncrementalChecker:
     """Re-check only what the mutation delta touched, plus global rules.
 
@@ -1139,17 +1080,18 @@ class IncrementalChecker:
     always equals a fresh full check.  A stored subject is never
     hydrated: ``stored.hydrated`` stays ``False``.
 
-    A store-backed checker keys its watermark on op content: a coalesce
-    (same ops, new segment names) costs one comparison of the consumed
-    ops, not a rebuild.  It can follow its own handle (``check()``
-    refreshes it) or a chain of pinned snapshots of the store
-    (``check(snapshot)`` catches up to exactly that generation), which
-    is how the service keeps one checker per store across the
+    A store-backed checker asks the handle itself for nodes and keeps
+    a journal mark; :meth:`~repro.store.StoredArgument.ops_since`
+    decides which ops are new to it or that it must rebuild, so a
+    coalesce (same ops, new segment names) costs one comparison of the
+    consumed ops, not a rebuild.  It can follow its own handle
+    (``check()`` refreshes it) or a chain of pinned snapshots of the
+    store (``check(snapshot)`` catches up to exactly that generation),
+    which is how the service keeps one checker per store across the
     snapshots its appends swap in.
     """
 
-    _view: _StoreView
-    _ops: "list[tuple[str, Any]]"
+    _sidecar: _Sidecar
 
     def __init__(
         self, subject: Any, rules: Iterable[ScopedRule], *, _workers: int = 1
@@ -1181,7 +1123,6 @@ class IncrementalChecker:
             kind: [(link_slots[index], rule) for index, rule in rules]
             for kind, rules in _link_dispatch(self._link_rules).items()
         }
-        self._seq = -1
         self._argument: "Argument | None" = None
         self._graph: Any = subject
         self._ctx: RuleContext
@@ -1224,8 +1165,10 @@ class IncrementalChecker:
         sidecar and the node-rule hit maps, buffering the links; then
         link rules run over the buffer and global rules over the
         completed sidecar.  This is the streaming check, with no
-        hydration and no link index, paid at attach and again only if
-        the base shards are replaced underneath us.  The scan reads
+        hydration and no link index, paid at attach and again only when
+        the journal no longer continues the checker's mark.  No link
+        index follows it either: a retype asks the handle's
+        ``links_of``, the only link read a batch needs.  The scan reads
         through the handle's per-shard caches, so later per-node
         lookups decode no base shard again.  Shard order leaves the hit
         maps out of insertion order, which slowed later checks (by 11%)
@@ -1236,13 +1179,12 @@ class IncrementalChecker:
         With two or more ``workers`` (the ``parallel`` mode) the same
         scans run in the warm pool (:func:`_scan_in_pool`) and the rest
         of the build is unchanged.  The parent then parses no shard and
-        no journal segment, so the build records no journal watermark:
-        a later :meth:`check` rebuilds, serially.
+        no journal segment, so the build records no journal mark: a
+        later :meth:`check` rebuilds, serially.
         """
-        self._base_key: "tuple | None" = None  # set once the pass completes
-        view = self._view = self._graph = _StoreView(stored)
-        sidecar = view.sidecar
-        self._ctx = sidecar
+        self._mark: Any = None  # set once the pass completes
+        self._graph = stored
+        sidecar = self._ctx = self._sidecar = _Sidecar(stored.name)
         self._clear_hits()
         links: list[Link] = []
         if workers >= 2:
@@ -1264,12 +1206,8 @@ class IncrementalChecker:
                 if found:
                     link_hits[slot][link] = tuple(found)
         self._refresh_globals()
-        if workers >= 2:
-            return
-        self._ops = stored.journal_ops()
-        self._seq = len(self._ops)
-        self._base_key = stored.base_key()
-        self._journal_key = tuple(stored.journal_segments)
+        if workers < 2:
+            self._mark = stored.journal_mark()
 
     def _refresh_node(self, node: Node) -> None:
         identifier = node.identifier
@@ -1308,7 +1246,16 @@ class IncrementalChecker:
         for hits in self._link_hits:
             hits.pop(link, None)
 
-    def _apply(self, records: tuple[tuple[str, Any], ...]) -> None:
+    def _apply(self, records: Sequence[tuple[str, Any]]) -> None:
+        """Re-evaluate what ``records`` touched, against the graph that
+        already holds them.
+
+        A touched link exists iff its last ``add_link``/``remove_link``
+        record in the batch adds it: a removal drops its hits at once,
+        and ``remove_node`` logs its incident link removals first.  The
+        links a retype reaches come from the post-batch graph, so they
+        exist too; no link membership is ever asked.
+        """
         graph = self._graph
         touched_nodes: set[str] = set()
         touched_links: set[Link] = set()
@@ -1343,10 +1290,7 @@ class IncrementalChecker:
             else:
                 self._drop_node(identifier)
         for link in touched_links:
-            if graph.has_link(link):
-                self._refresh_link(link)
-            else:
-                self._drop_link(link)
+            self._refresh_link(link)
         # Global rules, via their incremental hooks if offered.
         for slot, (_, rule) in enumerate(self._global_rules):
             found: "list[Violation] | None" = None
@@ -1366,51 +1310,29 @@ class IncrementalChecker:
         the same store), the checker moves to exactly the generation it
         serves and calls no ``refresh()``; later node lookups go to it.
 
-        The watermark is keyed on op content, not segment names.  The
-        records past it patch the sidecar and re-evaluate their touched
-        subjects when the base shards are unchanged *and* the ops the
-        checker consumed are a prefix of the current journal.  Consumed
-        segment names that prefix the current ones prove that at once
-        (the names are content-addressed).  Otherwise, as after a
-        coalesce, the consumed ops are compared with the new prefix by
-        value: O(journal), once.  Anything else forces one streaming
-        rebuild.  Position alone is not enough, because a compaction
-        can reproduce identical base shards while resetting the
-        journal, after which a regrown journal of the same length holds
-        different records.
+        The handle decides what is new: the ops
+        :meth:`~repro.store.StoredArgument.ops_since` returns for the
+        checker's mark patch the sidecar and re-evaluate their touched
+        subjects, and ``None`` (a rotated base, a shrunk or rewritten
+        journal) forces one streaming rebuild.
         """
         if snapshot is None:
-            stored = self._view.stored
+            stored = self._graph
             stored.refresh()
         else:
-            stored = self._view.stored = snapshot
-        segments = tuple(stored.journal_segments)
-        ops = stored.journal_ops()
-        seq = self._seq
-        if (
-            stored.base_key() != self._base_key
-            or len(ops) < seq  # torn-tail recovery shrank it
-            or (
-                segments[:len(self._journal_key)] != self._journal_key
-                and ops[:seq] != self._ops[:seq]
-            )
-        ):
+            stored = self._graph = snapshot
+        records = None if self._mark is None else stored.ops_since(self._mark)
+        if records is None:
             self._rebuild_store(stored)
             return
-        if len(ops) > seq:
-            records = tuple(ops[seq:])
-            try:
-                for op, payload in records:
-                    self._view.apply_op(op, payload)
-                self._apply(records)
-            except BaseException:
-                # A catch-up that failed part-way (a read fault, say)
-                # leaves the caches half patched: rebuild next time.
-                self._base_key = None
-                raise
-            self._seq = len(ops)
-        self._ops = ops
-        self._journal_key = segments
+        if records:
+            # A catch-up that fails part-way (a read fault, say) leaves
+            # the caches half patched: rebuild next time.
+            self._mark = None
+            for op, payload in records:
+                self._sidecar.apply_op(op, payload)
+            self._apply(records)
+        self._mark = stored.journal_mark()
 
     def check(self, snapshot: Any = None) -> list[Violation]:
         """Current violations; output identical to a fresh full check.

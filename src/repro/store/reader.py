@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from json.scanner import make_scanner
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, Iterator, NamedTuple, TypeVar
 from zlib import crc32, error as zlib_error
 
 from ..core.argument import Argument, Link
@@ -83,7 +83,8 @@ from .format import (
 )
 
 __all__ = [
-    "StoredArgument", "StoreGeneration", "load_argument", "load_case",
+    "JournalMark", "StoredArgument", "StoreGeneration", "load_argument",
+    "load_case",
 ]
 
 
@@ -104,6 +105,21 @@ class StoreGeneration:
 
     def __str__(self) -> str:
         return f"{self.fingerprint:08x}+{len(self.segments)}"
+
+
+class JournalMark(NamedTuple):
+    """How far a consumer of a handle's journal ops has read.
+
+    Taken by :meth:`StoredArgument.journal_mark` and handed back to
+    :meth:`StoredArgument.ops_since`.  ``ops`` is the overlay's own op
+    list, which only ever grows in place, so its first ``length``
+    entries stay exactly the ops consumed.
+    """
+
+    base: "tuple[str, ...]"
+    segments: "tuple[str, ...]"
+    ops: "list[tuple[str, Any]]"
+    length: int
 
 
 #: The C scanner ``json.loads`` drives, called directly on each shard
@@ -300,10 +316,49 @@ class StoredArgument:
 
     def journal_ops(self) -> "list[tuple[str, Any]]":
         """The decoded journal mutations, oldest first — the persisted
-        delta stream a store-backed :class:`repro.core.analysis.
-        IncrementalChecker` consumes.  Read-only: the overlay owns the
-        list."""
+        delta stream that derived state (the store-backed
+        :class:`repro.core.analysis.IncrementalChecker`, the search
+        postings) follows through :meth:`ops_since`.  Read-only: the
+        overlay owns the list."""
         return self.journal_overlay().ops
+
+    def journal_mark(self) -> JournalMark:
+        """Where this handle's journal ops end now (see :meth:`ops_since`)."""
+        ops = self.journal_ops()
+        return JournalMark(
+            self.base_key(), tuple(self.journal_segments), ops, len(ops)
+        )
+
+    def ops_since(
+        self, mark: JournalMark
+    ) -> "list[tuple[str, Any]] | None":
+        """The journal ops this handle serves past ``mark``, oldest
+        first, or ``None`` when its journal does not continue the
+        marked one and whatever was derived from it must be rebuilt.
+
+        The journal continues the mark when the base shards are the
+        same and the marked ops are a prefix of the current ones.
+        Marked segment names that prefix the current ones prove that at
+        once (the names are content-addressed).  Otherwise, as after a
+        coalesce, the marked ops are compared with the new prefix by
+        value: O(journal), once.  Position alone is not enough, because
+        a compaction can reproduce identical base shards while
+        resetting the journal, after which a regrown journal of the
+        same length holds different ops.
+        """
+        ops = self.journal_ops()
+        length = mark.length
+        if (
+            self.base_key() != mark.base
+            or len(ops) < length  # torn-tail recovery shrank it
+            or (
+                tuple(self.journal_segments[:len(mark.segments)])
+                != mark.segments
+                and ops[:length] != mark.ops[:length]
+            )
+        ):
+            return None
+        return ops[length:]
 
     def base_key(self) -> tuple:
         """Identity of the base shard generation (changes on any full
@@ -404,10 +459,14 @@ class StoredArgument:
         generation it opened (see :meth:`pin`).  Returns
         ``"unchanged"``, ``"journal"`` (same base shards, new journal
         segments — base caches stay valid), ``"coalesced"`` (same base
-        shards, journal segments merged — base caches stay valid, the
+        shards, a different segment list — base caches stay valid, the
         overlay re-parses), or ``"rewritten"`` (a full save or
-        compaction replaced the base: every cache drops).  The
-        incremental store checker polls this before each re-check.
+        compaction replaced the base: every cache drops).
+        ``"coalesced"`` covers a coalesce, which merges the segments and
+        keeps the ops, and also a compaction that reproduced the base
+        shards byte for byte and reset the journal; so state derived
+        from the old ops (the incremental store checker, the search
+        postings) revalidates through :meth:`ops_since`.
         """
         previous = self.manifest
         previous_base = self.base_key()
@@ -418,46 +477,27 @@ class StoredArgument:
         # under its own name (it is content-addressed): try it again.
         self._search_failed = None
         if self.manifest == previous:
+            # Never carry a torn-tail overlay across a refresh: the
+            # damaged segment may have been repaired in place (same
+            # manifest, content restored), and serving the recovered
+            # pre-append state would be silently stale.  Dropping the
+            # overlay re-verifies the journal from disk on the next
+            # access.
             if (
                 previous_overlay is not None
-                and previous_overlay.torn_segment is not None
+                and previous_overlay.torn_segment is None
             ):
-                # Never carry a torn-tail overlay across a refresh: the
-                # damaged segment may have been repaired in place (same
-                # manifest, content restored), and serving the recovered
-                # pre-append state would be silently stale.  Dropping
-                # the overlay re-verifies the journal from disk on the
-                # next access.
-                return "unchanged"
-            self._overlay = previous_overlay
+                self._overlay = previous_overlay
             return "unchanged"
         if self.base_key() == previous_base:
             if (
                 self.journal_segments[:len(previous_journal)]
                 == previous_journal
             ):
-                # Same base generation, journal only grew: extend the
-                # already-parsed overlay with just the new segments
-                # instead of re-decoding the whole journal (keeps a long
-                # editing session's refresh cost O(delta)).  A previous
-                # overlay that dropped a torn tail is *rebuilt* instead
-                # — extending it would keep serving the recovered state
-                # while the on-disk journal has moved past it.
-                if (
-                    previous_overlay is not None
-                    and previous_overlay.torn_segment is None
-                ):
-                    from .journal import load_overlay
-
-                    self._overlay = load_overlay(
-                        self, base=previous_overlay,
-                        start=len(previous_journal),
-                    )
+                # Same base generation, journal only grew: keeps a long
+                # editing session's refresh cost O(delta).
+                self._extend_overlay(previous_overlay, previous_journal)
                 return "journal"
-            # Same base shards but a different segment list: a
-            # coalesce merged the journal.  The op stream is unchanged,
-            # so the base shard caches stay valid; only the overlay
-            # re-parses (lazily) from the merged segment.
             return "coalesced"
         # Fresh maps, not clear(): an adopting handle may share the old
         # ones and still serve the old base.
@@ -468,6 +508,34 @@ class StoredArgument:
         self._search_base = None
         self._search_generation = None
         return "rewritten"
+
+    def _extend_overlay(
+        self, overlay: Any, consumed: "list[str]", copy: bool = False
+    ) -> bool:
+        """Serve ``overlay``, parsed from the segments ``consumed``,
+        extended with just this handle's segments past them; returns
+        whether it did.  Otherwise the overlay parses on first use.
+
+        Only when ``consumed`` prefixes this handle's segments.  An
+        overlay that dropped a torn tail is never carried over:
+        extending it would keep serving the recovered state while the
+        journal on disk has moved past it.  ``copy`` extends a copy, so
+        the handle that parsed ``overlay`` keeps serving its own
+        generation.
+        """
+        if (
+            overlay is None
+            or overlay.torn_segment is not None
+            or self.journal_segments[:len(consumed)] != consumed
+        ):
+            return False
+        from .journal import load_overlay
+
+        self._overlay = load_overlay(
+            self, base=overlay.copy() if copy else overlay,
+            start=len(consumed),
+        )
+        return True
 
     def adopt_base_caches(self, other: "StoredArgument") -> bool:
         """Share another handle's base-shard caches, if generations align.
@@ -483,7 +551,8 @@ class StoredArgument:
         prefix of this handle's (segment names are content-addressed),
         this handle's overlay starts from a copy of it and decodes only
         the newer segments, so an append's snapshot costs that append,
-        not the whole journal.  Returns whether adoption happened.
+        not the whole journal; a damaged newer segment is left for the
+        first use to report.  Returns whether adoption happened.
         """
         if other.base_key() != self.base_key() or other is self:
             return False
@@ -496,32 +565,13 @@ class StoredArgument:
             self._node_shard_names
         ) | other.shards_read & set(self._link_shard_names)
         if self._overlay is None:
-            self._adopt_overlay(other)
+            consumed = other.journal_segments
+            try:
+                if self._extend_overlay(other._overlay, consumed, copy=True):
+                    self.shards_read |= other.shards_read & set(consumed)
+            except StoreCorruptionError:
+                pass
         return True
-
-    def _adopt_overlay(self, other: "StoredArgument") -> None:
-        """Extend a copy of ``other``'s parsed overlay (see
-        :meth:`adopt_base_caches`); otherwise leave the overlay to parse
-        on first use.  A torn-tail overlay is never carried over (as in
-        :meth:`refresh`), and a damaged newer segment is left for that
-        first use to report."""
-        overlay = other._overlay
-        consumed = other.journal_segments
-        if (
-            overlay is None
-            or overlay.torn_segment is not None
-            or self.journal_segments[:len(consumed)] != consumed
-        ):
-            return
-        from .journal import load_overlay
-
-        try:
-            self._overlay = load_overlay(
-                self, base=overlay.copy(), start=len(consumed)
-            )
-        except StoreCorruptionError:
-            return
-        self.shards_read |= other.shards_read & set(consumed)
 
     def append_delta(self, delta: Any) -> dict[str, Any]:
         """Seal one mutation delta as a journal segment (O(delta) writes).
@@ -936,6 +986,27 @@ class StoredArgument:
                 ]
             outgoing.extend(overlay.appended_out.get(identifier, ()))
         return outgoing
+
+    def links_of(self, identifier: str) -> list[Link]:
+        """Every link touching a node, as
+        :meth:`~repro.core.argument.Argument.links_of` answers it:
+        outgoing first, then incoming, each in seq order (journal
+        replayed).  An unknown identifier raises :class:`StoreError`.
+
+        Outgoing links read the one link shard the identifier hashes
+        to; incoming links take one scan of every link shard, since
+        links shard by source.  No index is kept: the incremental
+        checker asks only when a batch retypes a node.
+        """
+        self.node(identifier)
+        incoming = [
+            entry
+            for index in range(self.shard_count)
+            for entry in self.iter_shard_links(index)
+            if entry[1].target == identifier
+        ]
+        incoming.sort(key=itemgetter(0))
+        return [link for _, link in self._outgoing(identifier) + incoming]
 
     def subtree(self, root_id: str) -> Argument:
         """Hydrate only the region reachable from ``root_id``.

@@ -19,8 +19,10 @@ next to the shards, under exactly the store's existing discipline:
   every handle that adopts the base caches) and layers each handle's
   own delta on top: the identifiers added and removed per term by
   the suffix of :meth:`~repro.store.reader.StoredArgument.journal_ops`
-  past that watermark.  A refreshing handle patches only each new
-  append's ops, and a pinned snapshot never sees a newer one's;
+  past that watermark.  A refreshing handle patches only the ops
+  :meth:`~repro.store.reader.StoredArgument.ops_since` reports past
+  the ones it consumed (the journal-continuation rule the incremental
+  checker follows too), and a pinned snapshot never sees a newer one's;
 * **rebuilt on compact(), swept by gc()** — compaction folds the
   journal into fresh shards and rebuilds the sidecar in the same
   streaming pass at watermark zero (byte-identical to a clean indexed
@@ -59,7 +61,7 @@ from .format import (
 )
 from .journal import _check_handle_current, _check_not_torn
 from .lease import writer_lease
-from .reader import StoredArgument
+from .reader import JournalMark, StoredArgument
 from .writer import _commit, _ShardWriter
 
 __all__ = [
@@ -210,7 +212,7 @@ class StoreSearchIndex(TextPostings):
         reads at all — O(delta text), like the live index's
         :meth:`~repro.core.query.ArgumentIndex.apply`.  A replacement
         that keeps the text (a metadata edit) touches no postings.  The
-        caller advances the generation's ``ops_applied``.
+        caller moves the generation's ``mark``.
         """
         for op, payload in ops:
             if op == "add_node":
@@ -292,8 +294,8 @@ def _discard(postings: dict[str, set[str]], term: str, identifier: str) -> None:
 
 class _Generation:
     """A handle's search postings: the shared parsed sidecar (``base``)
-    under this generation's journal delta, patched up to journal op
-    ``ops_applied``.
+    under this generation's journal delta, patched up to the journal
+    ``mark``.
 
     Cached on the handle.  It holds no handle, so caching it makes no
     reference cycle, and a superseded snapshot is freed as soon as its
@@ -302,13 +304,13 @@ class _Generation:
     the journal delta's node touches after patching.
     """
 
-    __slots__ = ("base", "tokens", "grams", "ops_applied", "nodes_indexed")
+    __slots__ = ("base", "tokens", "grams", "mark", "nodes_indexed")
 
-    def __init__(self, base: StoreSearchIndex) -> None:
+    def __init__(self, base: StoreSearchIndex, mark: JournalMark) -> None:
         self.base = base
         self.tokens = _LayeredTerms(base.tokens)
         self.grams = _LayeredTerms(base.grams)
-        self.ops_applied = base.ops_applied
+        self.mark = mark
         self.nodes_indexed = 0
 
     def add(self, identifier: str, text: str) -> None:
@@ -354,11 +356,6 @@ class SearchIndexView(PostingsView):
     @property
     def base_crc32(self) -> int:
         return self._generation.base.base_crc32
-
-    @property
-    def ops_applied(self) -> int:
-        """The journal watermark the postings reflect."""
-        return self._generation.ops_applied
 
     @property
     def nodes_indexed(self) -> int:
@@ -439,20 +436,16 @@ def _generation(stored: StoredArgument) -> "_Generation | None":
     name = stored.manifest.get(SEARCH_INDEX_KEY)
     if not isinstance(name, str) or name not in stored.manifest["shards"]:
         return None
-    ops = stored.journal_ops()
-    base_crc32 = base_names_crc(stored.base_key())
     generation: "_Generation | None" = stored._search_generation
-    if generation is not None and (
-        generation.base.sidecar != name
-        or generation.base.base_crc32 != base_crc32
-        or generation.ops_applied > len(ops)
-    ):
-        generation = stored._search_generation = None
-    if generation is not None:
-        if generation.ops_applied < len(ops):
-            generation.base.apply_ops(ops[generation.ops_applied:], generation)
-            generation.ops_applied = len(ops)
-        return generation
+    if generation is not None and generation.base.sidecar == name:
+        ops = stored.ops_since(generation.mark)
+        if ops is not None:
+            if ops:
+                generation.base.apply_ops(ops, generation)
+            generation.mark = stored.journal_mark()
+            return generation
+    stored._search_generation = None
+    base_crc32 = base_names_crc(stored.base_key())
     base: "StoreSearchIndex | None" = stored._search_base
     if base is None or base.sidecar != name or base.base_crc32 != base_crc32:
         # A sidecar that failed to load is not re-read for the same
@@ -463,12 +456,12 @@ def _generation(stored: StoredArgument) -> "_Generation | None":
         if base is None:
             stored._search_failed = (name, base_crc32)
             return None
-    if base.ops_applied > len(ops):
+    mark = stored.journal_mark()
+    if base.ops_applied > mark.length:
         return None  # indexes journal state this generation never saw
-    generation = _Generation(base)
-    if base.ops_applied < len(ops):
-        base.apply_ops(ops[base.ops_applied:], generation)
-        generation.ops_applied = len(ops)
+    generation = _Generation(base, mark)
+    if base.ops_applied < mark.length:
+        base.apply_ops(mark.ops[base.ops_applied:], generation)
         generation.nodes_indexed = 0  # patching to *open* a handle is
         # setup, not per-edit cost; the O(delta) counter starts at the
         # handle's own generation.

@@ -330,14 +330,13 @@ class TestIncrementalChecker:
 
 
 @pytest.mark.journal
-def test_stored_checks_scan_shards_and_index_links_on_demand(
+def test_stored_checks_scan_link_shards_once(
     ill_formed, stored, monkeypatch
 ):
     """A checker's build and a one-shot stored check each read the link
     shards once, through the shard scan: neither merges the whole store
     with ``iter_nodes``/``iter_links``, and neither builds a link index.
-    The checker's link index is built once, by one more pass over the
-    link shards, when the first edit asks about links."""
+    Edits that add links or retext a node read no link shard at all."""
     merges: "list[str]" = []
     for name in ("iter_nodes", "iter_links"):
         def counting(self, _original=getattr(StoredArgument, name),
@@ -373,25 +372,18 @@ def test_stored_checks_scan_shards_and_index_links_on_demand(
     assert checker.check() == check(ill_formed)
     assert passes() == 2 and merges == []
 
-    def edit(change) -> "dict | None":
+    def edit(change) -> None:
         seq = ill_formed.mutation_seq
         change()
         writer.append_delta(ill_formed.delta_since(seq))
         assert checker.check() == check(ill_formed)
-        return checker._view.incident
 
-    assert edit(lambda: ill_formed.replace_node(
+    edit(lambda: ill_formed.replace_node(
         ill_formed.node("G3").with_text("A second root claim, reworded")
-    )) is None
-    assert passes() == 2
-    index = edit(lambda: ill_formed.add_link(
-        "G3", "Sn2", LinkKind.SUPPORTED_BY
     ))
-    assert index is not None and passes() == 3, "one index pass"
-    assert edit(lambda: ill_formed.add_link(
-        "G3", "C1", LinkKind.IN_CONTEXT_OF
-    )) is index
-    assert passes() == 3, "the index is patched, not rebuilt"
+    edit(lambda: ill_formed.add_link("G3", "Sn2", LinkKind.SUPPORTED_BY))
+    edit(lambda: ill_formed.add_link("G3", "C1", LinkKind.IN_CONTEXT_OF))
+    assert passes() == 2, "no edit reads a link shard"
     fresh = StoredArgument(stored.path)
     assert run_rules(fresh, rules, mode="streaming") == check(ill_formed)
-    assert passes() == 4 and merges == []
+    assert passes() == 3 and merges == []
