@@ -92,8 +92,9 @@ requested mode onto the engine that runs it; the checking facade
     and re-raises with the failing shard noted.  Worker start method:
     ``fork`` only while the parent runs no thread but the pool's own,
     otherwise ``forkserver``/``spawn``; ``REPRO_MP_START`` overrides
-    the choice.  With fewer than two effective workers it degrades to
-    ``streaming``.
+    the choice.  With fewer than two requested workers it degrades to
+    ``streaming``; otherwise the pool holds the request capped at the
+    shard count and the CPU count, but at least two workers.
 
 ``incremental`` (:class:`IncrementalChecker`)
     A stateful checker over either kind of subject.  Per-rule violation
@@ -192,6 +193,7 @@ from __future__ import annotations
 import enum
 import os
 import threading
+from bisect import bisect_left, insort
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -210,6 +212,7 @@ __all__ = [
     "ScopedRule",
     "SCOPE_SURFACE",
     "CHECK_MODES",
+    "worker_cap",
     "per_node",
     "per_link",
     "global_rule",
@@ -608,8 +611,25 @@ class _Sidecar(RuleContext):
 CHECK_MODES = ("auto", "serial", "streaming", "parallel", "incremental")
 
 
-def _effective_workers(workers: "int | None") -> int:
-    return workers if workers is not None else (os.cpu_count() or 1)
+def worker_cap() -> int:
+    """The most worker processes a parallel check may start: the CPU
+    count, but never fewer than two, so a parallel check stays parallel
+    on a one-CPU host."""
+    return max(2, os.cpu_count() or 1)
+
+
+def _effective_workers(
+    workers: "int | None", shard_count: "int | None" = None
+) -> int:
+    """The worker count a check runs with: ``workers`` (default: the
+    CPU count), and once that asks for a pool (two or more), the pool
+    size, capped at the shard count (one task per shard) and at
+    :func:`worker_cap`, never below two.  The one place a pool's size
+    is decided, before its key is formed."""
+    requested = workers if workers is not None else (os.cpu_count() or 1)
+    if requested < 2:
+        return requested
+    return max(2, min(requested, shard_count or requested, worker_cap()))
 
 
 def resolve_mode(subject: Any, mode: str, workers: "int | None" = None) -> str:
@@ -712,10 +732,12 @@ def run_rules(
     ``mode`` is any of :data:`CHECK_MODES` except ``incremental``;
     :func:`resolve_mode` picks the engine.  ``parallel`` checks a stored
     subject at the handle's pinned generation with ``workers`` processes
-    (default: the CPU count; ``REPRO_MP_START`` overrides the worker
-    start method).  ``streaming`` and ``parallel`` both return the
-    report of one store-backed :class:`IncrementalChecker` build; only
-    where its shard scans run differs.  Every mode returns the
+    (default: the CPU count), capped at the shard count and at
+    :func:`worker_cap` by :func:`_effective_workers` (``REPRO_MP_START``
+    overrides the worker start method).  ``streaming`` and ``parallel``
+    both return the report of one store-backed
+    :class:`IncrementalChecker` build; only where its shard scans run
+    differs.  Every mode returns the
     identical violation list.
     """
     used = resolve_mode(subject, mode, workers)
@@ -725,7 +747,8 @@ def run_rules(
         return IncrementalChecker(subject, rules)._report()
     if used == "parallel":
         return IncrementalChecker(
-            subject, rules, _workers=_effective_workers(workers)
+            subject, rules,
+            _workers=_effective_workers(workers, subject.shard_count),
         )._report()
     raise ValueError(
         "incremental checking keeps state between checks: use an "
@@ -1080,15 +1103,24 @@ class IncrementalChecker:
     always equals a fresh full check.  A stored subject is never
     hydrated: ``stored.hydrated`` stays ``False``.
 
+    The report keeps one bucket per rule in canonical order.  The first
+    report after a (re)build sorts them once; from then on every hit-map
+    write goes through :meth:`_put`, which moves just the changed
+    violations in or out by binary search.  So a one-record edit costs
+    O(batch) rule runs plus O(log v) key calls per changed violation,
+    and the report itself is a concatenation, however many violations
+    stand.
+
     A store-backed checker asks the handle itself for nodes and keeps
     a journal mark; :meth:`~repro.store.StoredArgument.ops_since`
     decides which ops are new to it or that it must rebuild, so a
     coalesce (same ops, new segment names) costs one comparison of the
     consumed ops, not a rebuild.  It can follow its own handle
-    (``check()`` refreshes it) or a chain of pinned snapshots of the
-    store (``check(snapshot)`` catches up to exactly that generation),
-    which is how the service keeps one checker per store across the
-    snapshots its appends swap in.
+    (``check()`` refreshes it, which decodes nothing right after the
+    handle's own append) or a chain of pinned snapshots of the store
+    (``check(snapshot)`` catches up to exactly that generation), which
+    is how the service keeps one checker per store across the snapshots
+    its appends swap in.
     """
 
     _sidecar: _Sidecar
@@ -1105,9 +1137,11 @@ class IncrementalChecker:
         self._link_hits: list[dict[Link, tuple[Violation, ...]]] = [
             {} for _ in self._link_rules
         ]
-        self._global_hits: list[tuple[Violation, ...]] = [
-            () for _ in self._global_rules
-        ]
+        # Global verdicts keyed by slot, so they take the same writes.
+        self._global_hits: dict[int, tuple[Violation, ...]] = {}
+        # One report bucket per rule, kept sorted as hits change; None
+        # until the first report after a (re)build sorts them.
+        self._sorted: "list[list[Violation]] | None" = None
         # The engines' dispatch-filter tables, keyed by hit-map slot.
         node_slots = {
             index: slot for slot, (index, _) in enumerate(self._node_rules)
@@ -1115,6 +1149,14 @@ class IncrementalChecker:
         self._node_dispatch = {
             node_type: [(node_slots[index], rule) for index, rule in rules]
             for node_type, rules in _node_dispatch(self._node_rules).items()
+        }
+        # Per node type, the node-rule slots that cannot fire for it.
+        self._node_idle = {
+            node_type: sorted(
+                set(range(len(self._node_rules)))
+                - {slot for slot, _ in rules}
+            )
+            for node_type, rules in self._node_dispatch.items()
         }
         link_slots = {
             index: slot for slot, (index, _) in enumerate(self._link_rules)
@@ -1148,6 +1190,8 @@ class IncrementalChecker:
             node_hits.clear()
         for link_hits in self._link_hits:
             link_hits.clear()
+        self._global_hits.clear()
+        self._sorted = None
 
     def _rebuild(self, argument: Argument) -> None:
         self._clear_hits()
@@ -1209,42 +1253,75 @@ class IncrementalChecker:
         if workers < 2:
             self._mark = stored.journal_mark()
 
+    def _put(
+        self,
+        hits: "dict[Any, tuple[Violation, ...]]",
+        index: int,
+        key: Any,
+        found: Iterable[Violation],
+    ) -> None:
+        """The one write to a hit map: ``key``'s violations of rule
+        ``index`` become ``found`` (none drops the entry).
+
+        Once the report buckets are sorted, a changed entry moves its
+        old violations out of the rule's bucket and its new ones in by
+        binary search, so an edit costs O(log v) key calls per changed
+        violation instead of a re-sort of all v.
+        """
+        old = hits.get(key, ())
+        new = tuple(found)
+        if old == new:
+            return
+        if new:
+            hits[key] = new
+        else:
+            del hits[key]
+        if self._sorted is None:
+            return
+        bucket = self._sorted[index]
+        for violation in old:
+            at = bisect_left(
+                bucket, _violation_key(violation), key=_violation_key
+            )
+            while bucket[at] != violation:
+                at += 1
+            del bucket[at]
+        for violation in new:
+            insort(bucket, violation, key=_violation_key)
+
     def _refresh_node(self, node: Node) -> None:
         identifier = node.identifier
-        hits = self._node_hits
-        applicable = self._node_dispatch[node.node_type]
-        if len(applicable) < len(hits):
-            # Some rules cannot fire for this type: clear any entry
-            # they left from a pre-retype evaluation.
-            for slot_hits in hits:
-                slot_hits.pop(identifier, None)
-        for slot, rule in applicable:
-            found = rule.fn(node, self._ctx)
-            if found:
-                hits[slot][identifier] = tuple(found)
-            else:
-                hits[slot].pop(identifier, None)
+        hits, rules = self._node_hits, self._node_rules
+        # Rules that cannot fire for this type lose any entry left from
+        # a pre-retype evaluation.
+        for slot in self._node_idle[node.node_type]:
+            self._put(hits[slot], rules[slot][0], identifier, ())
+        for slot, rule in self._node_dispatch[node.node_type]:
+            self._put(
+                hits[slot], rules[slot][0], identifier,
+                rule.fn(node, self._ctx) or (),
+            )
 
     def _refresh_link(self, link: Link) -> None:
         # A link never changes kind, so rules filtered out hold nothing.
+        hits, rules = self._link_hits, self._link_rules
         for slot, rule in self._link_dispatch[link.kind]:
-            found = rule.fn(link, self._ctx)
-            if found:
-                self._link_hits[slot][link] = tuple(found)
-            else:
-                self._link_hits[slot].pop(link, None)
+            self._put(
+                hits[slot], rules[slot][0], link,
+                rule.fn(link, self._ctx) or (),
+            )
 
     def _refresh_globals(self) -> None:
-        for slot, (_, rule) in enumerate(self._global_rules):
-            self._global_hits[slot] = tuple(rule.fn(self._ctx))
+        for slot, (index, rule) in enumerate(self._global_rules):
+            self._put(self._global_hits, index, slot, rule.fn(self._ctx))
 
     def _drop_node(self, identifier: str) -> None:
-        for hits in self._node_hits:
-            hits.pop(identifier, None)
+        for slot, (index, _) in enumerate(self._node_rules):
+            self._put(self._node_hits[slot], index, identifier, ())
 
     def _drop_link(self, link: Link) -> None:
-        for hits in self._link_hits:
-            hits.pop(link, None)
+        for slot, (index, _) in enumerate(self._link_rules):
+            self._put(self._link_hits[slot], index, link, ())
 
     def _apply(self, records: Sequence[tuple[str, Any]]) -> None:
         """Re-evaluate what ``records`` touched, against the graph that
@@ -1292,15 +1369,15 @@ class IncrementalChecker:
         for link in touched_links:
             self._refresh_link(link)
         # Global rules, via their incremental hooks if offered.
-        for slot, (_, rule) in enumerate(self._global_rules):
+        for slot, (index, rule) in enumerate(self._global_rules):
             found: "list[Violation] | None" = None
             if rule.delta_fn is not None:
                 found = rule.delta_fn(
-                    self._ctx, records, self._global_hits[slot]
+                    self._ctx, records, self._global_hits.get(slot, ())
                 )
             if found is None:  # no hook, or the hook declined
                 found = rule.fn(self._ctx)
-            self._global_hits[slot] = tuple(found)
+            self._put(self._global_hits, index, slot, found)
 
     def _sync_store(self, snapshot: Any = None) -> None:
         """Catch up with the persisted journal before assembling.
@@ -1367,17 +1444,31 @@ class IncrementalChecker:
         return self._report()
 
     def _report(self) -> list[Violation]:
-        """The cached violations in report order (no catch-up)."""
-        buckets: list[list[Violation]] = [[] for _ in self._rules]
-        for slot, (index, _) in enumerate(self._node_rules):
-            for found in self._node_hits[slot].values():
-                buckets[index].extend(found)
-        for slot, (index, _) in enumerate(self._link_rules):
-            for found in self._link_hits[slot].values():
-                buckets[index].extend(found)
-        for slot, (index, _) in enumerate(self._global_rules):
-            buckets[index].extend(self._global_hits[slot])
-        return _assemble(buckets)
+        """The cached violations in report order (no catch-up).
+
+        The first report after a (re)build fills one bucket per rule
+        from the hit maps and sorts it, the one sort a one-shot check
+        pays anyway; :meth:`_put` keeps the buckets sorted from then on,
+        so every later report only concatenates them: O(v) copying, no
+        key call.
+        """
+        if self._sorted is None:
+            buckets: list[list[Violation]] = [[] for _ in self._rules]
+            for slot, (index, _) in enumerate(self._node_rules):
+                for found in self._node_hits[slot].values():
+                    buckets[index].extend(found)
+            for slot, (index, _) in enumerate(self._link_rules):
+                for found in self._link_hits[slot].values():
+                    buckets[index].extend(found)
+            for slot, (index, _) in enumerate(self._global_rules):
+                buckets[index].extend(self._global_hits.get(slot, ()))
+            report = _assemble(buckets)
+            self._sorted = buckets
+            return report
+        report: list[Violation] = []
+        for bucket in self._sorted:
+            report.extend(bucket)
+        return report
 
     def is_well_formed(self) -> bool:
         return not self.check()

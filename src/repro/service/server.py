@@ -75,7 +75,12 @@ from ..core.query import (
 )
 from ..checking import check as run_check
 from ..claims import GSN_OBLIGATION_RULES
-from ..core.analysis import CHECK_MODES, IncrementalChecker, Violation
+from ..core.analysis import (
+    CHECK_MODES,
+    IncrementalChecker,
+    Violation,
+    worker_cap,
+)
 from ..core.wellformed import RuleSet
 from ..notation.json_io import node_payload
 from ..store import (
@@ -613,6 +618,12 @@ class ArgumentService:
             or workers < 1
         ):
             raise ServiceError(400, "'workers' must be a positive integer")
+        if workers is not None and workers > worker_cap():
+            raise ServiceError(
+                400,
+                f"'workers' must be at most {worker_cap()}, the worker "
+                "cap (this host's CPU count, at least 2)",
+            )
         if mode == "incremental":
             snapshot, violations = await self._in_thread(
                 self._check_incremental, state

@@ -200,12 +200,18 @@ class StoredArgument:
         if generation is not None:
             self._pin_to(generation)
 
-    def _read_manifest(self) -> None:
-        """Parse and validate the manifest; (re)set the handle's view."""
+    def _manifest_bytes(self) -> bytes:
         manifest_path = self.path / MANIFEST_NAME
-        if not manifest_path.exists():
-            raise StoreError(f"no store manifest at {manifest_path}")
-        raw = manifest_path.read_bytes()
+        try:
+            return manifest_path.read_bytes()
+        except (FileNotFoundError, NotADirectoryError):
+            raise StoreError(f"no store manifest at {manifest_path}") from None
+
+    def _read_manifest(self, raw: "bytes | None" = None) -> None:
+        """Parse and validate the manifest (``raw``, or the file's
+        bytes); (re)set the handle's view."""
+        if raw is None:
+            raw = self._manifest_bytes()
         try:
             manifest = json.loads(raw.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as error:
@@ -294,6 +300,12 @@ class StoredArgument:
                 "shard map is missing entries for listed shards",
             ) from None
         self._overlay = None
+        # The bytes this view was parsed from: a refresh that reads the
+        # same bytes again has nothing to parse.  Only _pin_to sets the
+        # view from anything else; adopt_base_caches and a coalesce
+        # swap in caches or an overlay of the same ops, which these
+        # bytes still describe.
+        self._manifest_raw: "bytes | None" = raw
 
     # -- journal plumbing ---------------------------------------------------
 
@@ -447,6 +459,9 @@ class StoredArgument:
         self.manifest = manifest
         self.manifest_fingerprint = generation.fingerprint
         self._overlay = None
+        # The view no longer matches the bytes it was parsed from: the
+        # next refresh must parse them, and so advance to HEAD.
+        self._manifest_raw = None
         # A patched delta cannot be *unwound* to the pinned prefix;
         # drop it and re-patch the parsed sidecar to the rewound ops.
         self._search_generation = None
@@ -467,27 +482,35 @@ class StoredArgument:
         shards byte for byte and reset the journal; so state derived
         from the old ops (the incremental store checker, the search
         postings) revalidates through :meth:`ops_since`.
+
+        The manifest file is read on every call, so another writer's
+        commit is always seen.  When its bytes equal the ones this view
+        was parsed from, the call stops there: ``"unchanged"`` with no
+        JSON decode, so a check right after this handle's own append
+        (which refreshed already) costs one file read.  A handle
+        rewound by ``generation=`` (:meth:`_pin_to`) serves a view the
+        disk bytes do not describe, so its next refresh always parses.
+        There is deliberately no stat or mtime shortcut: the manifest is
+        replaced by rename, so an inode number can come back, and a
+        coarse mtime can stay put across a commit; either would hide
+        another writer's commit.
         """
+        raw = self._manifest_bytes()
+        if raw == self._manifest_raw:
+            # A sidecar that failed to load may since have been rebuilt
+            # under its own name (it is content-addressed): try it again.
+            self._search_failed = None
+            self._drop_torn_overlay()
+            return "unchanged"
         previous = self.manifest
         previous_base = self.base_key()
         previous_journal = list(self.journal_segments)
         previous_overlay = self._overlay
-        self._read_manifest()
-        # A sidecar that failed to load may since have been rebuilt
-        # under its own name (it is content-addressed): try it again.
+        self._read_manifest(raw)
         self._search_failed = None
         if self.manifest == previous:
-            # Never carry a torn-tail overlay across a refresh: the
-            # damaged segment may have been repaired in place (same
-            # manifest, content restored), and serving the recovered
-            # pre-append state would be silently stale.  Dropping the
-            # overlay re-verifies the journal from disk on the next
-            # access.
-            if (
-                previous_overlay is not None
-                and previous_overlay.torn_segment is None
-            ):
-                self._overlay = previous_overlay
+            self._overlay = previous_overlay
+            self._drop_torn_overlay()
             return "unchanged"
         if self.base_key() == previous_base:
             if (
@@ -508,6 +531,16 @@ class StoredArgument:
         self._search_base = None
         self._search_generation = None
         return "rewritten"
+
+    def _drop_torn_overlay(self) -> None:
+        """Never carry a torn-tail overlay across a refresh: the damaged
+        segment may have been repaired in place (same manifest, content
+        restored), and serving the recovered pre-append state would be
+        silently stale.  Dropping the overlay re-verifies the journal
+        from disk on the next access."""
+        overlay = self._overlay
+        if overlay is not None and overlay.torn_segment is not None:
+            self._overlay = None
 
     def _extend_overlay(
         self, overlay: Any, consumed: "list[str]", copy: bool = False

@@ -23,6 +23,7 @@ import pytest
 import repro
 from repro.claims import GSN_OBLIGATION_RULES, OBLIGATION_KEY
 from repro.core import ArgumentBuilder
+from repro.core.analysis import worker_cap
 from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
 from repro.service import ArgumentService, ServiceClient, ServiceClientError
@@ -293,6 +294,16 @@ class TestErrorContract:
             for valid in ("auto", "serial", "streaming", "parallel"):
                 assert valid in excinfo.value.detail, (mode, valid)
             assert "full" not in excinfo.value.detail
+
+    def test_workers_above_the_cap_are_400_naming_it(self, served):
+        # Refused before any pool exists: no process starts.
+        cap = worker_cap()
+        client = served.client()
+        for workers in (cap + 1, 10_000):
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.check(STORE, mode="parallel", workers=workers)
+            assert excinfo.value.status == 400, workers
+            assert f"at most {cap}" in excinfo.value.detail
 
     def test_non_json_body_is_400(self, served):
         import http.client
