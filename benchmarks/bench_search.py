@@ -18,10 +18,18 @@ sidecar narrows through its text side — two ways:
 
 Both sides must return identical ``(store, node)`` sets before a
 number is recorded; the full matrix additionally asserts the indexed
-side is at least 10x faster overall.  Rows append to
-``BENCH_trajectory.json`` as ``kind: "search"`` through the PR 8
-results pipeline and render into ``BENCH_trajectory.md`` next to the
-saturation matrix.
+side is at least 10x faster overall.
+
+It then times **ranked** :func:`repro.core.search.search` over the
+same library two ways: the warm indexed ``CaseCorpus``, which scores
+from the sidecar's token postings and repeat counts and reads only
+the hits it renders, and a warm ``CaseCorpus`` over unindexed copies
+of the same stores, which scans every store per query.  Both must
+return identical hit lists before a ranked row is recorded.
+
+Rows append to ``BENCH_trajectory.json`` as ``kind: "search"``
+through the results pipeline (``results.py``) and render into
+``BENCH_trajectory.md`` next to the saturation matrix.
 
 Run from the repository root::
 
@@ -50,6 +58,7 @@ from results import DEFAULT_OUT, DEFAULT_REPORT, _stats, append_run, \
 from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
 from repro.core.query import Query, node_type_is, select, text_contains
+from repro.core.search import search
 from repro.store import CaseCorpus, StoredArgument
 
 FULL_STORES = 2000
@@ -78,6 +87,18 @@ _QUERIES: "tuple[tuple[str, bool, int | None, NodeType | None], ...]" = (
     # Typed: drops the journaled "actuator recall" context amendments.
     ("actuator", False, None, NodeType.SOLUTION),
 )
+
+
+# Ranked queries: a rare token, common tokens every store matches
+# (where only the top hits are rendered), and a needle that matches
+# no whole token, so it ranks by verified substring candidates.
+_RANKED = (
+    "porosity",
+    "weld inspection report",
+    "hazard mitigated by verification",
+    "overpress",
+)
+RANKED_LIMIT = 10
 
 
 def _query(needle: str, case_sensitive: bool,
@@ -133,12 +154,15 @@ def _case_spec(index: int, rng: random.Random,
 
 
 def build_corpus(root: Path, stores: int, hazards: int,
-                 rng: random.Random) -> int:
+                 rng: random.Random,
+                 unindexed: "Path | None" = None) -> int:
     """Generate ``stores`` indexed case stores; returns total nodes.
 
     Every ``JOURNAL_EVERY``-th store is edited *after* the indexed save
     via ``save(journal=True)``, so its sidecar is stale-by-watermark
     and readers exercise the O(delta) patch path, not just clean loads.
+    With ``unindexed``, each final case is also saved there, under the
+    same name and without a sidecar.
     """
     total = 0
     for index in range(stores):
@@ -159,6 +183,8 @@ def build_corpus(root: Path, stores: int, hazards: int,
             argument.add_link("G0", "C_amend", LinkKind.IN_CONTEXT_OF)
             argument.save(directory, journal=True)
             total += 1
+        if unindexed is not None:
+            argument.save(unindexed / directory.name, shard_count=1)
         total += len(nodes)
     return total
 
@@ -196,6 +222,56 @@ def scan_pass(root: Path, names: "list[str]", needle: str,
     return hits
 
 
+def ranked_rows(indexed: CaseCorpus, scan: CaseCorpus,
+                repeats: int) -> "list[dict[str, Any]]":
+    """Time ranked search on both corpora; hits must be identical."""
+    rows: "list[dict[str, Any]]" = []
+    for text in _RANKED:
+        indexed_samples: "list[float]" = []
+        scan_samples: "list[float]" = []
+        expected: "list[Any] | None" = None
+        for _ in range(repeats):
+            seconds, hits = timed(
+                lambda: search(indexed, text, limit=RANKED_LIMIT)
+            )
+            indexed_samples.append(seconds)
+            seconds, scanned = timed(
+                lambda: search(scan, text, limit=RANKED_LIMIT)
+            )
+            scan_samples.append(seconds)
+            assert hits == scanned, (
+                f"indexed ranking != scan ranking for {text!r}"
+            )
+            if expected is None:
+                expected = hits
+            assert hits == expected, "unstable ranking"
+        assert expected, f"ranked query {text!r} found nothing"
+        indexed_stats = _stats(indexed_samples)
+        scan_stats = _stats(scan_samples)
+        row = {
+            "q": text,
+            "limit": RANKED_LIMIT,
+            "hits": len(expected),
+            "indexed_s": indexed_stats,
+            "scan_s": scan_stats,
+            "speedup_min": round(
+                scan_stats["min_s"] / indexed_stats["min_s"], 1
+            ),
+            "speedup_median": round(
+                scan_stats["median_s"] / indexed_stats["median_s"], 1
+            ),
+            "matched": True,
+        }
+        rows.append(row)
+        print(
+            f"  ranked {text!r:>36}: scan "
+            f"{scan_stats['min_s'] * 1e3:.1f} ms, indexed "
+            f"{indexed_stats['min_s'] * 1e3:.2f} ms "
+            f"({row['speedup_min']:.1f}x)"
+        )
+    return rows
+
+
 def run_search(options: argparse.Namespace) -> "dict[str, Any]":
     stores = options.stores or (
         SMOKE_STORES if options.smoke else FULL_STORES
@@ -205,12 +281,16 @@ def run_search(options: argparse.Namespace) -> "dict[str, Any]":
     rng = random.Random(20150608)
     scratch = Path(tempfile.mkdtemp(prefix="bench-search-"))
     try:
-        print(f"generating {stores} indexed stores...")
+        print(f"generating {stores} indexed stores (+ unindexed copies)...")
+        library = scratch / "indexed"
+        copies = scratch / "unindexed"
+        library.mkdir()
+        copies.mkdir()
         seconds, total_nodes = timed(
-            lambda: build_corpus(scratch, stores, hazards, rng)
+            lambda: build_corpus(library, stores, hazards, rng, copies)
         )
         print(f"  {total_nodes} nodes in {seconds:.1f}s")
-        corpus = CaseCorpus(scratch)
+        corpus = CaseCorpus(library)
         names = corpus.store_names()
         assert len(names) == stores
         # Warm-up: first indexed pass loads every sidecar (and patches
@@ -237,7 +317,7 @@ def run_search(options: argparse.Namespace) -> "dict[str, Any]":
                 indexed_samples.append(seconds)
                 seconds, scanned = timed(
                     lambda: scan_pass(
-                        scratch, names, needle, case_sensitive, node_type
+                        library, names, needle, case_sensitive, node_type
                     )
                 )
                 scan_samples.append(seconds)
@@ -281,6 +361,13 @@ def run_search(options: argparse.Namespace) -> "dict[str, Any]":
                 f"indexed search is only {overall:.1f}x faster than the "
                 "substring scan; the sidecar is not paying its way"
             )
+        scan_corpus = CaseCorpus(copies)
+        # Warm-up, as above: the first ranked pass loads the sidecars
+        # and opens every handle on both sides.
+        for text in _RANKED:
+            search(corpus, text, limit=RANKED_LIMIT)
+            search(scan_corpus, text, limit=RANKED_LIMIT)
+        ranked = ranked_rows(corpus, scan_corpus, repeats)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     return {
@@ -299,6 +386,7 @@ def run_search(options: argparse.Namespace) -> "dict[str, Any]":
         "journaled_stores": len(range(0, stores, JOURNAL_EVERY)),
         "queries": rows,
         "speedup_overall_min": overall,
+        "ranked": ranked,
     }
 
 

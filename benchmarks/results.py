@@ -471,6 +471,29 @@ def _render_search(runs: "list[dict[str, Any]]") -> str:
         f"Overall speedup (total scan time / total indexed time, min): "
         f"**{latest['speedup_overall_min']:.1f}x**.",
     ]
+    ranked = latest.get("ranked")
+    if ranked:
+        lines += [
+            "",
+            "### Ranked search",
+            "",
+            f"Top-{ranked[0]['limit']} `search()` over the same library: "
+            "the warm indexed corpus scores from the sidecar's token "
+            "postings and repeat counts, the scan side is a warm corpus "
+            "of unindexed copies; hit lists asserted identical.",
+            "",
+            "| query | hits | scan min | indexed min | speedup (min) "
+            "| speedup (median) |",
+            "|:---|---:|---:|---:|---:|---:|",
+        ]
+        for cell in ranked:
+            lines.append(
+                f"| `{cell['q']}` | {cell['hits']} "
+                f"| {cell['scan_s']['min_s'] * 1e3:.1f} ms "
+                f"| {cell['indexed_s']['min_s'] * 1e3:.2f} ms "
+                f"| **{cell['speedup_min']:.1f}x** "
+                f"| {cell['speedup_median']:.1f}x |"
+            )
     if len(runs) > 1:
         lines += [
             "",

@@ -645,7 +645,11 @@ class _Fsck:
         """
         assert self.manifest is not None
         from ..core.search import TOKENIZER_VERSION
-        from ..store.search import SEARCH_SCHEMA_VERSION, base_names_crc
+        from ..store.search import (
+            SEARCH_SCHEMA_VERSION,
+            base_names_crc,
+            valid_posting,
+        )
 
         name = self.manifest.get("search_index")
         if name is None:
@@ -690,23 +694,24 @@ class _Fsck:
                 name, f"first record is not the sidecar header; {rebuild}"
             )
             return
-        if header.get("search_schema") != SEARCH_SCHEMA_VERSION:
+        schema = header.get("search_schema")
+        # An older schema is a format readers no longer speak, not
+        # damage: stale, like a previous base generation.
+        older = (
+            isinstance(schema, int)
+            and not isinstance(schema, bool)
+            and 1 <= schema < SEARCH_SCHEMA_VERSION
+        )
+        if schema != SEARCH_SCHEMA_VERSION and not older:
             self.recoverable(
                 name,
                 f"unsupported search schema "
-                f"{header.get('search_schema')!r} (this checker knows "
+                f"{schema!r} (this checker knows "
                 f"{SEARCH_SCHEMA_VERSION}); {rebuild}",
             )
             return
         for lineno, record in enumerate(records[1:], start=2):
-            if (
-                record.get("kind") not in ("token", "gram")
-                or not isinstance(record.get("term"), str)
-                or not isinstance(record.get("ids"), list)
-                or not all(
-                    isinstance(entry, str) for entry in record["ids"]
-                )
-            ):
+            if not valid_posting(record):
                 self.recoverable(
                     name,
                     f"line {lineno}: malformed "
@@ -714,6 +719,11 @@ class _Fsck:
                 )
                 return
         stale: "list[str]" = []
+        if older:
+            stale.append(
+                f"search schema {schema} (readers speak "
+                f"{SEARCH_SCHEMA_VERSION})"
+            )
         if header.get("tokenizer") != TOKENIZER_VERSION:
             stale.append(
                 f"tokenizer version {header.get('tokenizer')!r} "

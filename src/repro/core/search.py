@@ -22,11 +22,15 @@ Three layers:
   (exact token hits), terms matching no token fall back to trigram
   substring candidates at a discount, and candidates score by a
   tf–idf-shaped weight (rare terms dominate, repeated mentions help
-  logarithmically).  Works over a live :class:`~repro.core.argument.
-  Argument` (planner-index postings), a
-  :class:`~repro.store.StoredArgument` (persisted sidecar when present,
-  one streaming scan when not), or a corpus object exposing
-  ``search_sources()`` (:class:`~repro.store.search.CaseCorpus`);
+  logarithmically).  Scores come from the postings alone: a token's
+  in-node occurrence count is ``counts`` (kept only for counts of two
+  or more), so ranking reads node text only for the hits it renders
+  and for the already-verified candidates of a substring term.  Works
+  over a live :class:`~repro.core.argument.Argument` (planner-index
+  postings), a :class:`~repro.store.StoredArgument` (persisted sidecar
+  when present, one streaming scan when not), or a corpus object
+  exposing ``search_sources()`` (:class:`~repro.store.search.
+  CaseCorpus`);
 * **summaries** (:func:`query_biased_summary`, :class:`SearchHit`) —
   the snippet window slides to the densest cluster of query terms,
   matched terms are marked ``[like this]``, and up to ``neighbourhood``
@@ -38,8 +42,9 @@ from __future__ import annotations
 import heapq
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
-from typing import AbstractSet, Any, Callable, Iterable, Mapping
+from typing import AbstractSet, Any, Callable, Iterable, Mapping, NamedTuple
 
 from .argument import Argument, LinkKind
 from .nodes import Node
@@ -79,20 +84,47 @@ def trigrams(text: str) -> set[str]:
     return {lowered[i : i + 3] for i in range(len(lowered) - 2)}
 
 
+def _token_counts(text: str) -> "tuple[set[str], dict[str, int]]":
+    """A text's distinct tokens, and the count of each repeated one.
+
+    The second map holds only tokens occurring two or more times, the
+    shape postings keep ``counts`` in; text with no repeated token (the
+    common case) pays one length comparison for it.
+    """
+    tokens = tokenize(text)
+    distinct = set(tokens)
+    if len(distinct) == len(tokens):
+        return distinct, {}
+    return distinct, {
+        token: n for token, n in Counter(tokens).items() if n > 1
+    }
+
+
+#: The ``counts`` of a term no node repeats.
+_NO_COUNTS: Mapping[str, int] = {}
+
+
 class PostingsView:
     """The read side of token + trigram postings (term -> identifier set).
 
-    Every read goes through ``tokens`` and ``grams`` as plain mappings,
-    so a flat :class:`TextPostings` and a layered store generation
-    (:class:`~repro.store.search.SearchIndexView`: a shared sidecar
-    base under a per-generation journal delta) answer the same
-    questions by the same code.  Readers never mutate the returned sets.
+    Every read goes through ``tokens`` and ``grams`` as plain mappings
+    and :meth:`term_counts`, so a flat :class:`TextPostings` and a
+    layered store generation (:class:`~repro.store.search.
+    SearchIndexView`: a shared sidecar base under a per-generation
+    journal delta) answer the same questions by the same code.  Readers
+    never mutate the returned sets or maps.
     """
 
     __slots__ = ()
 
     tokens: Mapping[str, AbstractSet[str]]
     grams: Mapping[str, AbstractSet[str]]
+
+    def term_counts(self, term: str) -> Mapping[str, int]:
+        """``{identifier: n}`` for the nodes holding token ``term``
+        n >= 2 times; a node in ``tokens[term]`` but not here holds it
+        once."""
+        raise NotImplementedError
 
     def grams_superset(self, lowered: str) -> "set[str] | None":
         """Unverified trigram candidates for a lowered needle.
@@ -135,11 +167,17 @@ class PostingsView:
             if lowered in lowered_text(identifier)
         }
 
-    def canonical(self) -> "dict[str, dict[str, list[str]]]":
+    def canonical(self) -> "dict[str, dict[str, Any]]":
         """Order-insensitive postings snapshot for oracle comparison."""
+        counts: dict[str, dict[str, int]] = {}
+        for term in self.tokens:
+            repeated = self.term_counts(term)
+            if repeated:
+                counts[term] = dict(sorted(repeated.items()))
         return {
             "tokens": {term: sorted(ids) for term, ids in self.tokens.items()},
             "grams": {term: sorted(ids) for term, ids in self.grams.items()},
+            "counts": counts,
         }
 
 
@@ -153,27 +191,44 @@ class TextPostings(PostingsView):
     compaction, :func:`~repro.store.search.build_search_index`) all
     maintain and query postings through this class, so a planner answer
     and a sidecar answer for the same argument state are identical.
+
+    ``counts`` maps a term to ``{identifier: n}`` for the nodes whose
+    text holds that token n >= 2 times; a missing entry means once.
+    It is what lets :func:`search` score from the postings alone.
     """
 
-    __slots__ = ("tokens", "grams")
+    __slots__ = ("tokens", "grams", "counts")
 
     tokens: dict[str, set[str]]
     grams: dict[str, set[str]]
+    counts: dict[str, dict[str, int]]
 
     def __init__(self) -> None:
         self.tokens = {}
         self.grams = {}
+        self.counts = {}
+
+    def term_counts(self, term: str) -> Mapping[str, int]:
+        return self.counts.get(term, _NO_COUNTS)
 
     def add(self, identifier: str, text: str) -> None:
-        for token in set(tokenize(text)):
-            self.tokens.setdefault(token, set()).add(identifier)
+        self.add_tokens(identifier, text)
         for gram in trigrams(text):
             self.grams.setdefault(gram, set()).add(identifier)
 
+    def add_tokens(self, identifier: str, text: str) -> None:
+        """The token half of :meth:`add`: postings and repeat counts."""
+        distinct, repeated = _token_counts(text)
+        for token in distinct:
+            self.tokens.setdefault(token, set()).add(identifier)
+        for token, n in repeated.items():
+            self.counts.setdefault(token, {})[identifier] = n
+
     def remove(self, identifier: str, text: str) -> None:
         """Exact inverse of :meth:`add` (empty postings pruned)."""
+        distinct, repeated = _token_counts(text)
         for postings, terms in (
-            (self.tokens, set(tokenize(text))),
+            (self.tokens, distinct),
             (self.grams, trigrams(text)),
         ):
             for term in terms:
@@ -182,6 +237,12 @@ class TextPostings(PostingsView):
                     entries.discard(identifier)
                     if not entries:
                         del postings[term]
+        for token in repeated:
+            counted = self.counts.get(token)
+            if counted is not None:
+                counted.pop(identifier, None)
+                if not counted:
+                    del self.counts[token]
 
 
 # -- query-biased summaries -------------------------------------------------
@@ -284,27 +345,31 @@ class _Lookup:
 
     doc_count: int
     token_ids: Callable[[str], AbstractSet[str]]
+    term_counts: Callable[[str], Mapping[str, int]]
     substring_ids: Callable[[str], "set[str]"]
+    lowered_text: Callable[[str], str]
     node: Callable[[str], Node]
     supporters: Callable[[str], "list[Node]"]
 
 
-class _ScanIndex:
+class _ScanIndex(TextPostings):
     """Ephemeral postings for a stored argument with no sidecar.
 
-    One verified streaming pass builds token postings and a text cache;
-    search stays correct (and still one-pass) on unindexed stores — it
-    just pays the scan the sidecar exists to avoid.
+    One verified streaming pass builds token postings, their repeat
+    counts and a text cache (no trigrams: substring terms test the
+    cached text); search stays correct (and still one-pass) on
+    unindexed stores — it just pays the scan the sidecar exists to
+    avoid.
     """
 
+    __slots__ = ("lowered",)
+
     def __init__(self, nodes: Iterable[Node]) -> None:
-        self.tokens: dict[str, set[str]] = {}
+        super().__init__()
         self.lowered: dict[str, str] = {}
         for node in nodes:
-            identifier = node.identifier
-            self.lowered[identifier] = node.text.lower()
-            for token in set(tokenize(node.text)):
-                self.tokens.setdefault(token, set()).add(identifier)
+            self.lowered[node.identifier] = node.text.lower()
+            self.add_tokens(node.identifier, node.text)
 
     def substring_ids(self, term: str) -> "set[str]":
         return {
@@ -322,7 +387,9 @@ def _live_lookup(argument: Argument) -> _Lookup:
     return _Lookup(
         doc_count=len(index.order),
         token_ids=lambda term: postings.tokens.get(term, frozenset()),
+        term_counts=postings.term_counts,
         substring_ids=index.contains_candidates,
+        lowered_text=index.lowered_text.__getitem__,
         node=argument.node,
         supporters=argument.supporters,
     )
@@ -348,8 +415,12 @@ def _stored_lookup(stored: Any) -> _Lookup:
         return _Lookup(
             doc_count=index.doc_count,
             token_ids=lambda term: index.tokens.get(term, frozenset()),
+            term_counts=index.term_counts,
             substring_ids=lambda term: index.contains_candidates(term)
             or set(),
+            lowered_text=lambda identifier: stored.node(
+                identifier
+            ).text.lower(),
             node=stored.node,
             supporters=_stored_supporters(stored),
         )
@@ -357,7 +428,9 @@ def _stored_lookup(stored: Any) -> _Lookup:
     return _Lookup(
         doc_count=len(scan.lowered),
         token_ids=lambda term: scan.tokens.get(term, frozenset()),
+        term_counts=scan.term_counts,
         substring_ids=scan.substring_ids,
+        lowered_text=scan.lowered.__getitem__,
         node=stored.node,
         supporters=_stored_supporters(stored),
     )
@@ -383,6 +456,9 @@ def _lookup(subject: Any) -> _Lookup:
 #: exact token hit.
 _SUBSTRING_DISCOUNT = 0.5
 
+#: The occurrence factor ``1 + log1p(n)`` of a token a node holds once.
+_ONCE = 1.0 + math.log1p(1)
+
 
 def _hit_order(
     score: float, store: "str | None", identifier: str
@@ -391,92 +467,164 @@ def _hit_order(
     return (-round(score, 6), store or "", identifier)
 
 
-def _rank_subject(
-    store: "str | None",
-    subject: Any,
-    terms: "tuple[str, ...]",
-    neighbourhood: int,
-    limit: int,
-) -> "list[SearchHit]":
-    """One subject's best ``limit`` hits, best first.
+def _scores(
+    lookup: _Lookup, terms: "tuple[str, ...]"
+) -> "tuple[dict[str, float], dict[str, AbstractSet[str]]]":
+    """Every candidate's score, and each matching term's candidates.
 
-    Every matched node is scored, but only the top ``limit`` by
-    :func:`_hit_order` are rendered into summaries and neighbourhoods.
-    That is enough for a corpus too: the merged ranking uses the same
-    key, so no hit beyond a subject's own top ``limit`` can make the
-    merged top ``limit``.
+    A term adds ``w * (1 + log1p(n))`` to each node holding it, where
+    ``w`` is its idf (halved for a substring match) and ``n`` its
+    occurrences in the node: ``term_counts`` for a token hit, a count
+    in the verified candidate's folded text for a substring one.  Terms
+    add in query order, so a score is the same float under any hash
+    seed.
     """
-    lookup = _lookup(subject)
-    if not lookup.doc_count:
-        return []
     scores: dict[str, float] = {}
-    matched: dict[str, set[str]] = {}
-    term_weight: dict[str, float] = {}
-    substring_terms: set[str] = set()
+    matched: dict[str, AbstractSet[str]] = {}
     for term in terms:
         ids = lookup.token_ids(term)
         weight = 1.0
-        if not ids and len(term) >= 3:
+        substring = not ids and len(term) >= 3
+        if substring:
             # No whole-token hit: fall back to trigram substring
             # candidates (already verified by the lookup) at a discount.
             ids = lookup.substring_ids(term)
             weight = _SUBSTRING_DISCOUNT
-            substring_terms.add(term)
         if not ids:
             continue
-        idf = math.log1p(lookup.doc_count / (1 + len(ids)))
-        term_weight[term] = weight * idf
-        for identifier in ids:
-            matched.setdefault(identifier, set()).add(term)
-    for identifier, hit_terms in matched.items():
-        node = lookup.node(identifier)
-        tokens = tokenize(node.text)
-        lowered = node.text.lower()
-        score = 0.0
-        for term in hit_terms:
-            occurrences = (
-                lowered.count(term)
-                if term in substring_terms
-                else tokens.count(term)
-            )
-            score += term_weight[term] * (1.0 + math.log1p(occurrences))
-        scores[identifier] = score
-    best = heapq.nsmallest(
-        limit,
-        scores.items(),
-        key=lambda item: _hit_order(item[1], store, item[0]),
+        matched[term] = ids
+        weight *= math.log1p(lookup.doc_count / (1 + len(ids)))
+        repeated: Mapping[str, int]
+        if substring:
+            text = lookup.lowered_text
+            repeated = {
+                identifier: occurrences
+                for identifier in ids
+                if (occurrences := text(identifier).count(term)) > 1
+            }
+        else:
+            repeated = lookup.term_counts(term)
+        get = scores.get
+        # Nodes holding the term more than once, from the scores before
+        # this term; every other candidate holds it once.
+        several = {
+            identifier: get(identifier, 0.0) + weight * (1.0 + math.log1p(n))
+            for identifier, n in repeated.items()
+        }
+        once = weight * _ONCE
+        if scores:
+            for identifier in ids:
+                scores[identifier] = get(identifier, 0.0) + once
+        else:
+            scores = dict.fromkeys(ids, once)
+        scores.update(several)
+    return scores, matched
+
+
+def _top(
+    scores: "dict[str, float]", limit: int
+) -> "list[tuple[str, float]]":
+    """The best ``limit`` of ``scores`` in :func:`_hit_order` (one store),
+    each with its rounded score.
+
+    Scores take few distinct values, so the groups are formed on those:
+    the distinct scores, best first, gather under their rounded value
+    until ``limit`` ids are covered.  Each group then collects its ids
+    in one pass and takes the smallest it still needs, so no per-item
+    key call is made.
+    """
+    tally = Counter(scores.values())
+    groups: "list[tuple[float, set[float]]]" = []
+    covered = 0
+    for value in sorted(tally, reverse=True):
+        rounded = round(value, 6)
+        if groups and groups[-1][0] == rounded:
+            groups[-1][1].add(value)
+        elif covered >= limit:
+            break
+        else:
+            groups.append((rounded, {value}))
+        covered += tally[value]
+    best: "list[tuple[str, float]]" = []
+    for rounded, values in groups:
+        ids = [
+            identifier
+            for identifier, score in scores.items()
+            if score in values
+        ]
+        best.extend(
+            (identifier, rounded)
+            for identifier in heapq.nsmallest(limit - len(best), ids)
+        )
+    return best
+
+
+class _Ranked(NamedTuple):
+    """One ranked hit before rendering."""
+
+    score: float  # rounded, as the hit reports it
+    store: "str | None"
+    identifier: str
+    lookup: _Lookup
+    matched: "dict[str, AbstractSet[str]]"  # term -> its candidates
+
+
+def _rank_subject(
+    store: "str | None",
+    subject: Any,
+    terms: "tuple[str, ...]",
+    limit: int,
+) -> "list[_Ranked]":
+    """One subject's best ``limit`` candidates, best first, unrendered.
+
+    Every matched node is scored from the postings alone (see
+    :func:`_scores`), so no node text is read here beyond the
+    candidates of a substring term.  That is enough for a corpus too:
+    the merged ranking uses the same key (:func:`_hit_order`), so no
+    hit beyond a subject's own top ``limit`` can make the merged top
+    ``limit``, and only those are rendered (:func:`_render`).
+    """
+    lookup = _lookup(subject)
+    if not lookup.doc_count:
+        return []
+    scores, matched = _scores(lookup, terms)
+    return [
+        _Ranked(score, store, identifier, lookup, matched)
+        for identifier, score in _top(scores, limit)
+    ]
+
+
+def _render(
+    ranked: _Ranked, terms: "tuple[str, ...]", neighbourhood: int
+) -> SearchHit:
+    """A ranked hit rendered: its node, snippet and neighbourhood."""
+    score, store, identifier, lookup, matched = ranked
+    node = lookup.node(identifier)
+    hit_terms = tuple(
+        sorted(term for term, ids in matched.items() if identifier in ids)
     )
-    hits: "list[SearchHit]" = []
-    for identifier, score in best:
-        node = lookup.node(identifier)
-        hit_terms = tuple(sorted(matched[identifier]))
-        rendered: "list[str]" = []
-        if neighbourhood > 0:
-            children = lookup.supporters(identifier)
-            # Terms-first: supporting children that mention a query term
-            # make the summary answer the query, not just decorate it.
-            children.sort(
-                key=lambda child: not any(
-                    term in child.text.lower() for term in terms
-                )
-            )
-            for child in children[:neighbourhood]:
-                child_snippet = query_biased_summary(
-                    child.text, terms, width=72
-                )
-                rendered.append(f"{child.identifier}: {child_snippet}")
-        hits.append(
-            SearchHit(
-                identifier=identifier,
-                score=round(score, 6),
-                node_type=node.node_type.value,
-                snippet=query_biased_summary(node.text, hit_terms),
-                matched_terms=hit_terms,
-                neighbourhood=tuple(rendered),
-                store=store,
+    rendered: "list[str]" = []
+    if neighbourhood > 0:
+        children = lookup.supporters(identifier)
+        # Terms-first: supporting children that mention a query term
+        # make the summary answer the query, not just decorate it.
+        children.sort(
+            key=lambda child: not any(
+                term in child.text.lower() for term in terms
             )
         )
-    return hits
+        for child in children[:neighbourhood]:
+            child_snippet = query_biased_summary(child.text, terms, width=72)
+            rendered.append(f"{child.identifier}: {child_snippet}")
+    return SearchHit(
+        identifier=identifier,
+        score=score,
+        node_type=node.node_type.value,
+        snippet=query_biased_summary(node.text, hit_terms),
+        matched_terms=hit_terms,
+        neighbourhood=tuple(rendered),
+        store=store,
+    )
 
 
 def search(
@@ -495,8 +643,10 @@ def search(
     (:class:`~repro.store.search.CaseCorpus`).  Hits are ranked by a
     tf–idf-shaped score (idf per store for corpora) and rendered as
     query-biased summaries — the claim's densest-matching snippet plus
-    up to ``neighbourhood`` supporting children.  Every match is
-    scored, but only the ``limit`` hits returned are rendered.
+    up to ``neighbourhood`` supporting children.  Scores come from the
+    token postings and their repeat ``counts``, so node text is read
+    only for the ``limit`` hits returned, across a whole corpus (plus
+    the verified candidates of a term that matches no whole token).
     """
     terms = tuple(dict.fromkeys(tokenize(query_text)))
     if not terms or limit < 1:
@@ -506,12 +656,10 @@ def search(
         pairs: "list[tuple[str | None, Any]]" = list(sources())
     else:
         pairs = [(None, subject)]
-    hits: "list[SearchHit]" = []
+    ranked: "list[_Ranked]" = []
     for store, source in pairs:
-        hits.extend(
-            _rank_subject(store, source, terms, neighbourhood, limit)
-        )
-    hits.sort(
+        ranked.extend(_rank_subject(store, source, terms, limit))
+    ranked.sort(
         key=lambda hit: _hit_order(hit.score, hit.store, hit.identifier)
     )
-    return hits[:limit]
+    return [_render(hit, terms, neighbourhood) for hit in ranked[:limit]]

@@ -5,7 +5,13 @@ text) per query: every store streams (and CRC-verifies) its node shards
 just to run a substring test.  This module persists the token + trigram
 postings of :class:`repro.core.search.TextPostings` — the one postings
 implementation, shared with the live query planner — as a **sidecar**
-next to the shards, under exactly the store's existing discipline:
+next to the shards, under exactly the store's existing discipline.
+Each token record also carries ``counts``, ``{identifier: n}`` for the
+nodes holding that token n >= 2 times, but only when some node
+repeats it (a missing entry means once): ranked search scores every
+candidate from these records and reads node text only for the hits it
+renders.  Schema 2 added ``counts``; a schema-1 sidecar is stale and
+readers scan until the next compaction or rebuild writes schema 2.
 
 * **checksummed + content-addressed** — the sidecar seals through the
   same :class:`~repro.store.writer._ShardWriter` as shards
@@ -51,7 +57,7 @@ from ..core.search import (
     TOKENIZER_VERSION,
     PostingsView,
     TextPostings,
-    tokenize,
+    _token_counts,
     trigrams,
 )
 from .format import (
@@ -78,7 +84,8 @@ __all__ = [
 SEARCH_INDEX_KEY = "search_index"
 
 #: Bumped on any sidecar record-format change; other versions are stale.
-SEARCH_SCHEMA_VERSION = 1
+#: 2 added the token records' ``counts``.
+SEARCH_SCHEMA_VERSION = 2
 
 #: The sidecar's shard-name base (seals as ``search-<crc32>.jsonl``).
 _SEARCH_BASE = "search"
@@ -103,7 +110,12 @@ def _sidecar_records(
     """The sidecar's serialised records, in canonical (deterministic)
     order: header first, then token and gram postings sorted by term
     with sorted id lists — identical postings always seal under
-    identical bytes, which is what keeps compaction byte-stable."""
+    identical bytes, which is what keeps compaction byte-stable.
+
+    A token record carries ``counts`` (``{identifier: n}``, sorted by
+    identifier, every n >= 2) only when some node repeats the token, so
+    postings without repeats seal exactly as schema 1 sealed them, bar
+    the header."""
     yield {
         "seq": 0,
         "kind": "header",
@@ -115,13 +127,49 @@ def _sidecar_records(
     seq = 1
     for kind, terms in (("token", postings.tokens), ("gram", postings.grams)):
         for term in sorted(terms):
-            yield {
+            record: dict[str, Any] = {
                 "seq": seq,
                 "kind": kind,
                 "term": term,
                 "ids": sorted(terms[term]),
             }
+            if kind == "token":
+                counts = postings.counts.get(term)
+                if counts:
+                    record["counts"] = dict(sorted(counts.items()))
+            yield record
             seq += 1
+
+
+def valid_posting(record: Any) -> bool:
+    """Whether a sidecar record after the header is a well-formed
+    posting: a token or gram ``term`` with a list of string ``ids``,
+    and — on token records only — optional ``counts`` whose keys are
+    among ``ids`` and whose values are ints of at least 2."""
+    if not isinstance(record, dict):
+        return False
+    kind = record.get("kind")
+    ids = record.get("ids")
+    if (
+        kind not in ("token", "gram")
+        or not isinstance(record.get("term"), str)
+        or not isinstance(ids, list)
+        or not all(isinstance(identifier, str) for identifier in ids)
+    ):
+        return False
+    if "counts" not in record:
+        return True
+    counts = record["counts"]
+    if kind != "token" or not isinstance(counts, dict) or not counts:
+        return False
+    members = set(ids)
+    return all(
+        identifier in members
+        and isinstance(n, int)
+        and not isinstance(n, bool)
+        and n >= 2
+        for identifier, n in counts.items()
+    )
 
 
 def write_sidecar(
@@ -153,9 +201,11 @@ class StoreSearchIndex(TextPostings):
     """The postings of one sealed sidecar, parsed once per base generation.
 
     The shared :class:`~repro.core.search.TextPostings` (``tokens`` and
-    ``grams``, term -> identifier set) as the sidecar file ``sidecar``
-    holds them, plus ``base_crc32`` (the base shard generation they
-    index) and ``ops_applied`` (the journal watermark they reflect).
+    ``grams``, term -> identifier set, and ``counts``, term ->
+    ``{identifier: n}`` for repeated tokens) as the sidecar file
+    ``sidecar`` holds them, plus ``base_crc32`` (the base shard
+    generation they index) and ``ops_applied`` (the journal watermark
+    they reflect).
     Constructing one means parsing one sidecar (or, through
     :meth:`build`, indexing a store from scratch).
 
@@ -172,12 +222,14 @@ class StoreSearchIndex(TextPostings):
         self,
         tokens: dict[str, set[str]],
         grams: dict[str, set[str]],
+        counts: dict[str, dict[str, int]],
         base_crc32: int,
         ops_applied: int,
         sidecar: "str | None" = None,
     ) -> None:
         self.tokens = tokens
         self.grams = grams
+        self.counts = counts
         self.base_crc32 = base_crc32
         self.ops_applied = ops_applied
         self.sidecar = sidecar
@@ -196,6 +248,7 @@ class StoreSearchIndex(TextPostings):
         return cls(
             postings.tokens,
             postings.grams,
+            postings.counts,
             base_names_crc(stored.base_key()),
             len(stored.journal_ops()),
         )
@@ -297,6 +350,12 @@ class _Generation:
     under this generation's journal delta, patched up to the journal
     ``mark``.
 
+    Repeat counts layer by node, not by term: ``touched`` holds every
+    identifier the delta added or removed, and ``counts`` the repeat
+    counts of the texts the delta added.  A base id the delta removed
+    and re-added may repeat different tokens, so a touched id's counts
+    come from ``counts`` alone and an untouched one's from the base.
+
     Cached on the handle.  It holds no handle, so caching it makes no
     reference cycle, and a superseded snapshot is freed as soon as its
     last reference goes.  ``nodes_indexed`` counts the nodes (re)indexed
@@ -304,27 +363,62 @@ class _Generation:
     the journal delta's node touches after patching.
     """
 
-    __slots__ = ("base", "tokens", "grams", "mark", "nodes_indexed")
+    __slots__ = (
+        "base", "tokens", "grams", "touched", "counts", "mark",
+        "nodes_indexed",
+    )
 
     def __init__(self, base: StoreSearchIndex, mark: JournalMark) -> None:
         self.base = base
         self.tokens = _LayeredTerms(base.tokens)
         self.grams = _LayeredTerms(base.grams)
+        self.touched: set[str] = set()
+        self.counts: dict[str, dict[str, int]] = {}
         self.mark = mark
         self.nodes_indexed = 0
 
     def add(self, identifier: str, text: str) -> None:
-        for token in set(tokenize(text)):
+        distinct, repeated = _token_counts(text)
+        for token in distinct:
             self.tokens.add(identifier, token)
+        for token, n in repeated.items():
+            self.counts.setdefault(token, {})[identifier] = n
         for gram in trigrams(text):
             self.grams.add(identifier, gram)
+        self.touched.add(identifier)
         self.nodes_indexed += 1
 
     def remove(self, identifier: str, text: str) -> None:
-        for token in set(tokenize(text)):
+        distinct, repeated = _token_counts(text)
+        for token in distinct:
             self.tokens.remove(identifier, token)
+        for token in repeated:
+            counted = self.counts.get(token)
+            if counted is not None:
+                counted.pop(identifier, None)
+                if not counted:
+                    del self.counts[token]
         for gram in trigrams(text):
             self.grams.remove(identifier, gram)
+        self.touched.add(identifier)
+
+    def term_counts(self, term: str) -> Mapping[str, int]:
+        """The repeat counts of ``term`` at this generation (see
+        :meth:`~repro.core.search.PostingsView.term_counts`)."""
+        base = self.base.term_counts(term)
+        if not self.touched:
+            return base
+        added = self.counts.get(term)
+        if not added and self.touched.isdisjoint(base):
+            return base
+        merged = {
+            identifier: n
+            for identifier, n in base.items()
+            if identifier not in self.touched
+        }
+        if added:
+            merged.update(added)
+        return merged
 
 
 class SearchIndexView(PostingsView):
@@ -352,6 +446,9 @@ class SearchIndexView(PostingsView):
         self._generation = generation
         self.tokens = generation.tokens
         self.grams = generation.grams
+
+    def term_counts(self, term: str) -> Mapping[str, int]:
+        return self._generation.term_counts(term)
 
     @property
     def base_crc32(self) -> int:
@@ -414,20 +511,20 @@ def _parse_sidecar(
         return None
     tokens: dict[str, set[str]] = {}
     grams: dict[str, set[str]] = {}
+    counts: dict[str, dict[str, int]] = {}
     for record in records[1:]:
-        kind = record.get("kind")
-        term = record.get("term")
-        ids = record.get("ids")
-        if (
-            kind not in ("token", "gram")
-            or not isinstance(term, str)
-            or not isinstance(ids, list)
-            or not all(isinstance(identifier, str) for identifier in ids)
-        ):
+        if not valid_posting(record):
             return None
-        postings = tokens if kind == "token" else grams
-        postings[term] = set(ids)
-    return StoreSearchIndex(tokens, grams, header["base_crc32"], ops, name)
+        term = record["term"]
+        if record["kind"] == "token":
+            tokens[term] = set(record["ids"])
+            if "counts" in record:
+                counts[term] = record["counts"]
+        else:
+            grams[term] = set(record["ids"])
+    return StoreSearchIndex(
+        tokens, grams, counts, header["base_crc32"], ops, name
+    )
 
 
 def _generation(stored: StoredArgument) -> "_Generation | None":

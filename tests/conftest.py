@@ -186,6 +186,112 @@ def recursive_holds(formula, trace, position: int = 0) -> bool:
     raise TypeError(f"not an LTL formula: {formula!r}")
 
 
+# -- the ranked-search reference scorer ---------------------------------------
+
+
+def reference_search(
+    subject, query_text: str, *, limit: int = 10, neighbourhood: int = 2
+) -> list:
+    """The per-node-tokenizing scorer :func:`repro.core.search.search`
+    replaced, kept as the reference the postings scorer must match.
+
+    It resolves candidates by scanning every node of the subject's
+    loaded argument, re-tokenizes each matched node to count its term
+    occurrences, sums term scores in query order and sorts every match,
+    so it shares no postings, counts or top-k code with ``search()``.
+    Only the snippet rendering (:func:`~repro.core.search.
+    query_biased_summary`) is common.
+    """
+    from repro.core.search import tokenize
+
+    terms = tuple(dict.fromkeys(tokenize(query_text)))
+    if not terms or limit < 1:
+        return []
+    sources = getattr(subject, "search_sources", None)
+    pairs = list(sources()) if sources is not None else [(None, subject)]
+    hits: list = []
+    for store, source in pairs:
+        argument = source if isinstance(source, Argument) else source.load()
+        hits.extend(_reference_rank(
+            store, argument, terms, neighbourhood, limit
+        ))
+    hits.sort(key=lambda hit: (-hit.score, hit.store or "", hit.identifier))
+    return hits[:limit]
+
+
+def _reference_rank(store, argument, terms, neighbourhood, limit) -> list:
+    import math
+
+    from repro.core.search import SearchHit, query_biased_summary, tokenize
+
+    nodes = {node.identifier: node for node in argument.nodes}
+    if not nodes:
+        return []
+    matched: dict[str, set[str]] = {}
+    term_weight: dict[str, float] = {}
+    substring_terms: set[str] = set()
+    for term in terms:
+        ids = {
+            identifier for identifier, node in nodes.items()
+            if term in tokenize(node.text)
+        }
+        weight = 1.0
+        if not ids and len(term) >= 3:
+            ids = {
+                identifier for identifier, node in nodes.items()
+                if term in node.text.lower()
+            }
+            weight = 0.5
+            substring_terms.add(term)
+        if not ids:
+            continue
+        term_weight[term] = weight * math.log1p(len(nodes) / (1 + len(ids)))
+        for identifier in ids:
+            matched.setdefault(identifier, set()).add(term)
+    scores: dict[str, float] = {}
+    for identifier, hit_terms in matched.items():
+        text = nodes[identifier].text
+        tokens = tokenize(text)
+        score = 0.0
+        for term in terms:
+            if term in hit_terms:
+                occurrences = (
+                    text.lower().count(term)
+                    if term in substring_terms
+                    else tokens.count(term)
+                )
+                score += term_weight[term] * (1.0 + math.log1p(occurrences))
+        scores[identifier] = score
+    best = sorted(
+        scores.items(), key=lambda item: (-round(item[1], 6), item[0])
+    )[:limit]
+    hits = []
+    for identifier, score in best:
+        node = nodes[identifier]
+        hit_terms = tuple(sorted(matched[identifier]))
+        rendered = []
+        if neighbourhood > 0:
+            children = argument.supporters(identifier)
+            children.sort(key=lambda child: not any(
+                term in child.text.lower() for term in terms
+            ))
+            rendered = [
+                f"{child.identifier}: "
+                f"{query_biased_summary(child.text, terms, width=72)}"
+                for child in children[:neighbourhood]
+            ]
+        hits.append(SearchHit(
+            identifier=identifier,
+            score=round(score, 6),
+            node_type=node.node_type.value,
+            snippet=query_biased_summary(node.text, hit_terms),
+            matched_terms=hit_terms,
+            neighbourhood=tuple(rendered),
+            store=store,
+        ))
+    return hits
+
+
 def load_benchmark_module(name: str):
     """Import a benchmark script by file path (benchmarks/ is no package)."""
     spec = importlib.util.spec_from_file_location(

@@ -324,12 +324,16 @@ class TestCompaction:
 
 
 def _journal_walk(argument: Argument, step: int) -> None:
-    """One edit of a walk that adds, retexts, retypes and removes."""
+    """One edit of a walk that adds, retexts, retypes and removes.
+
+    Its texts repeat tokens, so the layered repeat counts move too."""
     if step % 5 == 4 and f"W{step - 4}" in argument:
         argument.remove_node(f"W{step - 4}")
     elif step % 5 == 2 and f"W{step - 2}" in argument:
         old = argument.node(f"W{step - 2}")
-        argument.replace_node(old.with_text(f"Amended spillway note {step}"))
+        argument.replace_node(
+            old.with_text(f"Amended spillway note {step}: spillway")
+        )
     elif step % 5 == 3 and "Sn1" in argument:
         # A retype and back keeps the text: the postings must not move.
         old = argument.node("Sn1")
@@ -338,14 +342,15 @@ def _journal_walk(argument: Argument, step: int) -> None:
     else:
         argument.add_node(Node(
             f"W{step}", NodeType.SOLUTION,
-            f"Weld inspection log {step}: porosity within relief limits",
+            f"Weld inspection log {step}: porosity within relief limits, "
+            "porosity noted",
         ))
         argument.add_link("G2", f"W{step}", LinkKind.SUPPORTED_BY)
     if step == 6:
         argument.remove_node("C1")  # a base node leaves the postings
     if step == 8:
         argument.add_node(Node(
-            "C1", NodeType.CONTEXT, "Plant pressure never exceeds 9 bar",
+            "C1", NodeType.CONTEXT, "Plant pressure, pressure never 9 bar",
         ))
 
 
