@@ -456,10 +456,6 @@ def _lookup(subject: Any) -> _Lookup:
 #: exact token hit.
 _SUBSTRING_DISCOUNT = 0.5
 
-#: The occurrence factor ``1 + log1p(n)`` of a token a node holds once.
-_ONCE = 1.0 + math.log1p(1)
-
-
 def _hit_order(
     score: float, store: "str | None", identifier: str
 ) -> "tuple[float, str, str]":
@@ -474,10 +470,10 @@ def _scores(
 
     A term adds ``w * (1 + log1p(n))`` to each node holding it, where
     ``w`` is its idf (halved for a substring match) and ``n`` its
-    occurrences in the node: ``term_counts`` for a token hit, a count
-    in the verified candidate's folded text for a substring one.  Terms
-    add in query order, so a score is the same float under any hash
-    seed.
+    occurrences in the node: ``term_counts`` for a token hit (a missing
+    entry means once), a count in the verified candidate's folded text
+    for a substring one.  Terms add in query order, so a score is the
+    same float under any hash seed.
     """
     scores: dict[str, float] = {}
     matched: dict[str, AbstractSet[str]] = {}
@@ -494,64 +490,58 @@ def _scores(
             continue
         matched[term] = ids
         weight *= math.log1p(lookup.doc_count / (1 + len(ids)))
-        repeated: Mapping[str, int]
+        counts: Mapping[str, int]
         if substring:
             text = lookup.lowered_text
-            repeated = {
-                identifier: occurrences
-                for identifier in ids
-                if (occurrences := text(identifier).count(term)) > 1
+            counts = {
+                identifier: text(identifier).count(term) for identifier in ids
             }
         else:
-            repeated = lookup.term_counts(term)
-        get = scores.get
-        # Nodes holding the term more than once, from the scores before
-        # this term; every other candidate holds it once.
-        several = {
-            identifier: get(identifier, 0.0) + weight * (1.0 + math.log1p(n))
-            for identifier, n in repeated.items()
-        }
-        once = weight * _ONCE
-        if scores:
-            for identifier in ids:
-                scores[identifier] = get(identifier, 0.0) + once
-        else:
-            scores = dict.fromkeys(ids, once)
-        scores.update(several)
+            counts = lookup.term_counts(term)
+        for identifier in ids:
+            scores[identifier] = scores.get(identifier, 0.0) + weight * (
+                1.0 + math.log1p(counts.get(identifier, 1))
+            )
     return scores, matched
 
 
 def _top(
     scores: "dict[str, float]", limit: int
 ) -> "list[tuple[str, float]]":
-    """The best ``limit`` of ``scores`` in :func:`_hit_order` (one store),
+    """The best ``limit`` of one subject's ``scores`` in :func:`_hit_order`,
     each with its rounded score.
 
-    Scores take few distinct values, so the groups are formed on those:
-    the distinct scores, best first, gather under their rounded value
-    until ``limit`` ids are covered.  Each group then collects its ids
-    in one pass and takes the smallest it still needs, so no per-item
-    key call is made.
+    Equal to ``heapq.nsmallest`` keyed by :func:`_hit_order`, without
+    a key call per candidate.  Distinct score values are few (the
+    perfbench queries give 1,450-2,006 candidates and 2-3 rounded
+    values each), so the best values covering ``limit`` ids are chosen
+    first, grouped where they round alike, and one pass gathers their
+    ids.  The groups are then taken best first with ids in order.  With
+    every score distinct it is still one pass plus one sort of the
+    values.
     """
     tally = Counter(scores.values())
-    groups: "list[tuple[float, set[float]]]" = []
+    groups: "list[tuple[float, list[float]]]" = []
     covered = 0
     for value in sorted(tally, reverse=True):
         rounded = round(value, 6)
         if groups and groups[-1][0] == rounded:
-            groups[-1][1].add(value)
+            groups[-1][1].append(value)
         elif covered >= limit:
             break
         else:
-            groups.append((rounded, {value}))
+            groups.append((rounded, [value]))
         covered += tally[value]
+    members: "dict[float, list[str]]" = {
+        value: [] for _, values in groups for value in values
+    }
+    for identifier, score in scores.items():
+        bucket = members.get(score)
+        if bucket is not None:
+            bucket.append(identifier)
     best: "list[tuple[str, float]]" = []
     for rounded, values in groups:
-        ids = [
-            identifier
-            for identifier, score in scores.items()
-            if score in values
-        ]
+        ids = [identifier for value in values for identifier in members[value]]
         best.extend(
             (identifier, rounded)
             for identifier in heapq.nsmallest(limit - len(best), ids)
@@ -560,13 +550,18 @@ def _top(
 
 
 class _Ranked(NamedTuple):
-    """One ranked hit before rendering."""
+    """One ranked hit before rendering.
+
+    It holds the subject's node and supporter readers, never its
+    lookup, so a scan index is freed once its store is ranked.
+    """
 
     score: float  # rounded, as the hit reports it
     store: "str | None"
     identifier: str
-    lookup: _Lookup
-    matched: "dict[str, AbstractSet[str]]"  # term -> its candidates
+    matched_terms: "tuple[str, ...]"
+    node: Callable[[str], Node]
+    supporters: Callable[[str], "list[Node]"]
 
 
 def _rank_subject(
@@ -589,7 +584,18 @@ def _rank_subject(
         return []
     scores, matched = _scores(lookup, terms)
     return [
-        _Ranked(score, store, identifier, lookup, matched)
+        _Ranked(
+            score,
+            store,
+            identifier,
+            tuple(
+                sorted(
+                    term for term, ids in matched.items() if identifier in ids
+                )
+            ),
+            lookup.node,
+            lookup.supporters,
+        )
         for identifier, score in _top(scores, limit)
     ]
 
@@ -598,14 +604,11 @@ def _render(
     ranked: _Ranked, terms: "tuple[str, ...]", neighbourhood: int
 ) -> SearchHit:
     """A ranked hit rendered: its node, snippet and neighbourhood."""
-    score, store, identifier, lookup, matched = ranked
-    node = lookup.node(identifier)
-    hit_terms = tuple(
-        sorted(term for term, ids in matched.items() if identifier in ids)
-    )
+    score, store, identifier, hit_terms, read_node, supporters = ranked
+    node = read_node(identifier)
     rendered: "list[str]" = []
     if neighbourhood > 0:
-        children = lookup.supporters(identifier)
+        children = supporters(identifier)
         # Terms-first: supporting children that mention a query term
         # make the summary answer the query, not just decorate it.
         children.sort(

@@ -12,6 +12,7 @@ seed.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -206,6 +207,59 @@ def test_search_reads_only_the_rendered_hits(tmp_path, monkeypatch):
     # The leaves support nothing, so the rendered hits are all it reads.
     assert len(reads) <= 10, f"{len(reads)} node reads for 10 hits"
     assert hits == reference_search(argument, "weld", limit=10)
+
+
+def test_many_distinct_scores_rank_under_a_large_limit(tmp_path):
+    # Node i holds "valve" i + 1 times, so every score is distinct and
+    # a limit past the match count ranks every node.
+    argument = Argument("deep")
+    argument.add_node(Node("G0", NodeType.GOAL, "The plant is safe"))
+    argument.add_nodes(
+        Node(f"Sn{index:03d}", NodeType.SOLUTION,
+             "Relief " + " ".join(["valve"] * (index + 1)))
+        for index in range(300)
+    )
+    argument.add_links(
+        ("G0", f"Sn{index:03d}", LinkKind.SUPPORTED_BY)
+        for index in range(300)
+    )
+    argument.save(tmp_path / "a", search_index=True)
+    argument.save(tmp_path / "b")
+    expected = reference_search(argument, "valve relief", limit=400)
+    assert len(expected) == 300
+    assert len({hit.score for hit in expected}) == 300
+    for subject in (
+        argument,
+        StoredArgument(tmp_path / "a"),
+        StoredArgument(tmp_path / "b"),
+    ):
+        assert search(subject, "valve relief", limit=400) == expected
+
+
+def test_a_scan_index_is_freed_before_rendering(tmp_path, monkeypatch):
+    from repro.core import search as search_module
+
+    for name in ("a", "b", "c"):
+        argument = _build(["relief valve", "valve weld", "sensor"], [0, 0])
+        argument.save(tmp_path / name)
+    corpus = CaseCorpus(tmp_path)
+    alive: "list[int]" = []
+    render = search_module._render
+
+    def counting(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(
+            isinstance(item, search_module._ScanIndex)
+            for item in gc.get_objects()
+        ))
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(search_module, "_render", counting)
+    hits = search(corpus, "valve", limit=5)
+    assert len(hits) == 5
+    # At most one store's scan is built at a time, and none outlives
+    # its ranking, so nothing scanned is held while hits are rendered.
+    assert alive == [0] * 5
 
 
 # -- schema-1 sidecars --------------------------------------------------------
