@@ -47,10 +47,10 @@ What gets checked, file by file:
   manifest does not reference — exactly the inventory
   :func:`repro.store.journal.gc` would sweep (superseded search
   sidecars included) — reported as notes;
-* the **writer lease**: a live ``writer.lease`` means a writer holds
-  the store right now (fsck may be racing its commit), a stale one
-  means a writer crashed mid-operation; both are notes naming the
-  holder, never orphans — the lease protocol itself retires them.
+* the **writer lock**: ``writer.lease`` is the lock file, never an
+  orphan.  A non-blocking shared ``flock`` probe notes a writer that
+  holds it right now (fsck may be racing its commit); a crashed writer
+  leaves nothing to report, since the kernel dropped its lock.
 
 Findings carry a severity (:data:`FSCK_FATAL` / :data:`FSCK_RECOVERABLE`
 / :data:`FSCK_NOTE`) and *name the damaged artifact*.  The CLI lives at
@@ -60,8 +60,10 @@ finding exists (or, with ``--strict``, any recoverable one).
 
 from __future__ import annotations
 
+import fcntl
 import gzip
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,7 +89,6 @@ from ..store.format import (
     shard_of,
 )
 from ..store.journal import _MANIFEST_TMP, _STORE_FILE, decode_op
-from ..store.lease import lease_is_stale, read_lease
 
 __all__ = [
     "FsckFinding",
@@ -865,24 +866,21 @@ class _Fsck:
             )
 
     def _note_lease(self) -> None:
-        """A ``writer.lease`` is protocol state, not an orphan."""
-        payload = read_lease(self.path)
-        if payload is None:  # released between iterdir and the read
+        """Note a writer that holds the store's lock now (a probe)."""
+        try:
+            fd = os.open(self.path / LEASE_NAME, os.O_RDONLY | os.O_CLOEXEC)
+        except OSError:  # an unreadable lock file tells us nothing
             return
-        holder = payload.get("holder", "an unknown holder")
-        if lease_is_stale(payload):
+        try:
+            fcntl.flock(fd, fcntl.LOCK_SH | fcntl.LOCK_NB)
+        except BlockingIOError:
             self.note(
                 LEASE_NAME,
-                f"stale writer lease held by {holder!r} — a writer "
-                "crashed mid-operation; the next writer takes it over",
+                "a writer holds the lock now — this store is being "
+                "written; findings may be racing the commit",
             )
-        else:
-            self.note(
-                LEASE_NAME,
-                f"live writer lease held by {holder!r} — this store is "
-                "being written right now; findings may be racing the "
-                "commit",
-            )
+        finally:
+            os.close(fd)  # also drops the probe's own shared lock
 
 
 def fsck_store(path: "Path | str") -> FsckReport:

@@ -49,8 +49,9 @@ Append ops use exactly the journal's record encoding (see
 :func:`repro.store.journal.encode_op`): what a client POSTs is what a
 crashed session's journal segment would have held.  Failure mapping:
 ``400`` malformed request, ``404`` unknown store/node/route, ``409``
-generation conflict (:class:`~repro.store.StoreConflictError`), ``500``
-store corruption or unexpected errors.
+generation conflict (:class:`~repro.store.StoreConflictError`, including
+a snapshot whose files ``gc()`` swept), ``500`` store corruption or
+unexpected errors.
 """
 
 from __future__ import annotations
@@ -98,6 +99,10 @@ __all__ = ["ArgumentService", "ServiceError"]
 #: ops fits comfortably; anything bigger should go through the store
 #: API directly.
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Largest accepted search ``limit``: every hit is read and rendered, so
+#: the cap bounds one request's work.  Interactive clients ask for ten.
+MAX_SEARCH_LIMIT = 1000
 
 #: Store names are path segments; this keeps them that way.
 _STORE_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
@@ -557,6 +562,10 @@ class ArgumentService:
             or limit < 1
         ):
             raise ServiceError(400, "'limit' must be a positive integer")
+        if limit > MAX_SEARCH_LIMIT:
+            raise ServiceError(
+                400, f"'limit' must be at most {MAX_SEARCH_LIMIT}"
+            )
         snapshot = state.snapshot
         hits = await self._in_thread(
             lambda: search(snapshot, q, limit=limit)

@@ -28,11 +28,12 @@ incrementally-reloadable on-disk form:
   ``compact()``, swept by ``gc()``; :class:`CaseCorpus` drives ranked
   query-biased search (:func:`repro.core.search.search`) over a
   directory of stores;
-* :mod:`~repro.store.lease` — the writer lease enforcing the
-  single-writer contract: every mutating operation holds the store's
-  ``writer.lease`` file, contenders back off and raise
-  :class:`StoreConflictError` on deadline, and a crashed writer's stale
-  lease is taken over atomically;
+* :mod:`~repro.store.lease` — the writer lock enforcing the
+  single-writer contract: every mutating operation holds an exclusive
+  ``flock`` on the store's ``writer.lease`` file, contenders back off
+  and raise :class:`StoreConflictError` on deadline, and the kernel
+  drops the lock when its holder exits, so a crashed writer never
+  blocks the next;
 * :mod:`~repro.store.fsck` — the ``python -m repro.store.fsck`` CLI:
   offline verification of a store directory (manifest, shard seals and
   content-addresses, id-hash partition, journal torn-tail
@@ -48,16 +49,23 @@ the atomic manifest rename mean an open :class:`StoredArgument` keeps
 streaming the generation it opened — concurrent commits create new
 files, never mutate referenced ones.  ``pin()`` captures the generation
 as a token; ``refresh()`` is the explicit opt-in to a newer one.  Only
-``gc()`` deletes files, which is why it takes the writer lease and why
-long-lived readers should be refreshed before a gc is scheduled.
+``gc()`` deletes files, which is why it takes the writer lock and why
+long-lived readers should be refreshed before a gc is scheduled; a
+handle that reads a file gc swept from its superseded generation raises
+:class:`StoreGenerationGoneError` (a :class:`StoreConflictError`: refresh
+and retry), never corruption.
 
-*Writers are serialized by the lease.*  ``save_argument`` /
+*Writers are serialized by the lock.*  ``save_argument`` /
 ``save_case`` / ``append_delta`` / ``coalesce`` / ``compact`` / ``gc``
-each acquire the store's writer lease; ``Argument.save(journal=True)``
-holds one lease across its conflict check and the commit it decides on,
-raising :class:`StoreConflictError` — instead of silently losing the
-other writer's update — when the store moved past the generation this
-argument last saw (``force=True`` overwrites deliberately).
+each hold an exclusive ``flock`` on the store's ``writer.lease``;
+``Argument.save(journal=True)`` holds it across its conflict check and
+the commit it decides on, raising :class:`StoreConflictError` — instead
+of silently losing the other writer's update — when the store moved
+past the generation this argument last saw (``force=True`` overwrites
+deliberately).  The lock has no TTL: the kernel holds it exactly as long
+as its holder lives, so a killed writer frees the store at once and a
+stalled one is never overtaken.  Its scope is one host: a store shared
+across hosts over a network filesystem is unsupported.
 
 ``Argument.save/load`` (including ``save(journal=True)``) and
 ``AssuranceCase.save/load`` are the convenience entry points built on
@@ -75,20 +83,13 @@ from .format import (
     StoreConflictError,
     StoreCorruptionError,
     StoreError,
+    StoreGenerationGoneError,
     durable,
     set_durability,
     shard_of,
 )
 from .journal import JournalOverlay, coalesce, compact, gc
-from .lease import (
-    DEFAULT_ACQUIRE_TIMEOUT,
-    DEFAULT_LEASE_TTL,
-    WriterLease,
-    acquire_lease,
-    lease_is_stale,
-    read_lease,
-    writer_lease,
-)
+from .lease import DEFAULT_ACQUIRE_TIMEOUT, WriterLease, writer_lease
 from .reader import StoredArgument, StoreGeneration, load_argument, load_case
 from .search import (
     SEARCH_SCHEMA_VERSION,
@@ -107,6 +108,7 @@ __all__ = [
     "StoreConflictError",
     "StoreCorruptionError",
     "StoreError",
+    "StoreGenerationGoneError",
     "durable",
     "set_durability",
     "shard_of",
@@ -115,11 +117,7 @@ __all__ = [
     "compact",
     "gc",
     "DEFAULT_ACQUIRE_TIMEOUT",
-    "DEFAULT_LEASE_TTL",
     "WriterLease",
-    "acquire_lease",
-    "lease_is_stale",
-    "read_lease",
     "writer_lease",
     "StoredArgument",
     "StoreGeneration",

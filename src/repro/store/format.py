@@ -103,6 +103,7 @@ __all__ = [
     "StoreError",
     "StoreCorruptionError",
     "StoreConflictError",
+    "StoreGenerationGoneError",
     "shard_of",
     "shard_base",
     "shard_filename",
@@ -135,8 +136,8 @@ JOURNAL_SCHEMA_VERSION = 1
 
 MANIFEST_NAME = "manifest.json"
 
-#: The writer-lease file (see :mod:`repro.store.lease`): holder identity
-#: and expiry of the one process allowed to mutate the store right now.
+#: The writer lock file (see :mod:`repro.store.lease`): the one process
+#: allowed to mutate the store holds an exclusive ``flock`` on it.
 LEASE_NAME = "writer.lease"
 
 #: Default number of shards per record kind.  Small enough that a full
@@ -183,13 +184,22 @@ class StoreCorruptionError(StoreError):
 class StoreConflictError(StoreError):
     """Another writer got there first.
 
-    Raised when the writer lease cannot be acquired (a live holder has
+    Raised when the writer lock cannot be acquired (a live holder has
     it and the acquisition deadline passed) and when
     ``Argument.save(journal=True)`` finds the store diverged from the
     generation this argument last saw — committing would overwrite
     another writer's appends (a lost update).  The caller should reload
     the store, reconcile, and retry; ``save(..., force=True)`` is the
     explicit overwrite escape hatch.
+    """
+
+
+class StoreGenerationGoneError(StoreConflictError):
+    """A handle's superseded generation lost a file to ``gc()``.
+
+    The store is healthy: the live manifest no longer names the file, so
+    ``gc()`` reclaimed it while this handle still served the generation
+    that did.  ``refresh()`` (or reopen) and retry.
     """
 
 

@@ -31,11 +31,12 @@ keep an on-disk case cheap to maintain:
   superseded generations left behind for pinned snapshot readers).
   Only files matching the store's own naming scheme are ever touched.
 
-Every one of these runs under the store's **writer lease**
-(:mod:`repro.store.lease`), and the journal write paths
-compare-and-append: a handle whose manifest view went stale raises
-:class:`~repro.store.format.StoreConflictError` instead of silently
-committing over another writer's generation.
+Every one of these runs under the store's **writer lock**
+(:mod:`repro.store.lease`, an exclusive ``flock`` with no TTL: a stalled
+holder keeps it, and a killed one frees it at once), and the journal
+write paths compare-and-append: a handle whose manifest view went stale
+raises :class:`~repro.store.format.StoreConflictError` instead of
+silently committing over another writer's generation.
 
 Readers consume the journal through :class:`JournalOverlay`: one parse
 of the (small) segments yields the shadow/tombstone/append maps that
@@ -376,12 +377,12 @@ def _check_not_torn(stored: "StoredArgument") -> None:
 
 
 def _check_handle_current(stored: "StoredArgument") -> None:
-    """Under the lease: the handle's view must match the disk manifest.
+    """Under the lock: the handle's view must match the disk manifest.
 
     A handle whose manifest went stale (another writer committed since
     it last refreshed) would commit a manifest derived from the old
     generation — silently dropping the other writer's journal entry, the
-    exact lost update the lease exists to prevent.  Raising
+    exact lost update the lock exists to prevent.  Raising
     :class:`StoreConflictError` forces the caller to ``refresh()`` (or
     reload) and re-derive its delta.
     """
@@ -413,7 +414,7 @@ def append_delta(stored: "StoredArgument", delta: MutationDelta) -> dict:
     ``Argument.save(journal=True)``) is responsible for the delta
     actually continuing the stored state; an empty delta is a no-op.
 
-    Runs under the store's writer lease, and refuses (with
+    Runs under the store's writer lock, and refuses (with
     :class:`~repro.store.format.StoreConflictError`) if the manifest on
     disk is no longer the one this handle saw — the compare-and-append
     that makes concurrent editors lose loudly instead of silently.  Once
@@ -537,7 +538,7 @@ def compact(stored: "StoredArgument") -> dict:
     point.  The result is byte-identical to a clean ``save()`` of the
     same live argument — after a :func:`gc` has swept the superseded
     generation's files, which stay on disk for pinned snapshot readers
-    (the commit itself never deletes).  Runs under the writer lease.
+    (the commit itself never deletes).  Runs under the writer lock.
     Compacting a journal-less store is a no-op returning the current
     manifest.
     """
@@ -640,10 +641,12 @@ def _compact_locked(stored: "StoredArgument") -> dict:
 _TMP_FORMS = r"(?:\.[0-9a-f]+-[0-9a-f]{8})?\.tmp"
 
 #: Filenames :func:`gc` is allowed to consider: exactly the shapes the
-#: writer, this module, and the lease protocol produce (sealed
-#: shards/segments, their in-flight ``.tmp`` forms, and broken-lease
-#: leftovers).  Anything else in the directory — including the live
-#: ``writer.lease`` itself — is never deleted.
+#: writer and this module produce (sealed shards/segments and their
+#: in-flight ``.tmp`` forms), plus the ``writer.lease.stale-*`` /
+#: ``.renew-*`` leftovers that the TTL lease of earlier releases could
+#: leave and that stores written then may still hold.  Anything else in
+#: the directory — including the ``writer.lease`` lock file — is never
+#: deleted.
 _STORE_FILE = re.compile(
     r"^(?:"
     r"(?:nodes|links|journal)-\d{4}"           # nodes-0003-1a2b3c4d.jsonl
@@ -671,20 +674,20 @@ def gc(
     compaction and journal coalescing, whose commits deliberately leave
     the superseded generation's files on disk so snapshot readers
     pinned to it keep streaming.  Only files matching the store's own
-    naming scheme are candidates; the manifest itself, the live writer
-    lease, and everything the manifest references survive.  Returns the
+    naming scheme are candidates; the manifest itself, the writer lock
+    file, and everything the manifest references survive.  Returns the
     removed names, sorted.
 
-    **Single-writer, lease-enforced.**  gc takes the store's writer
-    lease, so a save, append, or compaction in flight in another
-    process (whose sealed files a gc would see as orphans and destroy)
-    is excluded by construction — the doc-contract of PR 5 is now
-    machine-checked.  Readers of the *live* generation are safe; a
-    reader still pinned to a superseded generation can hit missing-file
-    errors after a gc and should ``refresh()`` — run gc when snapshot
-    readers have had time to drain.
+    **Single-writer, lock-enforced.**  gc takes the store's writer lock,
+    so a save, append, or compaction in flight in another process
+    (whose sealed files a gc would see as orphans and destroy) is
+    excluded by construction.  Readers of the *live* generation are
+    safe; a reader still pinned to a superseded generation gets
+    :class:`~repro.store.format.StoreGenerationGoneError` for a file gc
+    swept and should ``refresh()`` — run gc when snapshot readers have
+    had time to drain.
 
-    ``timeout`` overrides the lease-acquisition deadline; gc is the one
+    ``timeout`` overrides the lock-acquisition deadline; gc is the one
     operation routinely scheduled *around* live writers, so callers may
     prefer to give up fast and retry later rather than queue.
     """
@@ -693,7 +696,7 @@ def gc(
     if timeout is None:
         timeout = DEFAULT_ACQUIRE_TIMEOUT
     with writer_lease(stored.path, timeout=timeout):
-        # Resync *inside* the lease: a commit that landed between the
+        # Resync *inside* the lock: a commit that landed between the
         # caller's last refresh and our acquisition must not have its
         # freshly referenced files swept as orphans.
         stored.refresh()

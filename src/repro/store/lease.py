@@ -1,354 +1,177 @@
-"""The writer lease: at most one mutating process per store directory.
+"""The writer lock: at most one mutating writer per store directory.
 
-The store's readers are lock-free — content-addressed shards plus the
-atomic manifest swap give every open handle a consistent generation to
-stream (MVCC) — but its *writers* were, until this module, merely asked
-nicely to take turns: ``gc()`` documented "no live writers", and two
-concurrent ``save(journal=True)`` calls could interleave their
-check-then-commit windows and silently lose an append.  The lease makes
-the single-writer contract enforced instead of assumed.
+Readers are lock-free: content-addressed shards and the atomic manifest
+swap give every open handle a consistent generation.  Writers take turns
+here, or their check-then-commit windows interleave and one silently
+loses the other's append.
 
-Protocol
-========
+Each mutating operation (save, append, compact, coalesce, gc) holds an
+exclusive ``flock`` on the store's ``writer.lease`` file, which is
+created on first use and then kept.
 
-A writer holds the store's ``writer.lease`` file for the duration of one
-mutating operation (save, append, compact, coalesce, gc)::
+* **Acquire** opens the file ``O_CLOEXEC`` and polls ``LOCK_NB`` with
+  capped, jittered backoff until the deadline, then raises
+  :class:`~repro.store.format.StoreConflictError` naming the holder's
+  pid, which the holder wrote into the file (unsynced) for that alone.
+* **Release** unlocks and closes.  The kernel drops the lock anyway when
+  its holder exits, however it exits, so a killed writer never blocks
+  the next one.  There is no TTL: a stalled holder keeps the lock, and
+  nobody commits over it.  Nothing needs to survive a power loss, so
+  nothing is fsynced; an old store's JSON lease is a lock nobody holds.
+* **Fork**: a child shares its parent's open file descriptions, and so
+  the lock.  An at-fork hook closes the child's copies (never unlocking
+  them, which would unlock the parent) and forgets the parent's holds.
 
-    case.store/
-        writer.lease      # JSON: holder id, pid, host, acquired, expires
+The lock is **reentrant per thread**: ``Argument.save(journal=True)``
+holds it across its conflict check and the fallback rewrite, whose
+``save_argument`` re-enters.  Another thread opens its own file
+description and contends like another process.
 
-* **Acquire** — create the file with ``O_CREAT | O_EXCL``: exactly one
-  process wins; losers retry with capped exponential backoff (plus
-  jitter, so two contenders do not retry in lockstep) until the
-  acquisition deadline, then raise
-  :class:`~repro.store.format.StoreConflictError` naming the holder.
-* **Expiry** — every lease carries a TTL.  A holder that crashes leaves
-  a lease behind; once ``expires`` passes, any contender may take over.
-* **Takeover** — atomically ``rename`` the stale lease to a unique
-  ``writer.lease.stale-*`` name.  Rename of one source path succeeds in
-  exactly one process (the others get ``FileNotFoundError`` and go back
-  to the acquire loop), so two contenders that both observed the same
-  stale lease cannot both break it.  The winner unlinks the renamed
-  file and creates its own lease; a crash in between leaves only a
-  ``.stale-*`` orphan that ``gc()`` sweeps.
-* **Renew** — a long operation (a big compaction) re-seals its lease
-  with a fresh expiry before the TTL runs out; renewal verifies the
-  file still names this holder first.
-* **Release** — unlink, but only after verifying the file still names
-  this holder (it may have been taken over if we stalled past expiry).
-
-Within a process the lease is **reentrant per thread**: the fallback
-path of ``Argument.save(journal=True)`` holds the lease across its
-conflict check *and* the rewrite it decides on, while the rewrite's own
-``save_argument`` re-enters.  A second *thread* of the same process
-contends like any foreign process.
-
-Lease files are written through the same durability discipline as
-shards (unique tmp name, fsync, atomic rename) so a takeover decision
-is never based on a torn lease; an unreadable lease file (the microscopic
-window between ``O_EXCL`` create and the payload write, or genuine
-damage) is treated as live until its mtime plus the default TTL passes.
+Scope: one host.  ``flock`` over a network filesystem is emulated or
+per-client; a store shared across hosts over NFS or SMB is unsupported.
 """
 
 from __future__ import annotations
 
-import json
+import fcntl
 import os
 import random
-import socket
 import threading
 import time
 from pathlib import Path
-from types import TracebackType
-from typing import Any, Optional
 
-from .format import (
-    LEASE_NAME,
-    StoreConflictError,
-    fsync_directory,
-    fsync_fileobj,
-)
+from .format import LEASE_NAME, StoreConflictError
 
-__all__ = [
-    "WriterLease",
-    "writer_lease",
-    "acquire_lease",
-    "read_lease",
-    "lease_is_stale",
-    "DEFAULT_LEASE_TTL",
-    "DEFAULT_ACQUIRE_TIMEOUT",
-]
-
-#: How long one acquired lease lives without renewal.  Generous against
-#: the store's own operations (an append is milliseconds, a compaction
-#: of a huge store seconds) while keeping crashed-writer takeover quick.
-DEFAULT_LEASE_TTL = 30.0
+__all__ = ["WriterLease", "writer_lease", "DEFAULT_ACQUIRE_TIMEOUT"]
 
 #: How long an acquirer keeps retrying against a live holder before
 #: raising :class:`StoreConflictError`.
 DEFAULT_ACQUIRE_TIMEOUT = 10.0
+
+#: The lock file is created on first use and never inherited by ``exec``.
+_FLAGS = os.O_RDWR | os.O_CREAT | os.O_CLOEXEC
 
 #: Backoff bounds for the acquire retry loop, seconds.
 _RETRY_INITIAL = 0.005
 _RETRY_CAP = 0.25
 
 
-def _holder_identity() -> str:
-    """A lease holder id unique across hosts, processes, and threads."""
-    return (
-        f"{socket.gethostname()}:{os.getpid()}:"
-        f"{threading.get_ident():x}:{os.urandom(4).hex()}"
-    )
-
-
-def read_lease(directory: Path | str) -> "Optional[dict[str, Any]]":
-    """The parsed lease payload at ``directory``, if one is readable.
-
-    ``None`` means no lease file.  An existing but unreadable file
-    returns a synthetic payload carrying only ``mtime`` — callers must
-    treat it as held until ``mtime + DEFAULT_LEASE_TTL`` passes.
-    """
-    path = Path(directory) / LEASE_NAME
-    try:
-        raw = path.read_bytes()
-    except OSError:
-        return None
-    try:
-        payload = json.loads(raw.decode("utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError("lease payload is not an object")
-    except (ValueError, UnicodeDecodeError):
-        try:
-            mtime = path.stat().st_mtime
-        except OSError:
-            return None
-        return {"mtime": mtime}
-    return payload
-
-
-def lease_is_stale(
-    payload: "dict[str, Any]", now: "float | None" = None
-) -> bool:
-    """Whether a lease payload's expiry has passed."""
-    if now is None:
-        now = time.time()
-    expires = payload.get("expires")
-    if isinstance(expires, (int, float)):
-        return now > float(expires)
-    # Torn or foreign payload: grant it the default TTL from its mtime.
-    mtime = payload.get("mtime")
-    if isinstance(mtime, (int, float)):
-        return now > float(mtime) + DEFAULT_LEASE_TTL
-    return True
-
-
 class WriterLease:
-    """One held writer lease; a context manager releasing on exit."""
+    """One held writer lock; a context manager releasing on exit."""
 
-    __slots__ = ("directory", "holder", "ttl", "expires", "_depth")
+    __slots__ = ("directory", "_key", "_owner", "_fd", "_depth")
 
-    def __init__(self, directory: Path, holder: str, ttl: float) -> None:
+    def __init__(self, directory: Path, key: str, owner: int, fd: int) -> None:
         self.directory = directory
-        self.holder = holder
-        self.ttl = ttl
-        self.expires = 0.0
+        self._key = key
+        self._owner = owner
+        self._fd = fd
         self._depth = 1
 
-    @property
-    def path(self) -> Path:
-        return self.directory / LEASE_NAME
-
-    def _payload(self) -> "dict[str, Any]":
-        now = time.time()
-        self.expires = now + self.ttl
-        return {
-            "holder": self.holder,
-            "pid": os.getpid(),
-            "host": socket.gethostname(),
-            "acquired": now,
-            "expires": self.expires,
-        }
-
-    def _write(self, fd: int) -> None:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(self._payload(), handle, sort_keys=True)
-            handle.write("\n")
-            fsync_fileobj(handle)
-        fsync_directory(self.directory)
-
-    def _still_mine(self) -> bool:
-        payload = read_lease(self.directory)
-        return payload is not None and payload.get("holder") == self.holder
-
-    def renew(self) -> None:
-        """Extend the expiry of a lease this process still holds.
-
-        Raises :class:`StoreConflictError` when the lease was taken over
-        (we stalled past expiry and someone else broke it): continuing
-        to write would race the new holder.
-        """
-        if not self._still_mine():
-            raise StoreConflictError(
-                f"writer lease on {self.directory} was taken over "
-                f"(holder {self.holder!r} expired); the operation must "
-                "be retried from a fresh store view"
-            )
-        unique = self.directory / (
-            LEASE_NAME + f".renew-{os.getpid():x}-{os.urandom(4).hex()}"
-        )
-        fd = os.open(
-            unique, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644
-        )
-        self._write(fd)
-        os.replace(unique, self.path)
-        fsync_directory(self.directory)
-
     def release(self) -> None:
-        """Give the lease up (idempotent; verifies we still hold it)."""
-        if self._still_mine():
-            try:
-                self.path.unlink()
-            except OSError:  # pragma: no cover - raced takeover
-                pass
-            fsync_directory(self.directory)
+        """Leave one nesting level; unlock and close at the outermost."""
+        with _GUARD:
+            self._depth -= 1
+            if self._depth > 0:
+                return
+            if _HELD.get(self._key) is self:
+                del _HELD[self._key]
+            _close(self, unlock=True)
 
     def __enter__(self) -> "WriterLease":
         return self
 
-    def __exit__(
-        self,
-        exc_type: "type[BaseException] | None",
-        exc: "BaseException | None",
-        tb: "TracebackType | None",
-    ) -> None:
-        _release_held(self)
+    def __exit__(self, *exc_info: object) -> None:
+        self.release()
 
 
-#: Leases held by this process, by resolved directory — the reentrancy
-#: registry.  Guarded by :data:`_HELD_GUARD`; each entry remembers the
-#: owning thread so a *different* thread contends like another process.
-_HELD: "dict[str, tuple[int, WriterLease]]" = {}
-_HELD_GUARD = threading.Lock()
+#: This process's held locks by absolute directory (the reentrancy
+#: registry), and every lease whose fd is open, held or still polling,
+#: so that a forked child can close them all.  Both are guarded by
+#: ``_GUARD``, which a fork holds across the fork.
+_GUARD = threading.Lock()
+_HELD: "dict[str, WriterLease]" = {}
+_OPEN: "set[WriterLease]" = set()
 
 
-def _registry_key(directory: Path) -> str:
-    return os.path.abspath(os.fspath(directory))
+def _close(lease: WriterLease, *, unlock: bool) -> None:
+    """Close a lease's fd once; the caller holds ``_GUARD``."""
+    if lease._fd >= 0:
+        _OPEN.discard(lease)
+        if unlock:
+            fcntl.flock(lease._fd, fcntl.LOCK_UN)
+        os.close(lease._fd)
+        lease._fd = -1
 
 
-def _release_held(lease: WriterLease) -> None:
-    """Leave one nesting level; drop the file at the outermost exit."""
-    key = _registry_key(lease.directory)
-    with _HELD_GUARD:
-        held = _HELD.get(key)
-        if held is None or held[1] is not lease:
-            release_now = True  # not registry-tracked: plain release
-        else:
-            lease._depth -= 1
-            release_now = lease._depth <= 0
-            if release_now:
-                del _HELD[key]
-    if release_now:
-        lease.release()
+def _forget_in_child() -> None:
+    for lease in list(_OPEN):
+        _close(lease, unlock=False)
+    _HELD.clear()
+    _GUARD.release()
 
 
-def _try_create(directory: Path, holder: str, ttl: float) -> (
-    "WriterLease | None"
-):
-    """One O_EXCL attempt at the lease file; None when somebody holds it."""
-    lease = WriterLease(directory, holder, ttl)
-    try:
-        fd = os.open(
-            lease.path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644
-        )
-    except FileExistsError:
-        return None
-    lease._write(fd)
-    return lease
+os.register_at_fork(
+    before=_GUARD.acquire,
+    after_in_parent=_GUARD.release,
+    after_in_child=_forget_in_child,
+)
 
 
-def _break_stale(directory: Path) -> bool:
-    """Atomically retire a stale lease file; True when *we* broke it.
-
-    The rename is the arbitration: exactly one contender's rename of
-    ``writer.lease`` succeeds, everyone else sees it already gone.
-    """
-    stale_name = (
-        LEASE_NAME + f".stale-{os.getpid():x}-{os.urandom(4).hex()}"
-    )
-    try:
-        os.rename(directory / LEASE_NAME, directory / stale_name)
-    except OSError:
-        return False
-    try:
-        (directory / stale_name).unlink()
-    except OSError:  # pragma: no cover - leave it for gc()
-        pass
-    return True
-
-
-def acquire_lease(
-    directory: Path | str,
-    *,
-    ttl: float = DEFAULT_LEASE_TTL,
-    timeout: float = DEFAULT_ACQUIRE_TIMEOUT,
-) -> WriterLease:
-    """Acquire the writer lease on a store directory, or raise.
-
-    Blocks (with capped, jittered exponential backoff) up to ``timeout``
-    seconds while a live holder has it; takes over a stale lease
-    immediately.  Raises :class:`StoreConflictError` naming the holder
-    on deadline.  Reentrant per thread: nested acquisition by the same
-    thread returns the already-held lease one level deeper.
-    """
-    directory = Path(directory)
-    key = _registry_key(directory)
-    me = threading.get_ident()
-    with _HELD_GUARD:
-        held = _HELD.get(key)
-        if held is not None and held[0] == me:
-            held[1]._depth += 1
-            return held[1]
-    directory.mkdir(parents=True, exist_ok=True)
-    holder = _holder_identity()
-    deadline = time.monotonic() + timeout
-    delay = _RETRY_INITIAL
-    while True:
-        lease = _try_create(directory, holder, ttl)
-        if lease is not None:
-            with _HELD_GUARD:
-                _HELD[key] = (me, lease)
-            return lease
-        current = read_lease(directory)
-        if current is None:
-            continue  # released between our attempt and the read: retry
-        if lease_is_stale(current):
-            _break_stale(directory)
-            continue  # whoever won the break races for the create next
-        if time.monotonic() >= deadline:
-            raise StoreConflictError(
-                f"store at {directory} is being written by "
-                f"{current.get('holder', 'an unknown holder')!r} "
-                f"(lease expires in "
-                f"{max(0.0, float(current.get('expires', 0)) - time.time()):.1f}s); "
-                "retry, or raise the acquire timeout"
-            )
-        time.sleep(delay * (0.5 + random.random()))
-        delay = min(delay * 2, _RETRY_CAP)
+def _holder(fd: int) -> str:
+    """The holder's recorded pid, as a message part."""
+    pid = os.pread(fd, 32, 0).split(b"\n", 1)[0]
+    return f"pid {pid.decode()}" if pid.isdigit() else "an unknown holder"
 
 
 def writer_lease(
-    directory: Path | str,
-    *,
-    ttl: float = DEFAULT_LEASE_TTL,
-    timeout: float = DEFAULT_ACQUIRE_TIMEOUT,
+    directory: Path | str, *, timeout: float = DEFAULT_ACQUIRE_TIMEOUT
 ) -> WriterLease:
     """``with writer_lease(directory): ...`` around one mutating operation.
 
-    Alias of :func:`acquire_lease` named for its context-manager use;
-    every store write path (``save_argument`` / ``save_case`` /
-    ``append_delta`` / ``compact`` / ``coalesce`` / ``gc``) wraps itself
-    in this, so callers get the single-writer guarantee without doing
-    anything — and can themselves take the lease *around* a larger
-    critical section (check-then-write) thanks to reentrancy.
+    Every store write path wraps itself in this, and a caller may take
+    the lock *around* a larger critical section (check-then-write):
+    nested acquisition by the same thread returns the held lease one
+    level deeper.  Blocks up to ``timeout`` seconds while another holder
+    has the lock, then raises :class:`StoreConflictError` naming it.
     """
-    return acquire_lease(directory, ttl=ttl, timeout=timeout)
+    directory = Path(directory)
+    key = os.path.abspath(directory)
+    me = threading.get_ident()
+    with _GUARD:
+        held = _HELD.get(key)
+        if held is not None and held._owner == me:
+            held._depth += 1
+            return held
+        try:
+            fd = os.open(os.path.join(key, LEASE_NAME), _FLAGS, 0o644)
+        except FileNotFoundError:
+            directory.mkdir(parents=True, exist_ok=True)
+            fd = os.open(os.path.join(key, LEASE_NAME), _FLAGS, 0o644)
+        lease = WriterLease(directory, key, me, fd)
+        _OPEN.add(lease)
+    deadline = time.monotonic() + timeout
+    delay = _RETRY_INITIAL
+    try:
+        while True:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                break
+            except BlockingIOError:
+                if time.monotonic() >= deadline:
+                    raise StoreConflictError(
+                        f"store at {directory} is being written by "
+                        f"{_holder(fd)}; retry, or raise the acquire timeout"
+                    ) from None
+            time.sleep(delay * (0.5 + random.random()))
+            delay = min(delay * 2, _RETRY_CAP)
+        # Only the first line is ever read, so bytes left past it (a
+        # longer pid, an old JSON lease) need no truncate.
+        os.pwrite(fd, f"{os.getpid()}\n".encode("ascii"), 0)
+    except BaseException:
+        with _GUARD:
+            _close(lease, unlock=False)
+        raise
+    with _GUARD:
+        _HELD[key] = lease
+    return lease

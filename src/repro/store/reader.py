@@ -43,7 +43,10 @@ against the manifest, JSON decode per line — and any mismatch raises
 :class:`~repro.store.format.StoreCorruptionError` naming the shard.  A
 decodable record whose fields make no node or link (an unknown type or
 kind, text that fails node validation), or a node id or link repeated
-within a shard, raises it too, naming the line.
+within a shard, raises it too, naming the line.  A manifest-named file
+that ``gc()`` swept after a newer generation dropped it raises
+:class:`~repro.store.format.StoreGenerationGoneError` instead: the
+store is healthy, and the handle must refresh.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 from json.scanner import make_scanner
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterator, NamedTuple, TypeVar
+from typing import Any, Callable, Iterator, NamedTuple, NoReturn, TypeVar
 from zlib import crc32, error as zlib_error
 
 from ..core.argument import Argument, Link
@@ -77,6 +80,7 @@ from .format import (
     StoreConflictError,
     StoreCorruptionError,
     StoreError,
+    StoreGenerationGoneError,
     link_from_record,
     node_from_record,
     shard_of,
@@ -737,10 +741,10 @@ class StoredArgument:
         meta = self.manifest["shards"].get(filename)
         if meta is None:
             raise StoreError(f"shard {filename!r} not in the manifest")
-        shard_path = self.path / filename
-        if not shard_path.exists():
-            raise StoreCorruptionError(filename, "shard file is missing")
-        data = shard_path.read_bytes()
+        try:
+            data = (self.path / filename).read_bytes()
+        except FileNotFoundError:
+            self._raise_missing(filename)
         if self.compression == GZIP_COMPRESSION:
             try:
                 data = gzip.decompress(data)
@@ -771,6 +775,26 @@ class StoredArgument:
                 f"{len(lines)} (truncated or padded shard)",
             )
         return data, lines
+
+    def _raise_missing(self, filename: str) -> NoReturn:
+        """A manifest-named file is gone: swept, or lost?
+
+        When the live manifest no longer names it, ``gc()`` reclaimed it
+        from this handle's superseded generation: a conflict, not
+        damage.  A file the live manifest names is missing for real.
+        """
+        live: "StoredArgument | None"
+        try:
+            live = StoredArgument(self.path)
+        except StoreError:
+            live = None
+        if live is None or filename in live.manifest["shards"]:
+            raise StoreCorruptionError(filename, "shard file is missing")
+        raise StoreGenerationGoneError(
+            f"shard {filename!r} of generation {self.generation} was "
+            f"swept by gc(); the store at {self.path} now serves "
+            f"generation {live.generation}: refresh() and retry"
+        )
 
     def _stream_shard(
         self, filename: str, required: tuple[str, ...] = ("seq",)

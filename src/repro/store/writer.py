@@ -25,10 +25,11 @@ interrupted save therefore leaves the previous store fully loadable — at
 worst with some orphaned files no manifest references — and files the
 store never wrote are never touched.
 
-Concurrency: every mutating entry point takes the store's **writer
-lease** (:mod:`repro.store.lease`) for the duration of the operation, so
-two processes saving into one directory serialise instead of racing;
-contention past the acquire deadline raises
+Concurrency: every mutating entry point holds the store's **writer
+lock** (:mod:`repro.store.lease`, an exclusive ``flock`` that the kernel
+drops when its holder exits) for the duration of the operation, so two
+processes of one host saving into one directory serialise instead of
+racing; contention past the acquire deadline raises
 :class:`~repro.store.format.StoreConflictError`.
 """
 

@@ -28,6 +28,7 @@ from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
 from repro.service import ArgumentService, ServiceClient, ServiceClientError
 from repro.service.client import ops_for_delta
+from repro.service.server import MAX_SEARCH_LIMIT
 from repro.store import StoredArgument
 from repro.store.journal import COALESCE_AFTER
 
@@ -196,6 +197,30 @@ class TestSearchEndpoint:
     def test_search_limit_caps_the_hits(self, served):
         payload = served.client().search(STORE, "hazard", limit=1)
         assert len(payload["hits"]) == 1
+
+    def test_a_limit_above_the_cap_is_400_naming_it(self, served):
+        client = served.client()
+        assert client.search(STORE, "hazard", limit=MAX_SEARCH_LIMIT)
+        for limit in (MAX_SEARCH_LIMIT + 1, 10**9):
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.search(STORE, "hazard", limit=limit)
+            assert excinfo.value.status == 400, limit
+            assert f"at most {MAX_SEARCH_LIMIT}" in excinfo.value.detail
+
+    def test_a_read_of_a_swept_snapshot_is_409_not_500(self, served):
+        client = served.client()
+        client.store(STORE)  # the service opens its snapshot, reads nothing
+        path = served.root / STORE
+        editor = Argument.load(path)
+        editor.add_node(Node("X1", NodeType.GOAL, "A late claim holds"))
+        editor.save(path, journal=True)
+        live = StoredArgument(path)
+        live.compact()
+        assert live.gc()
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.search(STORE, "hazard")
+        assert excinfo.value.status == 409
+        assert "swept by gc()" in excinfo.value.detail
 
     def test_search_agrees_between_indexed_and_unindexed_stores(
         self, served, tmp_path

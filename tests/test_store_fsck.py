@@ -25,8 +25,12 @@ from repro.analysis_static.fsck import (
 )
 from repro.core.argument import Argument, LinkKind
 from repro.core.nodes import Node, NodeType
-from repro.store import StoredArgument, shard_of
-from repro.store.format import StoreCorruptionError, link_from_record
+from repro.store import StoredArgument, shard_of, writer_lease
+from repro.store.format import (
+    LEASE_NAME,
+    StoreCorruptionError,
+    link_from_record,
+)
 from repro.store.fsck import main
 
 pytestmark = [pytest.mark.static, pytest.mark.store]
@@ -494,6 +498,27 @@ def test_orphans_match_gc_view(journaled_dir, tmp_path) -> None:
     removed = StoredArgument(mirror).gc()
     assert sorted(report.orphans) == removed
     assert "NOTES.txt" not in report.orphans
+
+
+def _lock_notes(report) -> list:
+    return [f for f in report.findings if f.artifact == LEASE_NAME]
+
+
+def test_a_held_lock_is_noted_and_never_an_orphan(journaled_dir) -> None:
+    with writer_lease(journaled_dir):
+        report = fsck_store(journaled_dir)
+    assert report.ok
+    (note,) = _lock_notes(report)
+    assert note.severity == FSCK_NOTE
+    assert "holds the lock now" in note.detail
+    assert LEASE_NAME not in report.orphans
+    # Released, the probe reports nothing; the file is still no orphan,
+    # even holding the JSON of a crashed writer of an earlier release.
+    (journaled_dir / LEASE_NAME).write_text('{"holder": "crashed"}')
+    report = fsck_store(journaled_dir)
+    assert not _lock_notes(report)
+    assert LEASE_NAME not in report.orphans
+    assert StoredArgument(journaled_dir).gc() == []
 
 
 # -- the search sidecar: derived data, recoverable at worst ------------------

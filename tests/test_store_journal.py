@@ -29,6 +29,7 @@ from repro.store import (
     StoreCorruptionError,
     StoredArgument,
     StoreError,
+    StoreGenerationGoneError,
 )
 from repro.store.format import MANIFEST_NAME, journal_base
 from repro.store.journal import COALESCE_AFTER, decode_op, encode_op
@@ -531,6 +532,42 @@ class TestCompactAndGc:
         assert StoredArgument(store).load() == argument
         # Everything still referenced stayed put: gc again is a no-op.
         assert StoredArgument(store).gc() == []
+
+    def test_a_read_of_a_swept_generation_is_a_conflict(self, tmp_path):
+        """A handle opened before an append + compact + gc elsewhere, and
+        read only afterwards, meets files gc reclaimed: that is a
+        conflict naming both generations, not corruption."""
+        store = tmp_path / "case.store"
+        gsn_argument().save(store)
+        reader = StoredArgument(store)  # opened; nothing read yet
+        editor = Argument.load(store)
+        editor.add_node(Node("X1", NodeType.GOAL, "New claim holds"))
+        editor.save(store, journal=True)
+        live = StoredArgument(store)
+        live.compact()
+        assert live.gc()
+        with pytest.raises(StoreGenerationGoneError) as excinfo:
+            reader.search("claim")
+        assert isinstance(excinfo.value, StoreConflictError)
+        assert not isinstance(excinfo.value, StoreCorruptionError)
+        message = str(excinfo.value)
+        assert str(reader.generation) in message
+        assert str(live.generation) in message
+        assert reader.refresh() != "unchanged"
+        assert [hit.identifier for hit in reader.search("claim")] == [
+            hit.identifier for hit in live.search("claim")
+        ]
+
+    def test_a_file_missing_from_the_live_generation_is_corruption(
+        self, tmp_path
+    ):
+        store = tmp_path / "case.store"
+        gsn_argument().save(store)
+        handle = StoredArgument(store)
+        (victim,) = handle.manifest["node_shards"][:1]
+        (store / victim).unlink()
+        with pytest.raises(StoreCorruptionError, match="shard file is missing"):
+            handle.load()
 
 
 class TestTornTail:

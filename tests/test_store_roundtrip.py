@@ -160,9 +160,10 @@ def test_resave_with_fewer_shards_cleans_only_its_own_files(
     bystander.write_text("operator scratch notes\n")
     manifest = argument.save(store_dir, shard_count=3)
     on_disk = {path.name for path in store_dir.iterdir()}
-    # Exactly the new manifest's shards, the manifest, and the bystander.
+    # Exactly the new manifest's shards, the manifest, the writer lock
+    # file (kept, never swept), and the bystander.
     assert on_disk == set(manifest["shards"]) | {
-        "manifest.json", "notes.jsonl",
+        "manifest.json", "writer.lease", "notes.jsonl",
     }
     assert canonical_argument(Argument.load(store_dir)) == \
         canonical_argument(argument)
