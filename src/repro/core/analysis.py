@@ -1242,14 +1242,20 @@ class IncrementalChecker:
                     stored, index, sidecar, self._node_dispatch,
                     self._node_hits, links,
                 )
-        sidecar.finalise()
-        link_hits, link_dispatch = self._link_hits, self._link_dispatch
-        for link in links:
-            for slot, rule in link_dispatch[link.kind]:
-                found = rule.fn(link, sidecar)
-                if found:
-                    link_hits[slot][link] = tuple(found)
-        self._refresh_globals()
+        try:
+            sidecar.finalise()
+            link_hits, link_dispatch = self._link_hits, self._link_dispatch
+            for link in links:
+                for slot, rule in link_dispatch[link.kind]:
+                    found = rule.fn(link, sidecar)
+                    if found:
+                        link_hits[slot][link] = tuple(found)
+            self._refresh_globals()
+        except KeyError:  # a rule looked up a node no shard holds
+            dangling = stored.dangling_link()
+            if dangling is None:
+                raise
+            raise dangling from None
         if workers < 2:
             self._mark = stored.journal_mark()
 

@@ -50,8 +50,9 @@ Append ops use exactly the journal's record encoding (see
 crashed session's journal segment would have held.  Failure mapping:
 ``400`` malformed request, ``404`` unknown store/node/route, ``409``
 generation conflict (:class:`~repro.store.StoreConflictError`, including
-a snapshot whose files ``gc()`` swept), ``500`` store corruption or
-unexpected errors.
+a snapshot whose files another process's ``gc()`` swept: the service
+then opens a fresh snapshot, so a retry reads the live generation),
+``500`` store corruption or unexpected errors.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ from ..store import (
     StoreCorruptionError,
     StoredArgument,
     StoreError,
+    StoreGenerationGoneError,
 )
 from ..store.format import MANIFEST_NAME
 from ..store.journal import decode_op
@@ -443,28 +445,52 @@ class ArgumentService:
                 for name in self._store_names()
             ]
         state = self._store(segments[1])
+        snapshot = state.snapshot
         rest = segments[2:]
-        if not rest:
-            if method != "GET":
-                raise ServiceError(405, "GET only")
-            return 200, self._summary(state)
-        if method == "GET" and len(rest) == 2 and rest[0] == "nodes":
-            return await self._get_node(state, rest[1])
-        if method == "GET" and len(rest) == 2 and rest[0] == "subtree":
-            return await self._get_subtree(state, rest[1])
-        if method == "POST" and rest == ["query"]:
-            return await self._post_query(state, body)
-        if method == "POST" and rest == ["search"]:
-            return await self._post_search(state, body)
-        if method == "POST" and rest == ["check"]:
-            return await self._post_check(state, body)
-        if method == "POST" and rest == ["append"]:
-            return await self._post_append(state, body)
-        if method == "POST" and rest == ["compact"]:
-            return await self._post_compact(state)
-        if method == "POST" and rest == ["gc"]:
-            return await self._post_gc(state)
+        try:
+            if not rest:
+                if method != "GET":
+                    raise ServiceError(405, "GET only")
+                return 200, self._summary(state)
+            if method == "GET" and len(rest) == 2 and rest[0] == "nodes":
+                return await self._get_node(state, rest[1])
+            if method == "GET" and len(rest) == 2 and rest[0] == "subtree":
+                return await self._get_subtree(state, rest[1])
+            if method == "POST" and rest == ["query"]:
+                return await self._post_query(state, body)
+            if method == "POST" and rest == ["search"]:
+                return await self._post_search(state, body)
+            if method == "POST" and rest == ["check"]:
+                return await self._post_check(state, body)
+            if method == "POST" and rest == ["append"]:
+                return await self._post_append(state, body)
+            if method == "POST" and rest == ["compact"]:
+                return await self._post_compact(state)
+            if method == "POST" and rest == ["gc"]:
+                return await self._post_gc(state)
+        except StoreGenerationGoneError:
+            await self._renew(state, snapshot)
+            raise
         raise ServiceError(404, f"no route {path!r}")
+
+    async def _renew(self, state: _StoreState, swept: StoredArgument) -> None:
+        """Serve a fresh handle in place of ``swept``, a snapshot that
+        lost a file to another process's ``gc()``, so the client's retry
+        reads the live generation; a no-op when another request has
+        already replaced the snapshot, or the store cannot be opened."""
+        async with state.lock:
+            if state.snapshot is not swept:
+                return
+
+            def reopen() -> StoredArgument:
+                handle = StoredArgument(state.path)
+                handle.adopt_base_caches(swept)
+                return handle
+
+            try:
+                state.snapshot = await self._in_thread(reopen)
+            except StoreError:
+                pass
 
     # -- reads: snapshot handle, worker thread, no locks --------------------
 

@@ -358,12 +358,16 @@ def node_from_record(record: dict[str, Any]) -> Node:
 
     The one record-to-node step of every store read.  Metadata sorts
     only when present (the writer omits empty metadata); an unknown
-    ``type`` raises the enum's own ``ValueError``.
+    ``type`` raises the enum's own ``ValueError``, an id that is not a
+    string a ``TypeError``.
     """
     try:
         node_type = NODE_TYPE_BY_VALUE[record["type"]]
     except (KeyError, TypeError):
         node_type = NodeType(record["type"])
+    identifier = record["id"]
+    if type(identifier) is not str:
+        raise TypeError(f"node id {identifier!r} is not a string")
     metadata: "tuple[tuple[str, tuple[Any, ...]], ...]" = ()
     if "metadata" in record:
         metadata = tuple(sorted(
@@ -371,7 +375,7 @@ def node_from_record(record: dict[str, Any]) -> Node:
             for name, params in record["metadata"].items()
         ))
     return Node(
-        record["id"],
+        identifier,
         node_type,
         record["text"],
         record.get("undeveloped", False),
@@ -382,9 +386,13 @@ def node_from_record(record: dict[str, Any]) -> Node:
 
 def link_from_record(record: dict[str, Any]) -> Link:
     """Rebuild a link from its store/journal record (extra keys ignored);
-    an unknown ``kind`` raises the enum's own ``ValueError``."""
+    an unknown ``kind`` raises the enum's own ``ValueError``, an end
+    that is not a string a ``TypeError``."""
     try:
         kind = LINK_KIND_BY_VALUE[record["kind"]]
     except (KeyError, TypeError):
         kind = LinkKind(record["kind"])
-    return Link(record["source"], record["target"], kind)
+    source, target = record["source"], record["target"]
+    if type(source) is not str or type(target) is not str:
+        raise TypeError(f"link ends {source!r}, {target!r} are not strings")
+    return Link(source, target, kind)

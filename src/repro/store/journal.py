@@ -99,6 +99,7 @@ __all__ = [
     "gc",
     "encode_op",
     "decode_op",
+    "decode_segment",
 ]
 
 #: Journal length at which ``append_delta`` coalesces the segments into
@@ -161,6 +162,40 @@ def decode_op(record: dict[str, Any], segment: str) -> tuple[str, Any]:
             segment, f"malformed {op!r} journal record ({error})"
         ) from None
     raise StoreCorruptionError(segment, f"unknown journal op {op!r}")
+
+
+def decode_segment(
+    stored: "StoredArgument", name: str
+) -> list[tuple[str, Any]]:
+    """One journal segment's ops, verified like a shard (count, CRC-32,
+    per-line decode) and each decoded by :func:`decode_op`; a record
+    that decodes to no op raises naming the segment and the line."""
+    ops: list[tuple[str, Any]] = []
+    records = stored._stream_shard(name, ("op",))
+    for line_number, record in enumerate(records, start=1):
+        try:
+            ops.append(decode_op(record, name))
+        except StoreCorruptionError as error:
+            raise StoreCorruptionError(
+                name, f"line {line_number}: {error.detail}"
+            ) from None
+    return ops
+
+
+def segment_damage(
+    error: StoreCorruptionError, final: bool
+) -> StoreCorruptionError:
+    """``error`` from a journal segment, saying whether torn-tail
+    recovery reaches it: damage in the final segment is one interrupted
+    append, damage anywhere before it is real corruption."""
+    reach = (
+        "the final journal segment looks like a torn append — "
+        "recoverable: reopen with StoredArgument(..., "
+        "ignore_torn_tail=True), then compact()"
+        if final else
+        "damage in a non-final journal segment is beyond torn-tail recovery"
+    )
+    return StoreCorruptionError(error.shard, f"{error.detail}; {reach}")
 
 
 class JournalOverlay:
@@ -322,24 +357,12 @@ def load_overlay(
             # mid-segment failure under ignore_torn_tail must drop the
             # entire append (the journal's atomicity unit), never a
             # prefix of it.
-            segment_ops = [
-                decode_op(record, name)
-                for record in stored._stream_shard(name, ("op",))
-            ]
-            ops.extend(segment_ops)
+            ops.extend(decode_segment(stored, name))
         except StoreCorruptionError as error:
-            if not final:
-                raise
-            if stored.ignore_torn_tail:
+            if final and stored.ignore_torn_tail:
                 torn = name
                 break
-            raise StoreCorruptionError(
-                name,
-                f"{error.detail}; the final journal segment looks like a "
-                "torn append — reopen with StoredArgument(..., "
-                "ignore_torn_tail=True) to recover the last consistent "
-                "state",
-            ) from None
+            raise segment_damage(error, final) from None
     if base is None:
         overlay = JournalOverlay(tuple(ops), torn_segment=torn)
     else:
@@ -438,8 +461,7 @@ def append_delta(stored: "StoredArgument", delta: MutationDelta) -> dict:
             # were each the tail of a previous successful append.
             final = stored.journal_segments[-1]
             if final not in stored.shards_read:
-                for record in stored._stream_shard(final, ("op",)):
-                    decode_op(record, final)
+                decode_segment(stored, final)
         if not delta.records:
             return stored.manifest
         if len(stored.journal_segments) >= COALESCE_AFTER:

@@ -38,15 +38,20 @@ handle, so each shard file is read, verified and decoded at most once
 per handle, whichever access comes first: a streaming check leaves the
 shards that later ``node``/``subtree`` reads (or a ``load``) need.
 
-Every shard is verified as it is decoded — CRC-32 and record count
-against the manifest, JSON decode per line — and any mismatch raises
-:class:`~repro.store.format.StoreCorruptionError` naming the shard.  A
-decodable record whose fields make no node or link (an unknown type or
-kind, text that fails node validation), or a node id or link repeated
-within a shard, raises it too, naming the line.  A manifest-named file
-that ``gc()`` swept after a newer generation dropped it raises
-:class:`~repro.store.format.StoreGenerationGoneError` instead: the
-store is healthy, and the handle must refresh.
+These checks are the one definition of a valid store: ``casefsck``
+(:mod:`repro.analysis_static.fsck`) runs them through this module and
+adds only the whole-store invariants a lazy reader cannot afford.  The
+manifest is validated whole on open and refresh
+(:func:`validate_manifest`).  Every shard is verified as it is decoded
+— CRC-32 and record count against the manifest, JSON decode per line —
+and any mismatch raises :class:`~repro.store.format.StoreCorruptionError`
+naming the shard.  A record whose fields make no node or link, whose
+``seq`` is not an int, or that repeats a node id or link within its
+shard raises it too, naming the line, and so does a base link to a node
+no base shard holds, found when a full read misses that node.  A
+manifest-named file that ``gc()`` swept after a newer generation
+dropped it raises :class:`~repro.store.format.StoreGenerationGoneError`
+instead: the store is healthy, and the handle must refresh.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, NoReturn, TypeVar
 from zlib import crc32, error as zlib_error
 
-from ..core.argument import Argument, Link
+from ..core.argument import Argument, ArgumentError, Link
 from ..core.case import AssuranceCase, SafetyCriterion
 from ..core.nodes import Node, NodeType
 from ..notation.json_io import evidence_from_payload
@@ -136,6 +141,130 @@ _Item = TypeVar("_Item")
 
 #: Sentinel distinguishing "no shadow entry" from a ``None`` tombstone.
 _MISSING = object()
+
+#: The manifest keys a case store carries beyond an argument store's.
+_CASE_KEYS = ("case_name", "evidence_shard", "citations_shard")
+
+
+def absent_endpoint(
+    name: str, line_number: int, identifier: str
+) -> StoreCorruptionError:
+    """The error refusing a base link whose end is not a base node."""
+    return StoreCorruptionError(
+        name, f"line {line_number} links absent node {identifier!r}"
+    )
+
+
+def count_mismatch(
+    nodes: int, links: int, claimed_nodes: Any, claimed_links: Any
+) -> StoreCorruptionError:
+    """The error refusing records that disagree with the totals."""
+    return StoreCorruptionError(
+        MANIFEST_NAME,
+        f"loaded {nodes} nodes / {links} links, manifest claims "
+        f"{claimed_nodes} / {claimed_links}",
+    )
+
+
+def sealed(shards: "dict[str, Any]", name: Any) -> bool:
+    """Whether the shard map gives file ``name`` the integer
+    ``records`` and ``crc32`` that a read verifies it against."""
+    try:
+        meta = shards[name]
+        return type(meta["records"]) is int and type(meta["crc32"]) is int
+    except (KeyError, TypeError):  # absent, or not a JSON object
+        return False
+
+
+def _length(names: Any) -> int:
+    return len(names) if isinstance(names, list) else 0
+
+
+def validate_manifest(manifest: Any) -> None:
+    """Refuse a parsed manifest no handle could serve, on the first
+    problem found: :class:`StoreError` for a store this reader does not
+    speak, :class:`StoreCorruptionError` naming the manifest for one
+    that contradicts itself, or that lists a shard it gives no integer
+    ``records`` and ``crc32`` to verify against."""
+    if not isinstance(manifest, dict):
+        raise StoreCorruptionError(
+            MANIFEST_NAME, "manifest is not a JSON object"
+        )
+    if manifest.get("schema") != STORE_SCHEMA_VERSION:
+        raise StoreError(
+            f"unsupported store schema {manifest.get('schema')!r} "
+            f"(this reader speaks {STORE_SCHEMA_VERSION})"
+        )
+    kind = manifest.get("kind")
+    if kind not in ("argument", "case"):
+        raise StoreError(f"unknown store kind {kind!r}")
+    if manifest.get("id_hash") != ID_HASH:
+        raise StoreError(
+            f"store sharded with {manifest.get('id_hash')!r}, "
+            f"not {ID_HASH!r}"
+        )
+    if not isinstance(manifest.get("name"), str):
+        raise StoreCorruptionError(
+            MANIFEST_NAME, "missing or non-string 'name'"
+        )
+    shard_count = manifest.get("shard_count")
+    node_shards = manifest.get("node_shards")
+    link_shards = manifest.get("link_shards")
+    shards = manifest.get("shards")
+    if (
+        not isinstance(shard_count, int)
+        or shard_count < 1
+        or not isinstance(node_shards, list)
+        or not isinstance(link_shards, list)
+        or len(node_shards) != shard_count
+        or len(link_shards) != shard_count
+        or not isinstance(shards, dict)
+    ):
+        raise StoreCorruptionError(
+            MANIFEST_NAME,
+            f"inconsistent shard map (shard_count {shard_count!r}, "
+            f"{_length(node_shards)} node / "
+            f"{_length(link_shards)} link shard names)",
+        )
+    compression = manifest.get("compression")
+    if compression not in COMPRESSIONS:
+        raise StoreError(
+            f"unsupported shard compression {compression!r} "
+            f"(this reader speaks gzip or none)"
+        )
+    for key in ("node_count", "link_count"):
+        if not isinstance(manifest.get(key), int):
+            raise StoreCorruptionError(
+                MANIFEST_NAME, f"missing or non-integer {key!r}"
+            )
+    journal = manifest.get("journal", [])
+    if not isinstance(journal, list):
+        raise StoreCorruptionError(
+            MANIFEST_NAME, "journal segment list is malformed"
+        )
+    if journal and manifest.get("journal_schema") != JOURNAL_SCHEMA_VERSION:
+        raise StoreError(
+            "unsupported journal schema "
+            f"{manifest.get('journal_schema')!r} (this reader "
+            f"speaks {JOURNAL_SCHEMA_VERSION})"
+        )
+    referenced = node_shards + link_shards + journal
+    if kind == "case":
+        for key in _CASE_KEYS:
+            if not isinstance(manifest.get(key), str):
+                raise StoreCorruptionError(
+                    MANIFEST_NAME, f"case manifest is missing {key!r}"
+                )
+        referenced += [
+            manifest["evidence_shard"], manifest["citations_shard"]
+        ]
+    for name in referenced:
+        if not sealed(shards, name):
+            raise StoreCorruptionError(
+                MANIFEST_NAME,
+                f"shard map is missing entries for listed shard {name!r} "
+                f"(its records and crc32)",
+            )
 
 
 class StoredArgument:
@@ -222,6 +351,7 @@ class StoredArgument:
             raise StoreCorruptionError(
                 MANIFEST_NAME, f"manifest is not valid JSON ({error})"
             ) from None
+        validate_manifest(manifest)
         #: CRC-32 of the manifest bytes — the store generation's
         #: identity.  ``Argument.save(journal=True)`` compares it
         #: against the baseline recorded at the last save/load, so any
@@ -229,80 +359,25 @@ class StoredArgument:
         #: rewrites, compaction) falls back to a full rewrite instead of
         #: appending a delta onto state it never saw.
         self.manifest_fingerprint = crc32(raw)
-        if manifest.get("schema") != STORE_SCHEMA_VERSION:
-            raise StoreError(
-                f"unsupported store schema {manifest.get('schema')!r} "
-                f"(this reader speaks {STORE_SCHEMA_VERSION})"
-            )
-        if manifest.get("kind") not in ("argument", "case"):
-            raise StoreError(f"unknown store kind {manifest.get('kind')!r}")
-        if manifest.get("id_hash") != ID_HASH:
-            raise StoreError(
-                f"store sharded with {manifest.get('id_hash')!r}, "
-                f"not {ID_HASH!r}"
-            )
-        shard_count = manifest.get("shard_count")
-        node_shards = manifest.get("node_shards")
-        link_shards = manifest.get("link_shards")
-        if (
-            not isinstance(shard_count, int)
-            or shard_count < 1
-            or not isinstance(node_shards, list)
-            or not isinstance(link_shards, list)
-            or len(node_shards) != shard_count
-            or len(link_shards) != shard_count
-            or not isinstance(manifest.get("shards"), dict)
-        ):
-            raise StoreCorruptionError(
-                MANIFEST_NAME,
-                f"inconsistent shard map (shard_count {shard_count!r}, "
-                f"{len(node_shards or ())} node / "
-                f"{len(link_shards or ())} link shard names)",
-            )
-        compression = manifest.get("compression")
-        if compression not in COMPRESSIONS:
-            raise StoreError(
-                f"unsupported shard compression {compression!r} "
-                f"(this reader speaks gzip or none)"
-            )
-        journal = manifest.get("journal", [])
-        if journal:
-            if not isinstance(journal, list) or not all(
-                isinstance(name, str) for name in journal
-            ):
-                raise StoreCorruptionError(
-                    MANIFEST_NAME, "journal segment list is malformed"
-                )
-            if manifest.get("journal_schema") != JOURNAL_SCHEMA_VERSION:
-                raise StoreError(
-                    "unsupported journal schema "
-                    f"{manifest.get('journal_schema')!r} (this reader "
-                    f"speaks {JOURNAL_SCHEMA_VERSION})"
-                )
         self.manifest = manifest
         self.name: str = manifest["name"]
         self.kind: str = manifest["kind"]
-        self.shard_count: int = shard_count
+        self.shard_count: int = manifest["shard_count"]
         #: ``"gzip"`` when shards are compressed (transparent on read).
-        self.compression: str | None = compression
-        self._node_shard_names: list[str] = node_shards
-        self._link_shard_names: list[str] = link_shards
+        self.compression: str | None = manifest.get("compression")
+        self._node_shard_names: list[str] = manifest["node_shards"]
+        self._link_shard_names: list[str] = manifest["link_shards"]
         #: Journal segment names, oldest first (empty: no journal).
-        self.journal_segments: list[str] = journal
-        try:
-            #: Record totals of the base shards alone — the seq domain
-            #: journal-appended records continue from.
-            self.base_node_total: int = sum(
-                manifest["shards"][name]["records"] for name in node_shards
-            )
-            self.base_link_total: int = sum(
-                manifest["shards"][name]["records"] for name in link_shards
-            )
-        except (KeyError, TypeError):
-            raise StoreCorruptionError(
-                MANIFEST_NAME,
-                "shard map is missing entries for listed shards",
-            ) from None
+        self.journal_segments: list[str] = manifest.get("journal", [])
+        shards = manifest["shards"]
+        #: Record totals of the base shards alone — the seq domain
+        #: journal-appended records continue from.
+        self.base_node_total: int = sum(
+            shards[name]["records"] for name in self._node_shard_names
+        )
+        self.base_link_total: int = sum(
+            shards[name]["records"] for name in self._link_shard_names
+        )
         self._overlay = None
         # The bytes this view was parsed from: a refresh that reads the
         # same bytes again has nothing to parse.  Only _pin_to sets the
@@ -738,9 +813,7 @@ class StoredArgument:
         :meth:`_stream_shard` and journal coalescing, which copies the
         verified bytes of each segment instead of re-encoding its ops.
         """
-        meta = self.manifest["shards"].get(filename)
-        if meta is None:
-            raise StoreError(f"shard {filename!r} not in the manifest")
+        meta = self.manifest["shards"][filename]
         try:
             data = (self.path / filename).read_bytes()
         except FileNotFoundError:
@@ -849,8 +922,9 @@ class StoredArgument:
         decode: "Callable[[dict[str, Any]], _Item]",
     ) -> Iterator[tuple[int, _Item]]:
         """Stream a shard's ``(seq, object)`` pairs, each record decoded
-        by ``decode``; a record whose fields make no valid object raises
-        :class:`StoreCorruptionError` naming the shard and the line."""
+        by ``decode``; a record whose fields make no valid object, or
+        whose ``seq`` is not an int, raises :class:`StoreCorruptionError`
+        naming the shard and the line."""
         records = self._stream_shard(filename, required)
         for line_number, record in enumerate(records, start=1):
             try:
@@ -861,7 +935,13 @@ class StoredArgument:
                     f"line {line_number} is not a valid record "
                     f"({error})",
                 ) from None
-            yield record["seq"], item
+            seq = record["seq"]
+            if type(seq) is not int:
+                raise StoreCorruptionError(
+                    filename, f"line {line_number} has a non-integer seq "
+                    f"{seq!r}",
+                )
+            yield seq, item
 
     def iter_nodes(self) -> Iterator[Node]:
         """Stream every node in insertion order (journal replayed): the
@@ -940,18 +1020,23 @@ class StoredArgument:
         :class:`StoreCorruptionError` at the second copy's line."""
         shard = self._node_shards.get(index)
         if shard is None:
-            name = self._node_shard_names[index]
-            shard = {}
-            decoded = self._decode_shard(name, NODE_KEYS, node_from_record)
-            for line_number, (seq, node) in enumerate(decoded, start=1):
-                if node.identifier in shard:
-                    raise StoreCorruptionError(
-                        name,
-                        f"line {line_number} has a duplicate node id "
-                        f"{node.identifier!r}",
-                    )
-                shard[node.identifier] = (seq, node)
+            shard = self._read_node_shard(self._node_shard_names[index])
             self._node_shards[index] = shard
+        return shard
+
+    def _read_node_shard(self, name: str) -> dict[str, tuple[int, Node]]:
+        """Node shard ``name`` decoded and verified, bypassing the cache
+        (``casefsck`` reads each shard once this way)."""
+        shard: dict[str, tuple[int, Node]] = {}
+        decoded = self._decode_shard(name, NODE_KEYS, node_from_record)
+        for line_number, (seq, node) in enumerate(decoded, start=1):
+            if node.identifier in shard:
+                raise StoreCorruptionError(
+                    name,
+                    f"line {line_number} has a duplicate node id "
+                    f"{node.identifier!r}",
+                )
+            shard[node.identifier] = (seq, node)
         return shard
 
     def _link_shard(self, index: int) -> list[tuple[int, Link]]:
@@ -961,21 +1046,23 @@ class StoredArgument:
         :class:`StoreCorruptionError` at the second copy's line."""
         shard = self._link_shards.get(index)
         if shard is None:
-            name = self._link_shard_names[index]
-            shard = list(self._decode_shard(
-                name, LINK_KEYS, link_from_record
-            ))
-            if len(set(map(itemgetter(1), shard))) != len(shard):
-                seen: set[Link] = set()
-                for line_number, (_, link) in enumerate(shard, start=1):
-                    if link in seen:
-                        raise StoreCorruptionError(
-                            name,
-                            f"line {line_number} has a duplicate link "
-                            f"{link}",
-                        )
-                    seen.add(link)
+            shard = self._read_link_shard(self._link_shard_names[index])
             self._link_shards[index] = shard
+        return shard
+
+    def _read_link_shard(self, name: str) -> list[tuple[int, Link]]:
+        """Link shard ``name`` decoded and verified, bypassing the cache
+        (``casefsck`` reads each shard once this way)."""
+        shard = list(self._decode_shard(name, LINK_KEYS, link_from_record))
+        if len(set(map(itemgetter(1), shard))) != len(shard):
+            seen: set[Link] = set()
+            for line_number, (_, link) in enumerate(shard, start=1):
+                if link in seen:
+                    raise StoreCorruptionError(
+                        name,
+                        f"line {line_number} has a duplicate link {link}",
+                    )
+                seen.add(link)
         return shard
 
     def _link_sources_of(
@@ -1101,6 +1188,22 @@ class StoredArgument:
             )
         return fragment
 
+    def dangling_link(self) -> "StoreCorruptionError | None":
+        """The error refusing the first base link (in shard and line
+        order) to a node no base shard holds, or ``None``.  Asked only
+        after a full read missed a node, so no read pays a per-link
+        membership test."""
+        for index, name in enumerate(self._link_shard_names):
+            links = self._link_shard(index)
+            for line_number, (_, link) in enumerate(links, start=1):
+                for identifier in (link.source, link.target):
+                    home = shard_of(identifier, self.shard_count)
+                    if identifier not in self._node_shard(home):
+                        return absent_endpoint(
+                            name, line_number, identifier
+                        )
+        return None
+
     # -- full hydration -----------------------------------------------------
 
     def load(self, into: type[Argument] | None = None) -> Argument:
@@ -1114,12 +1217,18 @@ class StoredArgument:
         ``MyArgument``.
         """
         argument = (into or Argument)(name=self.name)
-        with argument.batch():
-            argument.add_nodes(self.iter_nodes())
-            argument.add_links(
-                (link.source, link.target, link.kind)
-                for link in self.iter_links()
-            )
+        try:
+            with argument.batch():
+                argument.add_nodes(self.iter_nodes())
+                argument.add_links(
+                    (link.source, link.target, link.kind)
+                    for link in self.iter_links()
+                )
+        except ArgumentError:
+            dangling = self.dangling_link()
+            if dangling is None:
+                raise
+            raise dangling from None
         # Cross-check the totals (journal replay included): every shard
         # verified individually, but a tampered manifest could still
         # understate the shard list coherently — loudness beats silent
@@ -1128,11 +1237,9 @@ class StoredArgument:
             len(argument) != self.node_count
             or len(argument.links) != self.link_count
         ):
-            raise StoreCorruptionError(
-                MANIFEST_NAME,
-                f"loaded {len(argument)} nodes / "
-                f"{len(argument.links)} links, manifest claims "
-                f"{self.node_count} / {self.link_count}",
+            raise count_mismatch(
+                len(argument), len(argument.links),
+                self.node_count, self.link_count,
             )
         self.hydrated = True
         # The loaded argument continues the stored state: record the
@@ -1178,11 +1285,6 @@ def load_case(
         )
     argument = stored.load()
     manifest = stored.manifest
-    for key in ("case_name", "evidence_shard", "citations_shard"):
-        if not isinstance(manifest.get(key), str):
-            raise StoreCorruptionError(
-                MANIFEST_NAME, f"case manifest is missing {key!r}"
-            )
     criterion = None
     if manifest.get("criterion"):
         criterion = SafetyCriterion(
@@ -1193,10 +1295,10 @@ def load_case(
     case = (into or AssuranceCase)(
         manifest["case_name"], argument, criterion
     )
-    for record in stored._stream_shard(
-        manifest["evidence_shard"], EVIDENCE_KEYS
+    for _, item in stored._decode_shard(
+        manifest["evidence_shard"], EVIDENCE_KEYS, evidence_from_payload
     ):
-        case.evidence.add(evidence_from_payload(record))
+        case.evidence.add(item)
     journaled = bool(stored.journal_segments)
     for record in stored._stream_shard(
         manifest["citations_shard"], CITATION_KEYS

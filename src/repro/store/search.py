@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import weakref
 from pathlib import Path
-from typing import AbstractSet, Any, Iterable, Iterator, Mapping
+from typing import AbstractSet, Any, Iterable, Iterator, Mapping, NamedTuple
 from zlib import crc32
 
 from ..core.search import (
@@ -67,7 +67,7 @@ from .format import (
 )
 from .journal import _check_handle_current, _check_not_torn
 from .lease import writer_lease
-from .reader import JournalMark, StoredArgument
+from .reader import JournalMark, StoredArgument, sealed
 from .writer import _commit, _ShardWriter
 
 __all__ = [
@@ -482,49 +482,120 @@ class SearchIndexView(PostingsView):
         return self.verified_candidates(lowered, self._lowered_text)
 
 
-def _parse_sidecar(
-    stored: StoredArgument, name: str
-) -> "StoreSearchIndex | None":
-    """Read + verify the sidecar file; ``None`` on any mismatch.
+class Sidecar(NamedTuple):
+    """What :func:`_parse_sidecar` found in sidecar ``name``: its
+    verified ``records``, header first, or the ``damage`` refusing the
+    file; and why it is ``stale``, if it is."""
 
-    Damage (torn write, checksum mismatch, malformed records) and
-    staleness (wrong schema/tokenizer version, a base generation other
-    than the handle's) degrade identically: no index, scan instead.
-    ``casefsck`` is the loud path for operators; readers just stay
-    correct.
+    name: Any
+    records: "list[dict[str, Any]]"
+    damage: "StoreCorruptionError | None"
+    stale: "tuple[str, ...]"
+
+    def postings(self) -> "StoreSearchIndex | None":
+        """The postings, parsed, or ``None`` (scan instead) when the
+        sidecar is damaged or stale.  ``casefsck`` never asks, so it
+        verifies a sidecar without building its postings."""
+        if self.damage is not None or self.stale:
+            return None
+        tokens: dict[str, set[str]] = {}
+        grams: dict[str, set[str]] = {}
+        counts: dict[str, dict[str, int]] = {}
+        for record in self.records[1:]:
+            term = record["term"]
+            if record["kind"] == "token":
+                tokens[term] = set(record["ids"])
+                if "counts" in record:
+                    counts[term] = record["counts"]
+            else:
+                grams[term] = set(record["ids"])
+        header = self.records[0]
+        return StoreSearchIndex(
+            tokens, grams, counts, header["base_crc32"], header["ops"],
+            self.name,
+        )
+
+
+def _parse_sidecar(stored: StoredArgument, name: Any) -> Sidecar:
+    """Read and verify the sidecar the manifest names ``name``.
+
+    The one sidecar reader: search parses the postings
+    (:meth:`Sidecar.postings`), and ``casefsck`` reports damage (a
+    reference without shard-map entries, a seal failure, no header, an
+    unknown schema, a malformed posting) as recoverable and staleness
+    (an older schema, another tokenizer version or base generation, a
+    watermark malformed or past the journal) as a note.  Readers treat
+    both alike: scan instead.
     """
+    if not isinstance(name, str):
+        return _damaged(
+            name, MANIFEST_NAME, f"malformed search_index reference {name!r}"
+        )
+    if not sealed(stored.manifest["shards"], name):
+        return _damaged(
+            name,
+            MANIFEST_NAME,
+            f"search sidecar {name!r} referenced without records/crc32 "
+            f"metadata",
+        )
     try:
         records = list(stored._stream_shard(name, ("seq", "kind")))
-    except (StoreCorruptionError, StoreError):
-        return None
-    if not records or records[0].get("kind") != "header":
-        return None
-    header = records[0]
-    if header.get("search_schema") != SEARCH_SCHEMA_VERSION:
-        return None
-    if header.get("tokenizer") != TOKENIZER_VERSION:
-        return None
-    if header.get("base_crc32") != base_names_crc(stored.base_key()):
-        return None
-    ops = header.get("ops")
-    if not isinstance(ops, int) or isinstance(ops, bool) or ops < 0:
-        return None
-    tokens: dict[str, set[str]] = {}
-    grams: dict[str, set[str]] = {}
-    counts: dict[str, dict[str, int]] = {}
-    for record in records[1:]:
+    except StoreCorruptionError as error:
+        return Sidecar(name, [], error, ())
+    except StoreError as error:
+        return _damaged(name, name, str(error))
+    header = records[0] if records else {}
+    if header.get("kind") != "header":
+        return _damaged(name, name, "first record is not the sidecar header")
+    stale: list[str] = []
+    schema = header.get("search_schema")
+    if schema != SEARCH_SCHEMA_VERSION:
+        # An older schema is a format readers no longer speak, not
+        # damage: stale, like a previous base generation.
+        older = type(schema) is int and 1 <= schema < SEARCH_SCHEMA_VERSION
+        if not older:
+            return _damaged(
+                name,
+                name,
+                f"unsupported search schema {schema!r} (readers speak "
+                f"{SEARCH_SCHEMA_VERSION})",
+            )
+        stale.append(
+            f"search schema {schema} (readers speak "
+            f"{SEARCH_SCHEMA_VERSION})"
+        )
+    for line_number, record in enumerate(records[1:], start=2):
         if not valid_posting(record):
-            return None
-        term = record["term"]
-        if record["kind"] == "token":
-            tokens[term] = set(record["ids"])
-            if "counts" in record:
-                counts[term] = record["counts"]
-        else:
-            grams[term] = set(record["ids"])
-    return StoreSearchIndex(
-        tokens, grams, counts, header["base_crc32"], ops, name
+            return _damaged(
+                name,
+                name,
+                f"line {line_number}: malformed {record.get('kind')!r} "
+                f"posting record",
+            )
+    if header.get("tokenizer") != TOKENIZER_VERSION:
+        stale.append(
+            f"tokenizer version {header.get('tokenizer')!r} (readers "
+            f"speak {TOKENIZER_VERSION})"
+        )
+    if header.get("base_crc32") != base_names_crc(stored.base_key()):
+        stale.append("it indexes a previous base shard generation")
+    ops = header.get("ops")
+    journal = sum(
+        stored.manifest["shards"][segment]["records"]
+        for segment in stored.journal_segments
     )
+    if type(ops) is not int or ops < 0:
+        stale.append(f"its journal watermark {ops!r} is malformed")
+    elif ops > journal:
+        stale.append(
+            f"its journal watermark ({ops}) is past the journal's "
+            f"{journal} op(s)"
+        )
+    return Sidecar(name, records, None, tuple(stale))
+
+
+def _damaged(name: Any, artifact: str, detail: str) -> Sidecar:
+    return Sidecar(name, [], StoreCorruptionError(artifact, detail), ())
 
 
 def _generation(stored: StoredArgument) -> "_Generation | None":
@@ -549,7 +620,7 @@ def _generation(stored: StoredArgument) -> "_Generation | None":
         # (sidecar, base) pair until the handle refreshes.
         if stored._search_failed == (name, base_crc32):
             return None
-        base = stored._search_base = _parse_sidecar(stored, name)
+        base = stored._search_base = _parse_sidecar(stored, name).postings()
         if base is None:
             stored._search_failed = (name, base_crc32)
             return None

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import subprocess
 import sys
 import threading
 from typing import Any
@@ -221,6 +223,42 @@ class TestSearchEndpoint:
             client.search(STORE, "hazard")
         assert excinfo.value.status == 409
         assert "swept by gc()" in excinfo.value.detail
+
+    def test_a_swept_snapshot_is_renewed_so_a_retry_succeeds(
+        self, served
+    ):
+        client = served.client()
+        before = client.store(STORE)["generation"]
+        path = served.root / STORE
+        script = (
+            "import sys\n"
+            "from repro.core.argument import Argument\n"
+            "from repro.core.nodes import Node, NodeType\n"
+            "from repro.store import StoredArgument\n"
+            "path = sys.argv[1]\n"
+            "editor = Argument.load(path)\n"
+            "editor.add_node(Node('X1', NodeType.GOAL, 'A late claim'))\n"
+            "editor.save(path, journal=True)\n"
+            "live = StoredArgument(path)\n"
+            "live.compact()\n"
+            "assert live.gc()\n"
+            "print(live.generation)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        live = done.stdout.strip()
+        assert live != before
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.search(STORE, "hazard")
+        assert excinfo.value.status == 409
+        assert "swept by gc()" in excinfo.value.detail
+        assert client.search(STORE, "hazard")["generation"] == live
+        assert client.store(STORE)["generation"] == live
+        assert client.node(STORE, "X1")["node"]["id"] == "X1"
 
     def test_search_agrees_between_indexed_and_unindexed_stores(
         self, served, tmp_path

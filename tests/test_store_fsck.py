@@ -17,18 +17,30 @@ from zlib import crc32
 
 import pytest
 
+import repro
 from repro.analysis_static.fsck import (
     FSCK_FATAL,
     FSCK_NOTE,
     FSCK_RECOVERABLE,
+    FsckFinding,
     fsck_store,
 )
 from repro.core.argument import Argument, LinkKind
+from repro.core.case import AssuranceCase
+from repro.core.evidence import EvidenceItem, EvidenceKind
 from repro.core.nodes import Node, NodeType
-from repro.store import StoredArgument, shard_of, writer_lease
+from repro.store import (
+    StoredArgument,
+    load_case,
+    save_case,
+    shard_of,
+    writer_lease,
+)
 from repro.store.format import (
     LEASE_NAME,
+    MANIFEST_NAME,
     StoreCorruptionError,
+    StoreError,
     link_from_record,
 )
 from repro.store.fsck import main
@@ -61,10 +73,8 @@ def store_dir(tmp_path):
     return directory
 
 
-@pytest.fixture
-def journaled_dir(tmp_path):
-    """A store carrying two sealed journal segments."""
-    directory = tmp_path / "journaled.store"
+def _save_journaled(directory) -> None:
+    """Save the subject, then journal two appends onto it."""
     _argument().save(directory)
     for round_no in (1, 2):
         loaded = Argument.load(directory)
@@ -73,6 +83,13 @@ def journaled_dir(tmp_path):
         )
         loaded.add_link("G1", f"G{round_no + 10}", LinkKind.SUPPORTED_BY)
         loaded.save(directory, journal=True)
+
+
+@pytest.fixture
+def journaled_dir(tmp_path):
+    """A store carrying two sealed journal segments."""
+    directory = tmp_path / "journaled.store"
+    _save_journaled(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     assert len(manifest["journal"]) == 2
     return directory
@@ -218,7 +235,13 @@ def test_record_missing_keys_is_fatal(store_dir) -> None:
     report = fsck_store(store_dir)
     assert not report.ok
     assert fresh in _fatal_artifacts(report)
-    assert any("missing" in f.detail for f in report.fatal)
+    assert any(
+        f.artifact == fresh and f.detail == (
+            "line 1 is not a store record (expected an object with "
+            "seq, source, target, kind)"
+        )
+        for f in report.fatal
+    )
 
 
 def test_injected_record_is_fatal(store_dir) -> None:
@@ -230,10 +253,17 @@ def test_injected_record_is_fatal(store_dir) -> None:
     }, separators=(",", ":")).encode() + b"\n"
     path.write_bytes(path.read_bytes() + extra)
     fresh = _reseal(store_dir, shard, fix_records=False)
+    records = _manifest(store_dir)["shards"][fresh]["records"]
     report = fsck_store(store_dir)
     assert not report.ok
     assert fresh in _fatal_artifacts(report)
-    assert any("record count" in f.detail for f in report.fatal)
+    assert any(
+        f.artifact == fresh and f.detail == (
+            f"expected {records} record(s), found {records + 1} "
+            f"(truncated or padded shard)"
+        )
+        for f in report.fatal
+    )
 
 
 def test_missing_shard_file_is_fatal(store_dir) -> None:
@@ -691,3 +721,298 @@ def test_cli_worst_store_wins(store_dir, journaled_dir) -> None:
     shard = _nonempty_shard(store_dir, "nodes-")
     (store_dir / shard).write_bytes(b"garbage\n")
     assert main([str(journaled_dir), str(store_dir)]) == 1
+
+
+# -- agreement: the reader and fsck judge every store alike --------------------
+#
+# Each corpus row builds a store, damages it, and says whether the
+# reader's full read must refuse it.  Whatever a full read refuses, fsck
+# must report on the same artifact with the same detail; damage only
+# fsck looks for (partition, seq domain, content address) leaves the
+# reader reading.
+
+
+def _save_case(directory) -> None:
+    argument = _argument()
+    case = AssuranceCase("fsck-case", argument)
+    case.evidence.add(EvidenceItem(
+        identifier="E1", kind=EvidenceKind.TESTING,
+        description="Test report TR-1",
+    ))
+    case.cite("Sn1", "E1")
+    save_case(case, directory)
+
+
+_BUILDERS = {
+    "plain": lambda directory: _argument().save(directory),
+    "gzip": lambda directory: _argument().save(
+        directory, compression="gzip"
+    ),
+    "journaled": _save_journaled,
+    "indexed": lambda directory: _argument().save(
+        directory, search_index=True
+    ),
+    "case": _save_case,
+}
+
+
+def _edit_manifest(**changes):
+    def damage(directory) -> None:
+        manifest = _manifest(directory)
+        for key, value in changes.items():
+            if value is None:
+                del manifest[key]
+            else:
+                manifest[key] = value
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+    return damage
+
+
+def _edit_record(prefix: str, line: int = 0, **fields):
+    """Change fields of one record of a non-empty shard, then reseal."""
+    def damage(directory) -> None:
+        shard = _nonempty_shard(directory, prefix)
+        path = directory / shard
+        lines = path.read_bytes().splitlines(keepends=True)
+        record = json.loads(lines[line])
+        record.update(fields)
+        lines[line] = (
+            json.dumps(record, separators=(",", ":")).encode() + b"\n"
+        )
+        path.write_bytes(b"".join(lines))
+        _reseal(directory, shard)
+    return damage
+
+
+def _edit_segment(position: int, edit):
+    """Apply ``edit(path)`` to one journal segment's file."""
+    def damage(directory) -> None:
+        edit(directory / _manifest(directory)["journal"][position])
+    return damage
+
+
+def _truncate(path) -> None:
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _drop_segment_crc(directory) -> None:
+    manifest = _manifest(directory)
+    del manifest["shards"][manifest["journal"][0]]["crc32"]
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _damage_deflate(directory) -> None:
+    """Corrupt the first byte of a gzip shard's deflate data."""
+    path = directory / _nonempty_shard(directory, "nodes-")
+    data = bytearray(path.read_bytes())
+    data[10] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def _flip_text_byte(directory) -> None:
+    path = directory / _nonempty_shard(directory, "nodes-")
+    data = bytearray(path.read_bytes())
+    marker = b'"text":"'
+    data[data.index(marker) + len(marker)] ^= 0x20
+    path.write_bytes(bytes(data))
+
+
+def _tamper_together(directory) -> None:
+    shard = _nonempty_shard(directory, "nodes-")
+    _flip_text_byte(directory)
+    _patch_manifest_crc(directory, shard)
+
+
+def _truncate_shard(directory) -> None:
+    _truncate(directory / _nonempty_shard(directory, "links-"))
+
+
+def _replace_line(prefix: str, text: bytes, fix_records: bool = True):
+    def damage(directory) -> None:
+        shard = _nonempty_shard(directory, prefix)
+        path = directory / shard
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[0] = text
+        path.write_bytes(b"".join(lines))
+        _reseal(directory, shard, fix_records=fix_records)
+    return damage
+
+
+def _pad_shard(directory) -> None:
+    shard = _nonempty_shard(directory, "nodes-")
+    path = directory / shard
+    path.write_bytes(path.read_bytes() + path.read_bytes().splitlines(
+        keepends=True
+    )[0])
+    _reseal(directory, shard, fix_records=False)
+
+
+def _unlink_shard(directory) -> None:
+    (directory / _nonempty_shard(directory, "links-")).unlink()
+
+
+def _stray_node(directory) -> None:
+    shard_count = _manifest(directory)["shard_count"]
+    shard = _nonempty_shard(directory, "nodes-")
+    home = shard_of(
+        json.loads((directory / shard).read_bytes().splitlines()[0])["id"],
+        shard_count,
+    )
+    stray = next(
+        f"STRAY{i}" for i in range(1000)
+        if shard_of(f"STRAY{i}", shard_count) != home
+    )
+    _edit_record("nodes-", id=stray)(directory)
+
+
+def _duplicate_link(directory) -> None:
+    manifest = _manifest(directory)
+    shard = _nonempty_shard(directory, "links-")
+    path = directory / shard
+    lines = path.read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    record["seq"] = manifest["link_count"]
+    lines.append(json.dumps(record, separators=(",", ":")).encode() + b"\n")
+    path.write_bytes(b"".join(lines))
+    manifest["link_count"] += 1
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    _reseal(directory, shard)
+
+
+def _reseal_segment(edit):
+    def damage(directory) -> None:
+        segment = _manifest(directory)["journal"][0]
+        path = directory / segment
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[0] = edit(lines[0])
+        path.write_bytes(b"".join(lines))
+        _reseal(directory, segment)
+    return damage
+
+
+def _blank_journal_text(line: bytes) -> bytes:
+    record = json.loads(line)
+    record["node"]["text"] = " "
+    return json.dumps(record, separators=(",", ":")).encode() + b"\n"
+
+
+def _truncate_sidecar(directory) -> None:
+    _truncate(directory / _manifest(directory)["search_index"])
+
+
+def _count(delta: int):
+    def damage(directory) -> None:
+        manifest = _manifest(directory)
+        manifest["node_count"] += delta
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+    return damage
+
+
+#: (row id, store builder, damage, whether a full read must refuse it).
+_CORPUS = [
+    # Drift between the reader and fsck, each row failing before the
+    # two shared one verifier.
+    ("manifest-is-a-list",
+     "plain", lambda d: (d / "manifest.json").write_text("[]"), True),
+    ("manifest-without-name", "plain", _edit_manifest(name=None), True),
+    ("node-count-not-an-int",
+     "plain", _edit_manifest(node_count="many"), True),
+    ("segment-entry-without-crc32", "journaled", _drop_segment_crc, True),
+    ("damaged-deflate-data", "gzip", _damage_deflate, True),
+    ("seq-is-a-string", "plain", _edit_record("nodes-", seq="3"), True),
+    ("seq-is-a-float", "plain", _edit_record("nodes-", seq=2.5), True),
+    ("seq-is-a-bool", "plain", _edit_record("nodes-", seq=True), True),
+    ("base-link-to-absent-node",
+     "plain", _edit_record("links-", target="G99"), True),
+    ("node-id-not-a-string", "plain", _edit_record("nodes-", id=5), True),
+    ("link-end-not-a-string",
+     "plain", _edit_record("links-", target=7), True),
+    ("clean-case-store", "case", lambda d: None, False),
+    # The single-fault fixtures above.
+    ("clean", "plain", lambda d: None, False),
+    ("clean-journaled", "journaled", lambda d: None, False),
+    ("flipped-byte", "plain", _flip_text_byte, True),
+    ("tampered-with-manifest", "plain", _tamper_together, False),
+    ("truncated-shard", "plain", _truncate_shard, True),
+    ("undecodable-line",
+     "plain", _replace_line("nodes-", b'{"seq": 0, "id": "broken"\n'), True),
+    ("record-missing-keys",
+     "plain", _replace_line("links-", b'{"seq": 0, "source": "G1"}\n'),
+     True),
+    ("padded-shard", "plain", _pad_shard, True),
+    ("missing-shard-file", "plain", _unlink_shard, True),
+    ("partition-violation", "plain", _stray_node, True),
+    ("blank-node-text", "plain", _edit_record("nodes-", text=" "), True),
+    ("numeric-node-text", "plain", _edit_record("nodes-", text=5), True),
+    ("duplicate-link", "plain", _duplicate_link, True),
+    ("seq-domain-gap", "plain", _edit_record("nodes-", seq=999), False),
+    ("shard-count-zero", "plain",
+     _edit_manifest(shard_count=0, node_shards=[], link_shards=[]), True),
+    ("node-count-overstated", "plain", _count(1), True),
+    ("unsupported-schema", "plain", _edit_manifest(schema=99), True),
+    ("manifest-not-json",
+     "plain", lambda d: (d / "manifest.json").write_text("{not json"), True),
+    ("torn-final-segment", "journaled", _edit_segment(-1, _truncate), True),
+    ("missing-final-segment",
+     "journaled", _edit_segment(-1, lambda path: path.unlink()), True),
+    ("damaged-middle-segment",
+     "journaled", _edit_segment(0, _truncate), True),
+    ("missing-middle-segment",
+     "journaled", _edit_segment(0, lambda path: path.unlink()), True),
+    ("journal-record-the-reader-rejects",
+     "journaled", _reseal_segment(_blank_journal_text), True),
+    ("unknown-journal-op",
+     "journaled", _reseal_segment(lambda line: b'{"op": "reticulate"}\n'),
+     True),
+    ("torn-sidecar", "indexed", _truncate_sidecar, False),
+]
+
+
+def _full_reads(directory, kind: str) -> "list[StoreError]":
+    """Run each full read; collect the refusals.  Anything other than a
+    :class:`StoreError` propagates and fails the test."""
+    reads = [
+        lambda: StoredArgument(directory).load(),
+        lambda: repro.check(StoredArgument(directory), mode="streaming"),
+    ]
+    if kind == "case":
+        reads.append(lambda: load_case(directory))
+    refusals = []
+    for read in reads:
+        try:
+            read()
+        except StoreError as error:
+            refusals.append(error)
+    return refusals
+
+
+@pytest.mark.parametrize(
+    "kind, damage, refused",
+    [row[1:] for row in _CORPUS],
+    ids=[row[0] for row in _CORPUS],
+)
+def test_fsck_reports_exactly_what_the_reader_refuses(
+    tmp_path, kind, damage, refused
+) -> None:
+    directory = tmp_path / "agreement.store"
+    _BUILDERS[kind](directory)
+    journal = _manifest(directory).get("journal", [])
+    damage(directory)
+    refusals = _full_reads(directory, kind)
+    assert bool(refusals) == refused, refusals
+    report = fsck_store(directory)
+    for error in refusals:
+        if isinstance(error, StoreCorruptionError):
+            artifact, detail = error.shard, error.detail
+        else:
+            artifact, detail = MANIFEST_NAME, str(error)
+        # A torn final segment is the one refusal fsck downgrades: the
+        # reader recovers it under ignore_torn_tail=True.
+        torn = bool(journal) and artifact == journal[-1]
+        severity = FSCK_RECOVERABLE if torn else FSCK_FATAL
+        assert FsckFinding(severity, artifact, detail) in report.findings, (
+            error, report.render()
+        )
+    if refused:
+        assert report.exit_code(strict=True) == 1
